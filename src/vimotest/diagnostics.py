@@ -17,20 +17,6 @@ E_RAGGED_TABLE = "E108"
 E_CONTEXT_CYCLE = "E109"
 E_UNKNOWN_COLUMN = "E110"
 
-CODE_SUMMARIES = {
-    E_SYNTAX: "syntax error",
-    E_UNKNOWN_WIDGET: "unknown widget",
-    E_UNSUPPORTED_FEATURE: "unsupported feature",
-    E_UNKNOWN_COMMAND: "unknown command",
-    E_ARITY_MISMATCH: "arity mismatch",
-    E_TYPE_MISMATCH: "argument type mismatch",
-    E_DUPLICATE_NAME: "duplicate name",
-    E_UNRESOLVED_CONTEXT: "unresolved context reference",
-    E_RAGGED_TABLE: "ragged data table",
-    E_CONTEXT_CYCLE: "context reference cycle",
-    E_UNKNOWN_COLUMN: "unknown column title",
-}
-
 
 @dataclass(frozen=True)
 class SourceSpan:

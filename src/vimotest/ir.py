@@ -28,8 +28,6 @@ from .names import camel_case, pascal_case
 from .printer import align_pipe_rows, expectation_cell_text
 from .runtime import render_context
 
-IR_TYPES = ("bool", "string", "int", "rowList", "optIndex")
-
 _FEATURE_IR_TYPE = {
     FeatureKind.ENABLED: "bool",
     FeatureKind.VISIBLE: "bool",

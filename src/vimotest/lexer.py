@@ -4,14 +4,25 @@ Line-oriented pipe rows (data tables, expectation rows) are captured as one
 raw token each; their cells and adornments are split later by the parser.
 The tokenizer never raises on bad input: it records E001 diagnostics and
 keeps scanning.
+
+Scanning follows the master-pattern recipe from the ``re`` documentation:
+one compiled alternation is matched at the current offset, and line and
+column come from the offset of the last newline seen.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 
 from .diagnostics import Diagnostic, E_SYNTAX, SourceSpan, error
+
+# Identifiers are ASCII; ``model.is_identifier`` uses the same rule.
+IDENT_PATTERN = r"[A-Za-z][A-Za-z0-9_]*"
+
+# The string escapes, shared with tooltip strings in expectation rows.
+ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
 
 class TokenType(Enum):
@@ -55,147 +66,122 @@ _PUNCT = {
     "=": TokenType.EQUALS,
 }
 
-_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+_TOKEN_RE = re.compile(rf"""
+    (?P<skip>(?:[ \t\r\n]|//[^\n]*)+)
+  | (?P<pipe>\|[^\n]*)
+  | (?P<punct>[{{}}(),:.=])
+  | (?P<triple>\"\"\")
+  | (?P<string>"[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*")
+  | (?P<ident>{IDENT_PATTERN})
+  | (?P<int>-?[0-9]+)
+""", re.VERBOSE)
+
+_ESCAPE_RE = re.compile(r"\\(.)")
+_STRING_RUN_RE = re.compile(r'[^"\\\n]*')
 
 
-class Lexer:
-    def __init__(self, text: str, file: str = "<input>"):
-        self.text = text
-        self.file = file
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.diagnostics: list[Diagnostic] = []
-
-    def _span(self, line: int, col: int, length: int = 1) -> SourceSpan:
-        return SourceSpan(file=self.file, line=line, column=col, length=length)
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def _advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.text):
-                out.append(Token(TokenType.EOF, "", self.line, self.col))
-                return out
-            tok = self._next_token()
-            if tok is not None:
-                out.append(tok)
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token | None:
-        ch = self._peek()
-        line, col = self.line, self.col
-        if ch == "|":
-            return self._pipe_row(line, col)
-        if ch in _PUNCT:
-            self._advance()
-            return Token(_PUNCT[ch], ch, line, col)
-        if ch == '"':
-            if self._peek(1) == '"' and self._peek(2) == '"':
-                return self._triple_string(line, col)
-            return self._string(line, col)
-        if ch.isalpha():
-            return self._ident(line, col)
-        if ch.isdigit() or (ch == "-" and self._peek(1).isdigit()):
-            return self._int(line, col)
-        self._advance()
-        self.diagnostics.append(error(
-            E_SYNTAX, f"unexpected character {ch!r}", self._span(line, col)))
-        return None
-
-    def _pipe_row(self, line: int, col: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.text) and self._peek() != "\n":
-            self._advance()
-        raw = self.text[start:self.pos].rstrip()
-        return Token(TokenType.PIPE_ROW, raw, line, col, value=raw)
-
-    def _string(self, line: int, col: int) -> Token:
-        start = self.pos
-        self._advance()  # opening quote
-        parts: list[str] = []
-        while True:
-            if self.pos >= len(self.text) or self._peek() == "\n":
-                self.diagnostics.append(error(
-                    E_SYNTAX, "unterminated string literal", self._span(line, col)))
-                break
-            ch = self._advance()
-            if ch == '"':
-                break
-            if ch == "\\":
-                if self.pos >= len(self.text):
-                    self.diagnostics.append(error(
-                        E_SYNTAX, "unterminated string literal", self._span(line, col)))
-                    break
-                esc = self._advance()
-                if esc in _ESCAPES:
-                    parts.append(_ESCAPES[esc])
-                else:
-                    self.diagnostics.append(error(
-                        E_SYNTAX, f"unknown escape \\{esc}",
-                        self._span(self.line, max(self.col - 2, 1), 2)))
-            else:
-                parts.append(ch)
-        text = self.text[start:self.pos]
-        return Token(TokenType.STRING, text, line, col, value="".join(parts))
-
-    def _triple_string(self, line: int, col: int) -> Token:
-        for _ in range(3):
-            self._advance()
-        start = self.pos
-        while self.pos < len(self.text):
-            if self._peek() == '"' and self._peek(1) == '"' and self._peek(2) == '"':
-                value = self.text[start:self.pos]
-                for _ in range(3):
-                    self._advance()
-                return Token(TokenType.TRIPLE_STRING, '"""', line, col, value=value)
-            self._advance()
-        self.diagnostics.append(error(
-            E_SYNTAX, "unterminated triple-quoted string", self._span(line, col, 3)))
-        return Token(TokenType.TRIPLE_STRING, '"""', line, col, value=self.text[start:])
-
-    def _ident(self, line: int, col: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.text) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self.text[start:self.pos]
-        return Token(TokenType.IDENT, text, line, col, value=text)
-
-    def _int(self, line: int, col: int) -> Token:
-        start = self.pos
-        if self._peek() == "-":
-            self._advance()
-        while self.pos < len(self.text) and self._peek().isdigit():
-            self._advance()
-        text = self.text[start:self.pos]
-        return Token(TokenType.INT, text, line, col, value=int(text))
+def _unescape(match: re.Match) -> str:
+    return ESCAPES[match.group(1)]
 
 
 def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
-    lexer = Lexer(text, file)
-    toks = lexer.tokens()
-    return toks, lexer.diagnostics
+    toks: list[Token] = []
+    diags: list[Diagnostic] = []
+    append = toks.append
+    match = _TOKEN_RE.match
+    n = len(text)
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the first character of the current line
+    while pos < n:
+        m = match(text, pos)
+        if m is None:
+            if text[pos] == '"':
+                tok, pos, line, line_start = _malformed_string(
+                    text, pos, line, line_start, file, diags)
+                append(tok)
+            else:
+                diags.append(error(E_SYNTAX, f"unexpected character {text[pos]!r}",
+                                   SourceSpan(file, line, pos - line_start + 1, 1)))
+                pos += 1
+            continue
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "skip":
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, end) + 1
+        elif kind == "ident":
+            word = m.group()
+            append(Token(TokenType.IDENT, word, line, pos - line_start + 1, word))
+        elif kind == "punct":
+            ch = m.group()
+            append(Token(_PUNCT[ch], ch, line, pos - line_start + 1))
+        elif kind == "pipe":
+            raw = m.group().rstrip()
+            append(Token(TokenType.PIPE_ROW, raw, line, pos - line_start + 1, raw))
+        elif kind == "string":
+            body = text[pos + 1:end - 1]
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(_unescape, body)
+            append(Token(TokenType.STRING, m.group(), line, pos - line_start + 1, body))
+        elif kind == "int":
+            digits = m.group()
+            append(Token(TokenType.INT, digits, line, pos - line_start + 1, int(digits)))
+        else:  # triple
+            col = pos - line_start + 1
+            close = text.find('"""', end)
+            if close < 0:
+                diags.append(error(E_SYNTAX, "unterminated triple-quoted string",
+                                   SourceSpan(file, line, col, 3)))
+                close = n
+            append(Token(TokenType.TRIPLE_STRING, '"""', line, col, text[end:close]))
+            newlines = text.count("\n", end, close)
+            end = min(close + 3, n)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, close) + 1
+        pos = end
+    append(Token(TokenType.EOF, "", line, n - line_start + 1))
+    return toks, diags
+
+
+def _malformed_string(text: str, pos: int, line: int, line_start: int, file: str,
+                      diags: list[Diagnostic]) -> tuple[Token, int, int, int]:
+    """Scan a string the master pattern rejected: a bad escape or no closing quote.
+
+    Unknown escapes are dropped from the value and reported where the
+    backslash stands; a backslash-newline continues the string on the next
+    line. Returns the token and the new (pos, line, line_start).
+    """
+    start_line, col = line, pos - line_start + 1
+    n = len(text)
+    parts: list[str] = []
+    i = pos + 1
+    while True:
+        run_end = _STRING_RUN_RE.match(text, i).end()
+        parts.append(text[i:run_end])
+        i = run_end
+        if text.startswith('"', i):
+            i += 1
+            break
+        if text.startswith("\\", i) and i + 1 < n:
+            esc = text[i + 1]
+            if esc == "\n":
+                line += 1
+                line_start = i + 2
+            if esc in ESCAPES:
+                parts.append(ESCAPES[esc])
+            else:
+                diags.append(error(E_SYNTAX, f"unknown escape \\{esc}",
+                                   SourceSpan(file, line, max(i - line_start + 1, 1), 2)))
+            i += 2
+            continue
+        if text.startswith("\\", i):  # a backslash at the end of input
+            i += 1
+        diags.append(error(E_SYNTAX, "unterminated string literal",
+                           SourceSpan(file, start_line, col, 1)))
+        break
+    token = Token(TokenType.STRING, text[pos:i], start_line, col, "".join(parts))
+    return token, i, line, line_start

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 
 from .diagnostics import SourceSpan, span_field
+from .lexer import IDENT_PATTERN
 
 
 @unique
@@ -71,7 +72,6 @@ FEATURE_ORDER = (
 )
 
 BOOL_FEATURES = frozenset({FeatureKind.ENABLED, FeatureKind.VISIBLE, FeatureKind.CHECKED})
-STRING_FEATURES = frozenset({FeatureKind.TEXT})
 
 # Intrinsic parameter carried by each widget command, and the feature the
 # command updates on the target widget before presentation logic runs.
@@ -137,7 +137,7 @@ def catalog_lookup(kind: WidgetKind) -> WidgetCatalogEntry:
     return CATALOG[kind]
 
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_IDENT_RE = re.compile(IDENT_PATTERN + r"\Z")
 
 
 def is_identifier(raw: str) -> bool:

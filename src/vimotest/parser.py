@@ -17,7 +17,7 @@ from .diagnostics import (
     error,
     has_errors,
 )
-from .lexer import Token, TokenType, tokenize
+from .lexer import ESCAPES, Token, TokenType, tokenize
 from .model import (
     ArgContextRef,
     ArgLiteral,
@@ -802,11 +802,10 @@ class _Parser:
 
 
 def _split_pipe_row(raw: str) -> tuple[list[str] | None, str]:
-    pipes = [i for i, ch in enumerate(raw) if ch == "|"]
-    if len(pipes) < 2:
+    parts = raw.split("|")  # raw starts with '|', so parts[0] is empty
+    if len(parts) < 3:
         return None, ""
-    cells = [raw[pipes[k] + 1:pipes[k + 1]] for k in range(len(pipes) - 1)]
-    return cells, raw[pipes[-1] + 1:]
+    return parts[1:-1], parts[-1]
 
 
 def _scan_groups(text: str) -> tuple[list[tuple[str, str | None]], str | None]:
@@ -853,7 +852,9 @@ def _scan_groups(text: str) -> tuple[list[tuple[str, str | None]], str | None]:
             while i < n and text[i] != '"':
                 if text[i] == "\\" and i + 1 < n:
                     esc = text[i + 1]
-                    parts.append({"n": "\n", "t": "\t"}.get(esc, esc))
+                    if esc not in ESCAPES:
+                        return groups, f"unknown escape \\{esc} in tooltip string"
+                    parts.append(ESCAPES[esc])
                     i += 2
                 else:
                     parts.append(text[i])

@@ -278,6 +278,23 @@ class TestParseTestSuite:
         assert suite is None
         assert "E001" in codes(diags)
 
+    def _tooltip_suite(self, tooltip):
+        return ('testsuite S for V { scenario "T" { given { } when { } then { '
+                f'table T {{ rows {{ | A |\n | x [tooltip "{tooltip}"] |\n }} }} }} }} }}')
+
+    def test_tooltip_escapes_follow_string_literal_rules(self):
+        suite, diags = parse_test_suite(self._tooltip_suite(r'q\"b\\s\tt\nn'))
+        assert suite is not None, [d.render() for d in diags]
+        cell = suite.scenarios[0].then[0].expectation.rows[0].cells[0]
+        assert cell.tooltip == 'q"b\\s\tt\nn'
+
+    def test_unknown_tooltip_escape_is_e001(self):
+        suite, diags = parse_test_suite(self._tooltip_suite(r"a\qb"))
+        assert suite is None
+        first = diags[0]
+        assert (first.code, first.message, first.span.line) == (
+            "E001", "unknown escape \\q in tooltip string", 2)
+
     def test_actions(self):
         src = """testsuite S for V {
           scenario "Actions" {
@@ -345,7 +362,8 @@ class TestDiagnosticsInvariants:
 
     def test_printable_fuzzing_returns_syntax_codes(self):
         rng = random.Random(555)
-        alphabet = "viewmodel testsuite {}()|\"' \n\tabc123*[]=:,."
+        alphabet = [*"viewmodel testsuite {}()|\"' \n\tabc123*[]=:,._\\-/",
+                    '"""', "\u00b2", "\u0663", "\u00e9"]
         for _ in range(500):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(80)))
             ast, diags = parse_view_model(text)
