@@ -64,7 +64,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--setup", required=True,
                      help=f"registered logic/setup id ({', '.join(sorted(REGISTRY))})")
     run.add_argument("--format", choices=("human", "json"), default="human")
-    run.add_argument("--parallel", type=int, metavar="N", default=None)
 
     gen = sub.add_parser("gen", help="generate target sources")
     gen.add_argument("paths", nargs="+")
@@ -197,8 +196,7 @@ def _cmd_run(args) -> int:
     all_passed = True
     for link in linked:
         results = run_suite(link, registration.logic_factory,
-                            registration.setup_factory, RunConfig(),
-                            parallel=args.parallel)
+                            registration.setup_factory, RunConfig())
         report_suites.append((link.suite.name, results))
         all_passed &= all(r.status == "passed" for r in results)
     if args.format == "json":
@@ -243,6 +241,7 @@ def _scenario_dict(result: ScenarioResult) -> dict:
         "description": result.description,
         "status": result.status,
         "durationMillis": result.duration_millis,
+        "durationMicros": result.duration_micros,
         "error": result.error,
         "failures": [_failure_dict(f) for f in result.failures],
     }

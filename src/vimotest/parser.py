@@ -715,7 +715,10 @@ class _Parser:
         selected_seen: Token | None = None
         while self.at(TokenType.PIPE_ROW):
             tok = self.advance()
-            row = self.parse_expect_row(tok, len(header))
+            try:
+                row = self.parse_expect_row(tok, len(header))
+            except _ParseError:
+                continue  # reported; the row is one token, so the table goes on
             if row is None:
                 continue
             if row.selected:

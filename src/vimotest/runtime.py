@@ -13,7 +13,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -35,6 +34,8 @@ from .model import (
 )
 
 STORE_COLORS = ("red", "green", "yellow", "blue", "gray")
+
+_FEATURES = {kind.value: kind for kind in FeatureKind}
 
 
 class StoreError(Exception):
@@ -75,6 +76,7 @@ class ScenarioResult:
     status: str  # passed | failed | error
     failures: tuple[CheckFailure, ...] = ()
     duration_millis: int = 0
+    duration_micros: int = 0
     error: str | None = None
 
 
@@ -107,27 +109,45 @@ class WidgetStateStore:
     Only features enabled in the description exist; writes of anything else
     raise StoreError. Table rows always match the declared column count and
     the selected row index always stays below the row count.
+
+    A table row is validated when it enters the table. Rows that are
+    immutable all the way down (a plain ``RowValue`` whose ``cells`` is a
+    tuple of plain ``CellValue``) are then recorded per table and not
+    checked again when a later write keeps them; any other row is checked on
+    every write. The record holds each row, so no ``id`` is reused while the
+    store lives.
     """
 
     def __init__(self, description: ViewModelDescription):
         self._widgets: dict[str, WidgetDecl] = {w.name: w for w in description.widgets}
         self._values: dict[tuple[str, FeatureKind], object] = {}
+        # Per table: id -> row for rows validated and trusted on later writes.
+        self._accepted: dict[str, dict[int, RowValue]] = {
+            w.name: {} for w in description.widgets}
         for widget in description.widgets:
             examples = dict(widget.examples)
             for feature in widget.features():
                 self._values[(widget.name, feature)] = examples.get(
                     feature, _default_value(feature))
 
-    def _feature(self, widget: str, feature: FeatureKind | str) -> FeatureKind:
+    def _key(self, widget: str, feature: FeatureKind | str) -> tuple[str, FeatureKind]:
+        if type(feature) is str:
+            feature = _FEATURES.get(feature, feature)
+        key = (widget, feature)
+        try:
+            if key in self._values:
+                return key
+        except TypeError:
+            pass
+        return self._checked_key(widget, feature)
+
+    def _checked_key(self, widget: str,
+                     feature: FeatureKind | str) -> tuple[str, FeatureKind]:
         if isinstance(feature, str):
             try:
                 feature = FeatureKind(feature)
             except ValueError:
                 raise StoreError(f"unknown feature '{feature}'") from None
-        return feature
-
-    def _key(self, widget: str, feature: FeatureKind | str) -> tuple[str, FeatureKind]:
-        feature = self._feature(widget, feature)
         decl = self._widgets.get(widget)
         if decl is None:
             raise StoreError(f"unknown widget '{widget}'")
@@ -141,6 +161,9 @@ class WidgetStateStore:
         if decl is None:
             raise StoreError(f"unknown widget '{name}'")
         return decl
+
+    def has(self, widget: str, feature: FeatureKind) -> bool:
+        return (widget, feature) in self._values
 
     def get(self, widget: str, feature: FeatureKind | str):
         value = self._values[self._key(widget, feature)]
@@ -162,15 +185,8 @@ class WidgetStateStore:
         return self.get(widget, FeatureKind.SELECTED_ROW)
 
     def _validate(self, widget: str, feature: FeatureKind, value):
-        decl = self._widgets[widget]
-        if feature in BOOL_FEATURES:
-            if not isinstance(value, bool):
-                raise StoreError(f"{widget}.{feature.value} takes a bool, got {value!r}")
-            return value
-        if feature is FeatureKind.TEXT:
-            if not isinstance(value, str):
-                raise StoreError(f"{widget}.{feature.value} takes a string, got {value!r}")
-            return value
+        if feature is FeatureKind.ROWS:
+            return self._validate_rows(widget, value)
         if feature is FeatureKind.SELECTED_ROW:
             if value is None:
                 return None
@@ -183,26 +199,42 @@ class WidgetStateStore:
                     f"{widget}.selectedRow = {value} is out of range "
                     f"for {count} row(s)")
             return value
-        assert feature is FeatureKind.ROWS
-        arity = len(decl.columns)
-        checked: list[RowValue] = []
-        for row in value:
-            if not isinstance(row, RowValue):
-                raise StoreError(f"{widget}.rows takes RowValue items, got {row!r}")
-            if len(row.cells) != arity:
-                raise StoreError(
-                    f"{widget} row has {len(row.cells)} cells; "
-                    f"the table declares {arity} columns")
-            _validate_color(row.color, f"{widget} row")
-            for cell in row.cells:
-                _validate_color(cell.color, f"{widget} cell")
-            checked.append(row)
+        if feature is FeatureKind.TEXT:
+            if not isinstance(value, str):
+                raise StoreError(f"{widget}.{feature.value} takes a string, got {value!r}")
+            return value
+        if not isinstance(value, bool):
+            raise StoreError(f"{widget}.{feature.value} takes a bool, got {value!r}")
+        return value
+
+    def _validate_rows(self, widget: str, value) -> tuple[RowValue, ...]:
+        rows = tuple(value)
+        accepted = self._accepted[widget]
+        fresh: list[RowValue] = []
+        if not accepted.keys() >= set(map(id, rows)):
+            arity = len(self._widgets[widget].columns)
+            for row in rows:
+                if id(row) in accepted:
+                    continue
+                if not isinstance(row, RowValue):
+                    raise StoreError(f"{widget}.rows takes RowValue items, got {row!r}")
+                if len(row.cells) != arity:
+                    raise StoreError(
+                        f"{widget} row has {len(row.cells)} cells; "
+                        f"the table declares {arity} columns")
+                _validate_color(row.color, f"{widget} row")
+                for cell in row.cells:
+                    _validate_color(cell.color, f"{widget} cell")
+                if (type(row) is RowValue and type(row.cells) is tuple
+                        and all(type(cell) is CellValue for cell in row.cells)):
+                    fresh.append(row)
         selected = self._values.get((widget, FeatureKind.SELECTED_ROW))
-        if isinstance(selected, int) and selected >= len(checked):
+        if isinstance(selected, int) and selected >= len(rows):
             raise StoreError(
                 f"{widget}.selectedRow = {selected} would exceed the new "
-                f"row count {len(checked)}; clear the selection first")
-        return tuple(checked)
+                f"row count {len(rows)}; clear the selection first")
+        accepted.update(zip(map(id, fresh), fresh))
+        return rows
 
 
 def _validate_color(color: str | None, what: str) -> None:
@@ -368,7 +400,7 @@ def _evaluate_check(check, store: WidgetStateStore) -> list[CheckFailure]:
         widget = store.widget(check.widget)
         rows = store.rows(check.widget)
         selected = (store.selected_row(check.widget)
-                    if FeatureKind.SELECTED_ROW in widget.features() else None)
+                    if store.has(check.widget, FeatureKind.SELECTED_ROW) else None)
         return evaluate_rows_check(widget, check.expectation, rows, selected)
     actual = store.get(check.widget, check.feature)
     if actual != check.expectation:
@@ -391,11 +423,14 @@ def execute_scenario(
     config: RunConfig = RunConfig(),
 ) -> ScenarioResult:
     """Run one scenario: deliver contexts, dispatch actions, evaluate checks."""
-    start = time.perf_counter()
+    start = time.perf_counter_ns()
     temp_dir: tempfile.TemporaryDirectory | None = None
 
-    def duration() -> int:
-        return int((time.perf_counter() - start) * 1000)
+    def finished(status: str, **fields) -> ScenarioResult:
+        micros = (time.perf_counter_ns() - start) // 1000
+        return ScenarioResult(description=linked.scenario.description,
+                              status=status, duration_millis=micros // 1000,
+                              duration_micros=micros, **fields)
 
     try:
         store = WidgetStateStore(description)
@@ -425,20 +460,14 @@ def execute_scenario(
                         store.set(form.target, effect, args[0])
                 logic.handle(action.decl.name, args, store)
         except (StoreError, ExecutionError) as exc:
-            return ScenarioResult(description=linked.scenario.description,
-                                  status="error", duration_millis=duration(),
-                                  error=str(exc))
+            return finished("error", error=str(exc))
         except Exception as exc:  # logic and setup are user code
-            return ScenarioResult(description=linked.scenario.description,
-                                  status="error", duration_millis=duration(),
-                                  error=f"{type(exc).__name__}: {exc}")
+            return finished("error", error=f"{type(exc).__name__}: {exc}")
         failures: list[CheckFailure] = []
         for check in linked.checks:
             failures.extend(_evaluate_check(check, store))
-        status = "passed" if not failures else "failed"
-        return ScenarioResult(description=linked.scenario.description,
-                              status=status, failures=tuple(failures),
-                              duration_millis=duration())
+        return finished("passed" if not failures else "failed",
+                        failures=tuple(failures))
     finally:
         if temp_dir is not None:
             temp_dir.cleanup()
@@ -449,7 +478,6 @@ def run_suite(
     logic_factory: Callable[[], PresentationLogicPort],
     setup_factory: Callable[[], TestSetupPort],
     config: RunConfig = RunConfig(),
-    parallel: int | None = None,
 ) -> list[ScenarioResult]:
     """Run every scenario with a fresh logic/setup pair; results keep order."""
 
@@ -463,7 +491,4 @@ def run_suite(
                                   error=f"factory failed: {exc}")
         return execute_scenario(scenario, linked.description, logic, setup, config)
 
-    if parallel is not None and parallel > 1 and len(linked.scenarios) > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(run_one, linked.scenarios))
     return [run_one(s) for s in linked.scenarios]

@@ -78,6 +78,14 @@ class TestRun:
         assert scenario["status"] == "passed" and scenario["failures"] == []
         assert scenario["durationMillis"] < 1000
 
+    def test_json_report_duration_micros(self, capsys):
+        _, captured = self.run_corpus(capsys, "--setup", "taskmanager",
+                                      "--format", "json")
+        (scenario,) = json.loads(captured.out)["suites"][0]["scenarios"]
+        assert scenario["durationMicros"] > 0
+        assert scenario["durationMicros"] >= 1000 * scenario["durationMillis"]
+        assert scenario["durationMillis"] == scenario["durationMicros"] // 1000
+
     def test_json_report_round_trips(self, capsys):
         _, captured = self.run_corpus(capsys, "--setup", "taskmanager",
                                       "--format", "json")
@@ -107,12 +115,6 @@ class TestRun:
         code, captured = self.run_corpus(capsys, "--setup", "taskmanager",
                                          "--suite", "TaskListTests")
         assert code == 0
-
-    def test_parallel_flag(self, capsys):
-        code, captured = self.run_corpus(capsys, "--setup", "taskmanager",
-                                         "--parallel", "4")
-        assert code == 0
-        assert "PASS" in captured.out
 
 
 class TestGen:

@@ -13,6 +13,8 @@ from vimotest.model import (
 )
 from vimotest.parser import parse_test_suite, parse_view_model
 
+from conftest import VMTEST_PATH
+
 
 def codes(diags):
     return [d.code for d in diags]
@@ -294,6 +296,36 @@ class TestParseTestSuite:
         first = diags[0]
         assert (first.code, first.message, first.span.line) == (
             "E001", "unknown escape \\q in tooltip string", 2)
+
+    def _corpus_with(self, old, new):
+        text = VMTEST_PATH.read_text()
+        assert old in text
+        return parse_test_suite(text.replace(old, new), "t.vmtest")
+
+    def test_bad_row_color_is_the_only_diagnostic(self):
+        suite, diags = self._corpus_with("[color red]", "[color purple]")
+        assert suite is None
+        assert [d.render() for d in diags] == [
+            "t.vmtest:20:11: E001: unknown color 'purple'; "
+            "expected one of red, green, yellow, blue, gray, none"]
+
+    def test_pipe_in_tooltip_is_the_only_diagnostic(self):
+        suite, diags = self._corpus_with('[tooltip "4th January 2024"]',
+                                         '[tooltip "a|b"]')
+        assert suite is None
+        assert [d.render() for d in diags] == [
+            "t.vmtest:19:11: E001: unterminated tooltip string"]
+
+    def test_parsing_resumes_after_a_bad_row(self):
+        src = ('testsuite S for V { scenario "C" { given { } when { } then { '
+               "table T { rows { | A |\n | x | [color purple]\n | y | [colour]\n } } "
+               "button B enabled true } } }")
+        suite, diags = parse_test_suite(src)
+        assert suite is None
+        assert [(d.code, d.span.line, d.message) for d in diags] == [
+            ("E001", 2, "unknown color 'purple'; "
+                        "expected one of red, green, yellow, blue, gray, none"),
+            ("E001", 3, "unknown adornment '[colour...'")]
 
     def test_actions(self):
         src = """testsuite S for V {

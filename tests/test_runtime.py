@@ -3,6 +3,8 @@ import random
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from astgen import random_grid
 from vimotest.analyzer import resolve
@@ -152,6 +154,206 @@ class TestWidgetStateStore:
         store = WidgetStateStore(corpus_desc)
         with pytest.raises(StoreError, match="bool"):
             store.set("AddNewTask", "enabled", 1)
+
+
+# ---------------------------------------------------------------------------
+# The store's write contract against a reference that validates every row of
+# every write. The store itself skips rows a table has already accepted; the
+# answers (accept, or reject with a message) must be the same.
+# ---------------------------------------------------------------------------
+
+REFERENCE_COLORS = ("red", "green", "yellow", "blue", "gray")
+ARITY = {"A": 3, "B": 2}
+
+
+def two_table_description() -> ViewModelDescription:
+    return ViewModelDescription(name="V", widgets=tuple(
+        WidgetDecl(name=name, kind=WidgetKind.TABLE,
+                   enabled_optional=frozenset({FeatureKind.SELECTED_ROW}),
+                   columns=tuple(ColumnSpec(cell_kind=CellKind.LABEL, title=f"C{i}")
+                                 for i in range(arity)))
+        for name, arity in ARITY.items()))
+
+
+class PaintedRow(RowValue):
+    """A RowValue subclass; the store must not trust it across writes."""
+
+
+def reference_rows_error(table, rows, selected):
+    arity = ARITY[table]
+    for row in rows:
+        if not isinstance(row, RowValue):
+            return f"{table}.rows takes RowValue items, got {row!r}"
+        if len(row.cells) != arity:
+            return (f"{table} row has {len(row.cells)} cells; "
+                    f"the table declares {arity} columns")
+        if row.color is not None and row.color not in REFERENCE_COLORS:
+            return (f"{table} row color must be one of {REFERENCE_COLORS}, "
+                    f"got {row.color!r}")
+        for c in row.cells:
+            if c.color is not None and c.color not in REFERENCE_COLORS:
+                return (f"{table} cell color must be one of {REFERENCE_COLORS}, "
+                        f"got {c.color!r}")
+    if isinstance(selected, int) and selected >= len(rows):
+        return (f"{table}.selectedRow = {selected} would exceed the new row "
+                f"count {len(rows)}; clear the selection first")
+    return None
+
+
+def reference_selection_error(table, value, count):
+    if value is None:
+        return None
+    if not isinstance(value, int) or isinstance(value, bool):
+        return f"{table}.selectedRow takes an int or None, got {value!r}"
+    if not 0 <= value < count:
+        return f"{table}.selectedRow = {value} is out of range for {count} row(s)"
+    return None
+
+
+COLOR_CHOICES = st.sampled_from([None, None, "red", "gray", "purple"])
+ROW_SPECS = st.tuples(
+    st.sampled_from(["plain", "list", "subclass", "foreign"]),
+    st.sampled_from([3, 2, 3, 2, 1]),
+    COLOR_CHOICES,
+    st.lists(COLOR_CHOICES, min_size=3, max_size=3),
+)
+TABLES = st.sampled_from(sorted(ARITY))
+POOL = st.integers(0, 3)
+STORE_OPS = st.one_of(
+    st.tuples(st.just("write"), TABLES, st.lists(POOL, max_size=4)),
+    st.tuples(st.just("append"), TABLES, POOL),
+    st.tuples(st.just("delete"), TABLES, POOL),
+    st.tuples(st.just("rewrite"), TABLES),
+    st.tuples(st.just("select"), TABLES,
+              st.sampled_from([None, -1, 0, 1, 2, 4, True, "0"])),
+    st.tuples(st.just("mutate"), POOL, st.sampled_from(["purple", "purple", None]),
+              st.booleans()),
+)
+
+
+def build_row(spec):
+    kind, arity, color, cell_colors = spec
+    cells = [CellValue(text=f"t{i}", color=cell_colors[i]) for i in range(arity)]
+    if kind == "plain":
+        return RowValue(cells=tuple(cells), color=color)
+    if kind == "list":
+        return RowValue(cells=cells, color=color)
+    if kind == "subclass":
+        return PaintedRow(cells=tuple(cells), color=color)
+    return ("not", "a", "row")
+
+
+def mutate(row, color, resize):
+    """Change a row the store may have accepted, where the type allows it."""
+    if isinstance(row, RowValue) and type(row.cells) is list:
+        if resize:
+            row.cells.append(CellValue())
+        else:
+            row.cells[0] = CellValue(color=color)
+    elif type(row) is PaintedRow:
+        object.__setattr__(row, "color", color)
+
+
+class TestStoreWriteContract:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ROW_SPECS, min_size=1, max_size=4),
+           st.lists(STORE_OPS, min_size=20, max_size=50))
+    def test_writes_match_a_full_validator(self, specs, ops):
+        pool = [build_row(spec) for spec in specs]
+        store = WidgetStateStore(two_table_description())
+        rows = {table: [] for table in ARITY}
+        selected = {table: None for table in ARITY}
+        for op in ops:
+            kind, target = op[0], op[1]
+            if kind == "mutate":
+                mutate(pool[target % len(pool)], op[2], op[3])
+                continue
+            table = target
+            if kind == "select":
+                expected = reference_selection_error(table, op[2], len(rows[table]))
+                write = lambda: store.set(table, "selectedRow", op[2])
+                new_value = op[2]
+            else:
+                if kind == "write":
+                    new_value = [pool[i % len(pool)] for i in op[2]]
+                elif kind == "append":
+                    new_value = rows[table] + [pool[op[2] % len(pool)]]
+                elif kind == "rewrite":
+                    new_value = list(rows[table])
+                else:
+                    new_value = list(rows[table])
+                    if new_value:
+                        del new_value[op[2] % len(new_value)]
+                expected = reference_rows_error(table, new_value, selected[table])
+                write = lambda: store.set_rows(table, new_value)
+            try:
+                write()
+                actual = None
+            except StoreError as exc:
+                actual = str(exc)
+            assert actual == expected, op
+            if expected is None:
+                if kind == "select":
+                    selected[table] = new_value
+                else:
+                    rows[table] = list(new_value)
+            for name in ARITY:
+                assert [id(r) for r in store.rows(name)] == [id(r) for r in rows[name]]
+                assert store.selected_row(name) == selected[name]
+
+    def test_list_cells_row_is_checked_again_after_it_changes(self):
+        store = WidgetStateStore(two_table_description())
+        row = RowValue(cells=[CellValue(), CellValue(), CellValue()])
+        store.set_rows("A", [row])
+        row.cells[1] = CellValue(color="purple")
+        with pytest.raises(StoreError) as caught:
+            store.set_rows("A", [row])
+        assert str(caught.value) == (
+            "A cell color must be one of ('red', 'green', 'yellow', 'blue', "
+            "'gray'), got 'purple'")
+        row.cells[1] = CellValue()
+        row.cells.append(CellValue())
+        with pytest.raises(StoreError, match="A row has 4 cells; the table "
+                                             "declares 3 columns"):
+            store.set_rows("A", [row])
+
+    def test_subclass_row_is_checked_again_after_it_changes(self):
+        store = WidgetStateStore(two_table_description())
+        row = PaintedRow(cells=(CellValue(), CellValue(), CellValue()), color="red")
+        store.set_rows("A", [row])
+        object.__setattr__(row, "color", "purple")
+        with pytest.raises(StoreError, match="A row color must be one of"):
+            store.set_rows("A", [row])
+
+    def test_row_accepted_by_one_table_is_checked_by_another(self):
+        store = WidgetStateStore(two_table_description())
+        row = RowValue(cells=(CellValue(), CellValue(), CellValue()))
+        store.set_rows("A", [row])
+        store.set_rows("A", [row, row])
+        with pytest.raises(StoreError) as caught:
+            store.set_rows("B", [row])
+        assert str(caught.value) == "B row has 3 cells; the table declares 2 columns"
+        assert store.rows("A") == [row, row] and store.rows("B") == []
+
+    def test_first_bad_row_is_reported_among_accepted_rows(self):
+        store = WidgetStateStore(two_table_description())
+        good = RowValue(cells=(CellValue(), CellValue()))
+        store.set_rows("B", [good])
+        bad_arity = RowValue(cells=(CellValue(),))
+        bad_color = RowValue(cells=(CellValue(), CellValue()), color="purple")
+        with pytest.raises(StoreError, match="B row has 1 cells"):
+            store.set_rows("B", [good, bad_arity, good, bad_color])
+        with pytest.raises(StoreError, match="B row color"):
+            store.set_rows("B", [good, bad_color, bad_arity])
+
+    def test_written_rows_are_copied_out_of_the_caller_list(self):
+        store = WidgetStateStore(two_table_description())
+        row = RowValue(cells=(CellValue(), CellValue()))
+        written = [row, row]
+        store.set_rows("B", written)
+        written.pop()
+        store.rows("B").pop()
+        assert store.rows("B") == [row, row]
 
 
 def expectation_of(*rows, header=("Col0", "Col1", "Col2"), **kwargs):
@@ -488,10 +690,3 @@ class TestRunSuite:
         by_desc = {r.description: (r.status, r.failures) for r in results}
         for result in flipped_results:
             assert by_desc[result.description] == (result.status, result.failures)
-
-    def test_parallel_mode_matches_sequential(self, corpus_desc):
-        linked = self._two_scenario_suite(corpus_desc)
-        sequential = run_suite(linked, TaskManagerLogic, RecordingSetup)
-        parallel = run_suite(linked, TaskManagerLogic, RecordingSetup, parallel=4)
-        assert [(r.description, r.status) for r in sequential] == \
-            [(r.description, r.status) for r in parallel]
