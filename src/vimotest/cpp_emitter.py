@@ -30,6 +30,7 @@ from .ir import (
     RowMatrix,
     StringLit,
 )
+from .literals import comment_text, quote
 from .names import camel_case, snake_case
 
 _TYPES = {
@@ -106,24 +107,6 @@ inline int summary() {
 #define VT_ASSERT_EQ(expected, actual, message) \\
     ::vimotest::assertEqual((expected), (actual), (message), __FILE__, __LINE__)
 """
-
-
-def _escape(value: str) -> str:
-    out = []
-    for ch in value:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
 
 
 def emit_cpp(ir: IRUnit, name_map: NameMap, config: GenConfig) -> list[tuple[str, str]]:
@@ -295,16 +278,16 @@ def _test_body(lines: list[str], ir: IRUnit, ns: str, test) -> None:
     param_locals: dict[str, int] = {}
     for stmt in test.statements:
         if isinstance(stmt, Comment):
-            lines.append(f"{ind}// {stmt.text}")
+            lines.append(f"{ind}// {comment_text(stmt.text)}")
         elif isinstance(stmt, RowMatrix):
             lines.append(f"{ind}// expected {stmt.widget} rows:")
             for row in stmt.grid:
-                lines.append(f"{ind}// {row}")
+                lines.append(f"{ind}// {comment_text(row)}")
         elif isinstance(stmt, DeclareLocal):
             _declare_local(lines, ind, stmt)
         elif isinstance(stmt, CallSetup):
-            lines.append(f"{ind}setup.provideContext({_escape(stmt.context_name)}, "
-                         f"{_expr(stmt.payload)}, {_escape(stmt.delivery)});")
+            lines.append(f"{ind}setup.provideContext({quote(stmt.context_name)}, "
+                         f"{_expr(stmt.payload)}, {quote(stmt.delivery)});")
         elif isinstance(stmt, InvokeCommand):
             if stmt.param_object is not None:
                 base = camel_case(stmt.param_object)
@@ -325,26 +308,26 @@ def _test_body(lines: list[str], ir: IRUnit, ns: str, test) -> None:
         elif isinstance(stmt, AssertEqual):
             expected = _expected_expr(stmt.expected, stmt.actual)
             lines.append(f"{ind}VT_ASSERT_EQ({expected}, {_expr(stmt.actual)}, "
-                         f"{_escape(stmt.message)});")
+                         f"{quote(stmt.message)});")
 
 
 def _declare_local(lines: list[str], ind: str, stmt: DeclareLocal) -> None:
     init = stmt.init
     if isinstance(init, StringLit) and init.multiline:
         parts = init.value.split("\n")
-        head = _escape(parts[0] + "\n")
+        head = quote(parts[0] + "\n")
         lines.append(f"{ind}std::string {stmt.name} = {head}")
         for part in parts[1:-1]:
-            chunk = _escape(part + "\n")
+            chunk = quote(part + "\n")
             lines.append(f"{ind}    {chunk}")
-        lines.append(f"{ind}    {_escape(parts[-1])};")
+        lines.append(f"{ind}    {quote(parts[-1])};")
     else:
         lines.append(f"{ind}{_TYPES[stmt.ir_type]} {stmt.name} = {_expr(init)};")
 
 
 def _expr(expr) -> str:
     if isinstance(expr, StringLit):
-        return _escape(expr.value)
+        return quote(expr.value)
     if isinstance(expr, IntLit):
         return str(expr.value)
     if isinstance(expr, BoolLit):
@@ -373,5 +356,5 @@ def _expected_expr(expected, actual) -> str:
         return "std::optional<int>()"
     if isinstance(actual, CellField) or isinstance(actual, RowColorField):
         if isinstance(expected, StringLit):
-            return f"std::string({_escape(expected.value)})"
+            return f"std::string({quote(expected.value)})"
     return _expr(expected)

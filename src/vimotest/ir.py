@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 
 from .analyzer import ContextArgument, LinkedSuite, NameMap
 from .genconfig import GenConfig
+from .literals import quote
 from .model import (
     COMMAND_EFFECT,
     COMMAND_PARAM,
@@ -396,7 +397,7 @@ def _literal_expr(value) -> IRExpr:
 def _literal_text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    return repr(value) if not isinstance(value, str) else f'"{value}"'
+    return repr(value) if not isinstance(value, str) else quote(value)
 
 
 def _lower_check(check, desc, name_map):

@@ -9,6 +9,8 @@ abstract ViewModel (and ``<TypeName>ControllerImpl`` in controller mode) plus
 
 from __future__ import annotations
 
+import re
+
 from .analyzer import NameMap
 from .genconfig import GenConfig
 from .ir import (
@@ -30,6 +32,7 @@ from .ir import (
     RowMatrix,
     StringLit,
 )
+from .literals import comment_text, quote
 from .names import camel_case
 
 _TYPES = {
@@ -45,23 +48,14 @@ _FIELD_INIT = {
     "rowList": " = new ArrayList<>()",
 }
 
+# javac reads a backslash run of odd length before 'u' as a unicode escape,
+# in comments too.
+_UNICODE_ESCAPE = re.compile(r"(\\+)(?=u)")
 
-def _escape(value: str) -> str:
-    out = []
-    for ch in value:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
+
+def _comment(text: str) -> str:
+    text = comment_text(text)
+    return _UNICODE_ESCAPE.sub(r"\1\1", text) if "\\" in text else text
 
 
 def emit_java(ir: IRUnit, name_map: NameMap, config: GenConfig) -> list[tuple[str, str]]:
@@ -187,16 +181,16 @@ def _test_body(lines: list[str], ir: IRUnit, config: GenConfig, test) -> None:
     param_locals: dict[str, int] = {}
     for stmt in test.statements:
         if isinstance(stmt, Comment):
-            lines.append(f"{ind}// {stmt.text}")
+            lines.append(f"{ind}// {_comment(stmt.text)}")
         elif isinstance(stmt, RowMatrix):
             lines.append(f"{ind}// expected {stmt.widget} rows:")
             for row in stmt.grid:
-                lines.append(f"{ind}// {row}")
+                lines.append(f"{ind}// {_comment(row)}")
         elif isinstance(stmt, DeclareLocal):
             _declare_local(lines, ind, stmt)
         elif isinstance(stmt, CallSetup):
-            lines.append(f"{ind}setup.provideContext({_escape(stmt.context_name)}, "
-                         f"{_expr(stmt.payload)}, {_escape(stmt.delivery)});")
+            lines.append(f"{ind}setup.provideContext({quote(stmt.context_name)}, "
+                         f"{_expr(stmt.payload)}, {quote(stmt.delivery)});")
         elif isinstance(stmt, InvokeCommand):
             if stmt.param_object is not None:
                 base = camel_case(stmt.param_object)
@@ -217,26 +211,26 @@ def _test_body(lines: list[str], ir: IRUnit, config: GenConfig, test) -> None:
         elif isinstance(stmt, AssertEqual):
             expected = _expected_expr(stmt.expected, stmt.actual)
             lines.append(f"{ind}assertEquals({expected}, {_expr(stmt.actual)}, "
-                         f"{_escape(stmt.message)});")
+                         f"{quote(stmt.message)});")
 
 
 def _declare_local(lines: list[str], ind: str, stmt: DeclareLocal) -> None:
     init = stmt.init
     if isinstance(init, StringLit) and init.multiline:
         parts = init.value.split("\n")
-        head = _escape(parts[0] + "\n")
+        head = quote(parts[0] + "\n")
         lines.append(f"{ind}String {stmt.name} = {head}")
         for part in parts[1:-1]:
-            chunk = _escape(part + "\n")
+            chunk = quote(part + "\n")
             lines.append(f"{ind}        + {chunk}")
-        lines.append(f"{ind}        + {_escape(parts[-1])};")
+        lines.append(f"{ind}        + {quote(parts[-1])};")
     else:
         lines.append(f"{ind}{_TYPES[stmt.ir_type]} {stmt.name} = {_expr(init)};")
 
 
 def _expr(expr) -> str:
     if isinstance(expr, StringLit):
-        return _escape(expr.value)
+        return quote(expr.value)
     if isinstance(expr, IntLit):
         return str(expr.value)
     if isinstance(expr, BoolLit):

@@ -84,6 +84,11 @@ def _unescape(match: re.Match) -> str:
     return ESCAPES[match.group(1)]
 
 
+def unescape(body: str) -> str:
+    """Decode a string body whose escapes are all in ``ESCAPES``."""
+    return _ESCAPE_RE.sub(_unescape, body) if "\\" in body else body
+
+
 def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
     toks: list[Token] = []
     diags: list[Diagnostic] = []
@@ -122,9 +127,7 @@ def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagno
             raw = m.group().rstrip()
             append(Token(TokenType.PIPE_ROW, raw, line, pos - line_start + 1, raw))
         elif kind == "string":
-            body = text[pos + 1:end - 1]
-            if "\\" in body:
-                body = _ESCAPE_RE.sub(_unescape, body)
+            body = unescape(text[pos + 1:end - 1])
             append(Token(TokenType.STRING, m.group(), line, pos - line_start + 1, body))
         elif kind == "int":
             digits = m.group()

@@ -8,6 +8,8 @@ declaration after a syntax error so several errors can be reported at once.
 
 from __future__ import annotations
 
+import re
+
 from .diagnostics import (
     Diagnostic,
     E_DUPLICATE_NAME,
@@ -17,7 +19,7 @@ from .diagnostics import (
     error,
     has_errors,
 )
-from .lexer import ESCAPES, Token, TokenType, tokenize
+from .lexer import ESCAPES, Token, TokenType, tokenize, unescape
 from .model import (
     ArgContextRef,
     ArgLiteral,
@@ -811,6 +813,11 @@ def _split_pipe_row(raw: str) -> tuple[list[str] | None, str]:
     return parts[1:-1], parts[-1]
 
 
+# A tooltip body stops at the closing quote, an unknown escape or a lone
+# final backslash.
+_TOOLTIP_BODY = re.compile(r'(?:[^"\\]|\\[%s])*' % re.escape("".join(ESCAPES)))
+
+
 def _scan_groups(text: str) -> tuple[list[tuple[str, str | None]], str | None]:
     groups: list[tuple[str, str | None]] = []
     i = 0
@@ -850,25 +857,18 @@ def _scan_groups(text: str) -> tuple[list[tuple[str, str | None]], str | None]:
                 i += 1
             if i >= n or text[i] != '"':
                 return groups, "expected a quoted string after '[tooltip'"
-            i += 1
-            parts: list[str] = []
-            while i < n and text[i] != '"':
-                if text[i] == "\\" and i + 1 < n:
-                    esc = text[i + 1]
-                    if esc not in ESCAPES:
-                        return groups, f"unknown escape \\{esc} in tooltip string"
-                    parts.append(ESCAPES[esc])
-                    i += 2
-                else:
-                    parts.append(text[i])
-                    i += 1
-            if i >= n:
+            start = i + 1
+            i = _TOOLTIP_BODY.match(text, start).end()
+            if i + 1 < n and text[i] == "\\":
+                return groups, f"unknown escape \\{text[i + 1]} in tooltip string"
+            if i >= n or text[i] != '"':
                 return groups, "unterminated tooltip string"
+            body = unescape(text[start:i])
             i += 1
             if i >= n or text[i] != "]":
                 return groups, "expected ']' after tooltip string"
             i += 1
-            groups.append(("tooltip", "".join(parts)))
+            groups.append(("tooltip", body))
         else:
             return groups, f"unknown adornment '[{word}...'"
     return groups, None

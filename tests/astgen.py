@@ -51,7 +51,10 @@ _WORDS = ("Alpha", "Bravo", "Charlie", "Delta", "Echo", "Foxtrot", "Golf",
           "Hotel", "India", "Juliet", "Kilo", "Lima", "Mike", "November")
 
 # Safe inside pipe cells: no '|', '[', ']', '*', control characters.
-_CELL_ALPHABET = string.ascii_letters + string.digits + " .,:;!?&<>'\"/+-=#@"
+_CELL_ALPHABET = string.ascii_letters + string.digits + " .,:;!?&<>'\"/+-=#@\\é²"
+# String literals also carry escapes that decode to control characters, and
+# text that spells a Java unicode escape.
+_STRING_PIECES = ("\n", "\t", '"', "\\", "\\u000a")
 _TITLE_ALPHABET = string.ascii_letters + string.digits
 
 _FEATURE_RANK = {f: i for i, f in enumerate(FEATURE_ORDER)}
@@ -78,6 +81,15 @@ class NamePool:
 def cell_text(rng: random.Random, max_len: int = 10) -> str:
     n = rng.randint(0, max_len)
     return "".join(rng.choice(_CELL_ALPHABET) for _ in range(n)).strip()
+
+
+def string_value(rng: random.Random, max_len: int = 10) -> str:
+    """Cell text with up to two of ``_STRING_PIECES`` spliced in."""
+    text = cell_text(rng, max_len)
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(_STRING_PIECES) + text[at:]
+    return text
 
 
 def column_title(rng: random.Random, index: int) -> str:
@@ -238,7 +250,7 @@ def _random_action(rng, desc, given, contexts, concrete_names):
         if kind is CommandKind.CHECK:
             arg = rng.random() < 0.5
         elif kind is CommandKind.FILL_TEXT:
-            arg = cell_text(rng)
+            arg = string_value(rng)
         elif kind is CommandKind.SELECT_ROW:
             arg = rng.randint(0, 3)
         return WidgetAction(kind=kind, widget=decl.form.target, arg=arg)
@@ -256,7 +268,7 @@ def _random_action(rng, desc, given, contexts, concrete_names):
         elif param.type is ParamType.INT:
             args.append(ArgLiteral(value=rng.randint(-5, 99)))
         else:
-            args.append(ArgLiteral(value=cell_text(rng)))
+            args.append(ArgLiteral(value=string_value(rng)))
     return CustomAction(name=decl.name, args=tuple(args))
 
 
@@ -282,7 +294,7 @@ def _random_checks(rng, desc) -> tuple[CheckValue, ...]:
             if key in used:
                 continue
             used.add(key)
-            value = (cell_text(rng) if feature is FeatureKind.TEXT
+            value = (string_value(rng) if feature is FeatureKind.TEXT
                      else rng.random() < 0.5)
             checks.append(CheckValue(widget=widget.name, widget_kind=widget.kind,
                                      feature=feature, expectation=value))
@@ -310,7 +322,7 @@ def random_rows_expectation(rng, widget: WidgetDecl,
                 continue
             cells.append(CellExpectation(
                 value=cell_text(rng),
-                tooltip=cell_text(rng) if rng.random() < 0.2 else None,
+                tooltip=string_value(rng) if rng.random() < 0.2 else None,
                 color=rng.choice(("red", "green", "yellow", "blue", "gray", "none"))
                 if rng.random() < 0.15 else None))
         row_expectations.append(RowExpectation(

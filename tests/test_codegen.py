@@ -1,14 +1,18 @@
 import json
 import random
+import re
+import shutil
+import subprocess
 
 import pytest
 
 from astgen import random_description, random_suite
-from conftest import GOLDENS
+from conftest import GOLDENS, VMDSL_PATH, VMTEST_PATH
+from test_literals import JAVA_UNICODE_ESCAPE
 from vimotest.analyzer import compute_name_map, resolve
 from vimotest.cpp_emitter import emit_cpp
 from vimotest.genconfig import GenConfig, GenConfigError, parse_genconfig
-from vimotest.ir import IRUnit, ir_to_dict, lower_to_ir
+from vimotest.ir import Comment, IRUnit, RowMatrix, ir_to_dict, lower_to_ir
 from vimotest.java_emitter import emit_java
 from vimotest.model import (
     CommandDecl,
@@ -19,6 +23,8 @@ from vimotest.model import (
     RowsExpectation,
     ViewModelDescription,
 )
+from vimotest.names import snake_case
+from vimotest.parser import parse_test_suite, parse_view_model
 
 
 def name_map_for(desc, config=None):
@@ -363,3 +369,184 @@ class TestGenConfig:
             parse_genconfig({"target": "rust"})
         with pytest.raises(GenConfigError):
             parse_genconfig({"target": "java", "contextFormat": "yaml"})
+
+
+class TestLineSafety:
+    def test_generated_suites_give_one_line_per_comment(self):
+        """Whatever strings a generated suite carries, each comment stays on
+        its line and no Java line spells a unicode escape."""
+        rng = random.Random(8086)
+        for _ in range(60):
+            desc = random_description(rng)
+            suite = random_suite(rng, desc)
+            linked, diags = resolve(suite, desc)
+            assert linked is not None, [d.render() for d in diags]
+            for target, emit in (("java", emit_java), ("cpp", emit_cpp)):
+                config = GenConfig(target=target)
+                name_map = name_map_for(desc, config)
+                unit = lower_to_ir(desc, linked, name_map, config)
+                for test in unit.tests:
+                    for stmt in test.statements:
+                        if isinstance(stmt, Comment):
+                            assert "\n" not in stmt.text, stmt
+                        elif isinstance(stmt, RowMatrix):
+                            assert not any("\n" in row for row in stmt.grid), stmt
+                for name, text in emit(unit, name_map, config):
+                    for line in text.split("\n"):
+                        assert "\r" not in line, (name, line)
+                        if line.lstrip().startswith("//"):
+                            assert not line.endswith("\\"), (name, line)
+                        if target == "java":
+                            assert JAVA_UNICODE_ESCAPE.search(line) is None, (name, line)
+
+
+# Strings the DSL accepts that are hazards in Java/C++ sources: escapes that
+# decode to newlines, tabs, quotes and backslashes, text that spells a Java
+# unicode escape, a raw tab and a raw carriage return inside pipe rows, and
+# non-ASCII letters. <TAB> and <CR> stand for the raw characters.
+HOSTILE_VMDSL = r"""viewmodel HostileViewModel {
+  widgets {
+    textfield Search {
+      supports enabled
+    }
+    table Items {
+      columns {
+        label "Name"
+        label "C:\\u000a \"é²\""
+      }
+    }
+  }
+  commands {
+    fillText on Search
+    command Note(text: string, data: context)
+  }
+}
+"""
+
+HOSTILE_VMTEST = r"""testsuite HostileTests for HostileViewModel {
+  scenario "hostile \"strings\" \\ é²" {
+    given {
+      datatable data {
+        | Name     | Note                    |
+        | Ex\u000a | tab<TAB>here \ é ² "q" |
+      }
+    }
+    when {
+      fillText Search "a\nb \"q\" c:\\u000a"
+      fillText Search "ends with \\"
+      Note("tab\there \\ é ² \"q\" \\u000a", data)
+    }
+    then {
+      textfield Search text "x\\u000a\t\"y\" é ² \\"
+      table Items {
+        rows {
+          | Name     | C:\u000a "é²" |
+          | Ex\u000a | é² \ back [tooltip "t\\u000a\"\t é ² \\"] |
+          | a<CR>b\  | "q"<TAB>² [color red] |
+        }
+      }
+    }
+  }
+}
+""".replace("<TAB>", "\t").replace("<CR>", "\r")
+
+
+def emit_sources(target: str, vmdsl: str, vmtest: str):
+    desc, diags = parse_view_model(vmdsl)
+    assert desc is not None, [d.render() for d in diags]
+    suite, diags = parse_test_suite(vmtest)
+    assert suite is not None, [d.render() for d in diags]
+    linked, diags = resolve(suite, desc)
+    assert linked is not None, [d.render() for d in diags]
+    config = GenConfig(target=target)
+    name_map = name_map_for(desc, config)
+    emit = emit_java if target == "java" else emit_cpp
+    files = dict(emit(lower_to_ir(desc, linked, name_map, config), name_map, config))
+    return files, name_map, suite.name
+
+
+SOURCES = ((VMDSL_PATH.read_text(), VMTEST_PATH.read_text()),
+           (HOSTILE_VMDSL, HOSTILE_VMTEST))
+
+JAVA_STUBS = {
+    "org/junit/jupiter/api/Test.java":
+        "package org.junit.jupiter.api;\n\npublic @interface Test {\n}\n",
+    "org/junit/jupiter/api/Assertions.java":
+        "package org.junit.jupiter.api;\n\npublic final class Assertions {\n"
+        "    public static void assertEquals(Object expected, Object actual, "
+        "String message) {\n    }\n}\n",
+}
+
+
+def java_companions(files, name_map, suite_name) -> dict[str, str]:
+    """``<Type>Impl`` overriding every abstract method, and ``<Suite>Setup``."""
+    vm = name_map.type_name
+    methods = re.findall(r"public abstract void (\w+)\((.*)\);", files[f"{vm}.java"])
+    impl = "".join(f"    @Override\n    public void {m}({p}) {{\n    }}\n"
+                   for m, p in methods)
+    return {
+        f"{vm}Impl.java": f"class {vm}Impl extends {vm} {{\n{impl}}}\n",
+        f"{suite_name}Setup.java": (
+            f"class {suite_name}Setup {{\n    {suite_name}Setup({vm} vm) {{\n    }}\n\n"
+            "    void provideContext(String name, String payload, String delivery) {\n"
+            "    }\n}\n"),
+    }
+
+
+def cpp_companions(files, name_map, suite_name) -> dict[str, str]:
+    """``<file>_impl.hpp`` defining ``<Type>Impl``, and ``<suite>_setup.hpp``."""
+    vm, stem = name_map.type_name, name_map.file_name
+    methods = re.findall(r"virtual void (\w+)\((.*)\) = 0;", files[f"{stem}.hpp"])
+    # Unnamed parameters: -Wextra warns about unused named ones.
+    impl = "".join(
+        f"    void {m}({', '.join(p.rsplit(' ', 1)[0] for p in params.split(', ') if p)})"
+        " override {}\n" for m, params in methods)
+    return {
+        f"{stem}_impl.hpp": (f'#pragma once\n\n#include "{stem}.hpp"\n\n#include <string>\n\n'
+                             f"class {vm}Impl : public {vm} {{\npublic:\n{impl}}};\n"),
+        f"{snake_case(suite_name)}_setup.hpp": (
+            f"#pragma once\n\n#include <string>\n\nclass {vm};\n\n"
+            f"struct {suite_name}Setup {{\n    explicit {suite_name}Setup({vm}&) {{}}\n"
+            "    void provideContext(const std::string&, const std::string&, "
+            "const std::string&) {}\n};\n"),
+    }
+
+
+def write_tree(root, files: dict[str, str]) -> None:
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+
+
+class TestGeneratedSourcesCompile:
+    """The emitted sources of the shipped corpus and of a suite full of
+    hostile strings compile against minimal hand-written companions."""
+
+    @pytest.mark.skipif(shutil.which("javac") is None, reason="javac not on PATH")
+    def test_java_compiles(self, tmp_path):
+        write_tree(tmp_path, JAVA_STUBS)
+        for vmdsl, vmtest in SOURCES:
+            files, name_map, suite_name = emit_sources("java", vmdsl, vmtest)
+            write_tree(tmp_path, files)
+            write_tree(tmp_path, java_companions(files, name_map, suite_name))
+        sources = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.java"))
+        result = subprocess.run(
+            ["javac", "-encoding", "UTF-8", "-d", "classes", *sources],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert (tmp_path / "classes" / "HostileTestsTest.class").exists()
+
+    @pytest.mark.skipif(shutil.which("g++") is None, reason="g++ not on PATH")
+    def test_cpp_compiles(self, tmp_path):
+        tests = []
+        for vmdsl, vmtest in SOURCES:
+            files, name_map, suite_name = emit_sources("cpp", vmdsl, vmtest)
+            write_tree(tmp_path, files)
+            write_tree(tmp_path, cpp_companions(files, name_map, suite_name))
+            tests += [name for name in files if name.endswith("_test.cpp")]
+        result = subprocess.run(
+            ["g++", "-std=c++17", "-Wall", "-Wextra", "-fsyntax-only", *tests],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stderr == ""

@@ -1,6 +1,11 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vimotest.lexer import ESCAPES
 from vimotest.model import (
+    COLOR_NAMES,
     CellExpectation,
     CommandKind,
     CustomCommand,
@@ -11,7 +16,7 @@ from vimotest.model import (
     TextBody,
     WidgetKind,
 )
-from vimotest.parser import parse_test_suite, parse_view_model
+from vimotest.parser import _scan_groups, parse_test_suite, parse_view_model
 
 from conftest import VMTEST_PATH
 
@@ -401,3 +406,123 @@ class TestDiagnosticsInvariants:
             ast, diags = parse_view_model(text)
             if ast is None:
                 assert any(d.code.startswith("E") for d in diags)
+
+
+def reference_scan_groups(text):
+    """The per-character adornment scanner the parser used to carry."""
+    groups = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        if text[i] != "[":
+            return groups, f"unexpected text in adornment: {text[i:].strip()!r}"
+        i += 1
+        start = i
+        while i < n and text[i].isalpha():
+            i += 1
+        word = text[start:i]
+        if word == "selected":
+            if i >= n or text[i] != "]":
+                return groups, "expected ']' after '[selected'"
+            i += 1
+            groups.append(("selected", None))
+        elif word == "color":
+            while i < n and text[i] == " ":
+                i += 1
+            start = i
+            while i < n and text[i].isalpha():
+                i += 1
+            name = text[start:i]
+            if name not in COLOR_NAMES:
+                return groups, (f"unknown color '{name}'; "
+                                f"expected one of {', '.join(COLOR_NAMES)}")
+            if i >= n or text[i] != "]":
+                return groups, "expected ']' after color name"
+            i += 1
+            groups.append(("color", name))
+        elif word == "tooltip":
+            while i < n and text[i] == " ":
+                i += 1
+            if i >= n or text[i] != '"':
+                return groups, "expected a quoted string after '[tooltip'"
+            i += 1
+            parts = []
+            while i < n and text[i] != '"':
+                if text[i] == "\\" and i + 1 < n:
+                    esc = text[i + 1]
+                    if esc not in ESCAPES:
+                        return groups, f"unknown escape \\{esc} in tooltip string"
+                    parts.append(ESCAPES[esc])
+                    i += 2
+                else:
+                    parts.append(text[i])
+                    i += 1
+            if i >= n:
+                return groups, "unterminated tooltip string"
+            i += 1
+            if i >= n or text[i] != "]":
+                return groups, "expected ']' after tooltip string"
+            i += 1
+            groups.append(("tooltip", "".join(parts)))
+        else:
+            return groups, f"unknown adornment '[{word}...'"
+    return groups, None
+
+
+_ADORNMENT_PIECES = st.sampled_from([
+    *"[]\"\\ntqué²| ", "[tooltip ", '[tooltip "', '"]', "[color ", "[selected]",
+    "red", "blue", "none", "purple"])
+# One tooltip whose body has no quote, so every ending is tried against
+# backslashes (escape pairs, unknown escapes, a lone final backslash).
+_TOOLTIPS = st.builds(
+    lambda body, end: f'[tooltip "{body}{end}',
+    st.text(alphabet="\\ntqué²|[] "),
+    st.sampled_from(['"]', '"', "", '" ]', '"] [selected]']))
+
+
+class TestScanGroups:
+    @settings(max_examples=2000)
+    @given(st.one_of(st.lists(_ADORNMENT_PIECES, max_size=24).map("".join), _TOOLTIPS))
+    def test_matches_the_per_character_scanner(self, text):
+        assert _scan_groups(text) == reference_scan_groups(text)
+
+    def test_groups_and_decoded_tooltips(self):
+        text = r' [selected] [color  red][tooltip "a\"b\\c\nd\te|é²"] '
+        assert _scan_groups(text) == ([
+            ("selected", None), ("color", "red"),
+            ("tooltip", 'a"b\\c\nd\te|é²')], None)
+        assert _scan_groups('[tooltip ""]') == ([("tooltip", "")], None)
+        assert _scan_groups("") == ([], None)
+
+    def test_error_messages(self):
+        colors = ", ".join(COLOR_NAMES)
+        cases = {
+            "[selected] x y": "unexpected text in adornment: 'x y'",
+            "[selected": "expected ']' after '[selected'",
+            "[color purple]": f"unknown color 'purple'; expected one of {colors}",
+            "[color red": "expected ']' after color name",
+            "[tooltip tip]": "expected a quoted string after '[tooltip'",
+            r'[tooltip "a\qb"]': "unknown escape \\q in tooltip string",
+            '[tooltip "ab': "unterminated tooltip string",
+            '[tooltip "ab"': "expected ']' after tooltip string",
+            '[tooltip "ab" ]': "expected ']' after tooltip string",
+            "[colour red]": "unknown adornment '[colour...'",
+        }
+        for text, message in cases.items():
+            assert _scan_groups(text)[1] == message, text
+
+    def test_unknown_escape_is_reported_before_the_missing_quote(self):
+        assert _scan_groups(r'[tooltip "a\qb')[1] == "unknown escape \\q in tooltip string"
+        assert _scan_groups(r'[tooltip "a\\\qb')[1] == "unknown escape \\q in tooltip string"
+
+    def test_a_lone_final_backslash_leaves_the_string_unterminated(self):
+        assert _scan_groups('[tooltip "ab\\')[1] == "unterminated tooltip string"
+        assert _scan_groups('[tooltip "ab\\"')[1] == "unterminated tooltip string"
+        assert _scan_groups('[tooltip "ab\\\\"]') == ([("tooltip", "ab\\")], None)
+
+    def test_groups_before_an_error_are_kept(self):
+        assert _scan_groups('[selected] [tooltip "x') == (
+            [("selected", None)], "unterminated tooltip string")
