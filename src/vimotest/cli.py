@@ -58,11 +58,16 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="parse and analyze DSL files")
     check.add_argument("paths", nargs="+")
 
-    run = sub.add_parser("run", help="execute test suites in-process")
+    width = max(map(len, REGISTRY)) + 2
+    run = sub.add_parser(
+        "run", help="execute test suites in-process",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="registered setup ids:\n" + "\n".join(
+            f"  {name:<{width}}{REGISTRY[name].summary}" for name in sorted(REGISTRY)))
     run.add_argument("paths", nargs="+")
     run.add_argument("--suite", help="run only the suite with this name")
     run.add_argument("--setup", required=True,
-                     help=f"registered logic/setup id ({', '.join(sorted(REGISTRY))})")
+                     help="registered logic/setup id (listed below)")
     run.add_argument("--format", choices=("human", "json"), default="human")
 
     gen = sub.add_parser("gen", help="generate target sources")

@@ -281,8 +281,8 @@ def _test_body(lines: list[str], ir: IRUnit, ns: str, test) -> None:
             lines.append(f"{ind}// {comment_text(stmt.text)}")
         elif isinstance(stmt, RowMatrix):
             lines.append(f"{ind}// expected {stmt.widget} rows:")
-            for row in stmt.grid:
-                lines.append(f"{ind}// {comment_text(row)}")
+            for row in stmt.display(comment_text):
+                lines.append(f"{ind}// {row}")
         elif isinstance(stmt, DeclareLocal):
             _declare_local(lines, ind, stmt)
         elif isinstance(stmt, CallSetup):

@@ -36,7 +36,6 @@ class Diagnostic:
     code: str
     message: str
     span: SourceSpan
-    severity: str = "error"
 
     def render(self) -> str:
         return f"{self.span.file}:{self.span.line}:{self.span.column}: {self.code}: {self.message}"
@@ -47,7 +46,8 @@ def error(code: str, message: str, span: SourceSpan) -> Diagnostic:
 
 
 def has_errors(diagnostics: list[Diagnostic]) -> bool:
-    return any(d.severity == "error" for d in diagnostics)
+    """Every diagnostic is an error."""
+    return bool(diagnostics)
 
 
 def span_field():

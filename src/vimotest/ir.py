@@ -9,6 +9,7 @@ source text.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 from .analyzer import ContextArgument, LinkedSuite, NameMap
 from .genconfig import GenConfig
@@ -26,7 +27,7 @@ from .model import (
     WidgetCommand,
 )
 from .names import camel_case, pascal_case
-from .printer import align_pipe_rows, expectation_cell_text
+from .printer import align_pipe_rows, expectation_grid
 from .runtime import render_context
 
 _FEATURE_IR_TYPE = {
@@ -141,10 +142,18 @@ class InvokeCommand:
 
 @dataclass(frozen=True)
 class RowMatrix:
-    """The expected table, carried as display rows for test readability."""
+    """The expected table, carried for test readability as cell text (header
+    first) plus the row marks that follow each pipe row."""
 
     widget: str
-    grid: tuple[str, ...]
+    grid: tuple[tuple[str, ...], ...]
+    marks: tuple[str, ...]
+
+    def display(self, escape: Callable[[str], str]) -> list[str]:
+        """Aligned pipe rows of the cells as ``escape`` spells them, so a
+        cell the escape widens keeps its column straight."""
+        lines = align_pipe_rows([[escape(cell) for cell in row] for row in self.grid])
+        return [line + mark for line, mark in zip(lines, self.marks)]
 
 
 @dataclass(frozen=True)
@@ -417,21 +426,9 @@ def _lower_rows_check(check, desc, name_map):
     rows_getter = name_map.properties[(check.widget, FeatureKind.ROWS)].getter
     declared = {c.title: i for i, c in enumerate(widget.columns)}
 
-    grid = [list(exp.header)]
-    for row in exp.rows:
-        grid.append([expectation_cell_text(c) for c in row.cells])
-    lines = align_pipe_rows(grid)
-    display = [lines[0]]
-    for line, row in zip(lines[1:], exp.rows):
-        marks = []
-        if row.selected:
-            marks.append("[selected]")
-        if row.color is not None:
-            marks.append(f"[color {row.color}]")
-        display.append(line + ((" " + " ".join(marks)) if marks else ""))
-
+    grid, marks = expectation_grid(exp)
     statements: list[IRStatement] = [
-        RowMatrix(widget=check.widget, grid=tuple(display)),
+        RowMatrix(widget=check.widget, grid=grid, marks=marks),
         AssertEqual(expected=IntLit(len(exp.rows)),
                     actual=RowCount(getter=rows_getter),
                     message=f"{check.widget}: row count"),

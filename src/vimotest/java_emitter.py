@@ -184,8 +184,8 @@ def _test_body(lines: list[str], ir: IRUnit, config: GenConfig, test) -> None:
             lines.append(f"{ind}// {_comment(stmt.text)}")
         elif isinstance(stmt, RowMatrix):
             lines.append(f"{ind}// expected {stmt.widget} rows:")
-            for row in stmt.grid:
-                lines.append(f"{ind}// {_comment(row)}")
+            for row in stmt.display(_comment):
+                lines.append(f"{ind}// {row}")
         elif isinstance(stmt, DeclareLocal):
             _declare_local(lines, ind, stmt)
         elif isinstance(stmt, CallSetup):

@@ -6,15 +6,18 @@ The tokenizer never raises on bad input: it records E001 diagnostics and
 keeps scanning.
 
 Scanning follows the master-pattern recipe from the ``re`` documentation:
-one compiled alternation is matched at the current offset, and line and
-column come from the offset of the last newline seen.
+one ``finditer`` pass over a compiled alternation. No group matches a blank
+(space, tab, carriage return) on its own, so the regex engine skips blank
+runs itself; a newline and the blank lines and indentation after it form
+the one whitespace match, and line and column come from the offset of the
+last newline seen. A last one-character group catches anything else.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, E_SYNTAX, SourceSpan, error
 
@@ -42,8 +45,7 @@ class TokenType(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     text: str
     line: int
@@ -67,13 +69,15 @@ _PUNCT = {
 }
 
 _TOKEN_RE = re.compile(rf"""
-    (?P<skip>(?:[ \t\r\n]|//[^\n]*)+)
-  | (?P<pipe>\|[^\n]*)
+    (?P<ident>{IDENT_PATTERN})
+  | (?P<newline>\n[ \t\r\n]*)
   | (?P<punct>[{{}}(),:.=])
   | (?P<triple>\"\"\")
   | (?P<string>"[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*")
-  | (?P<ident>{IDENT_PATTERN})
+  | (?P<pipe>\|[^\n]*)
   | (?P<int>-?[0-9]+)
+  | (?P<comment>//[^\n]*)
+  | (?P<other>[^ \t\r])
 """, re.VERBOSE)
 
 _ESCAPE_RE = re.compile(r"\\(.)")
@@ -93,60 +97,69 @@ def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagno
     toks: list[Token] = []
     diags: list[Diagnostic] = []
     append = toks.append
-    match = _TOKEN_RE.match
+    new = tuple.__new__
+    ident, string, pipe, integer = (TokenType.IDENT, TokenType.STRING,
+                                    TokenType.PIPE_ROW, TokenType.INT)
     n = len(text)
     pos = 0
     line = 1
-    line_start = 0  # offset of the first character of the current line
+    last_nl = -1  # offset of the last newline seen, so a column is offset - last_nl
     while pos < n:
-        m = match(text, pos)
-        if m is None:
-            if text[pos] == '"':
-                tok, pos, line, line_start = _malformed_string(
-                    text, pos, line, line_start, file, diags)
-                append(tok)
-            else:
-                diags.append(error(E_SYNTAX, f"unexpected character {text[pos]!r}",
-                                   SourceSpan(file, line, pos - line_start + 1, 1)))
-                pos += 1
-            continue
-        kind = m.lastgroup
-        end = m.end()
-        if kind == "skip":
-            newlines = text.count("\n", pos, end)
-            if newlines:
+        # A triple-quoted or malformed string ends this pass: scanning
+        # restarts after it.
+        for m in _TOKEN_RE.finditer(text, pos):
+            kind = m.lastgroup
+            if kind == "ident":
+                word = m[0]
+                append(new(Token, (ident, word, line, m.start() - last_nl, word)))
+            elif kind == "newline":
+                start, end = m.span()
+                newlines = text.count("\n", start, end)
                 line += newlines
-                line_start = text.rindex("\n", pos, end) + 1
-        elif kind == "ident":
-            word = m.group()
-            append(Token(TokenType.IDENT, word, line, pos - line_start + 1, word))
-        elif kind == "punct":
-            ch = m.group()
-            append(Token(_PUNCT[ch], ch, line, pos - line_start + 1))
-        elif kind == "pipe":
-            raw = m.group().rstrip()
-            append(Token(TokenType.PIPE_ROW, raw, line, pos - line_start + 1, raw))
-        elif kind == "string":
-            body = unescape(text[pos + 1:end - 1])
-            append(Token(TokenType.STRING, m.group(), line, pos - line_start + 1, body))
-        elif kind == "int":
-            digits = m.group()
-            append(Token(TokenType.INT, digits, line, pos - line_start + 1, int(digits)))
-        else:  # triple
-            col = pos - line_start + 1
-            close = text.find('"""', end)
-            if close < 0:
-                diags.append(error(E_SYNTAX, "unterminated triple-quoted string",
-                                   SourceSpan(file, line, col, 3)))
-                close = n
-            append(Token(TokenType.TRIPLE_STRING, '"""', line, col, text[end:close]))
-            newlines = text.count("\n", end, close)
-            end = min(close + 3, n)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", pos, close) + 1
-        pos = end
-    append(Token(TokenType.EOF, "", line, n - line_start + 1))
+                last_nl = text.rindex("\n", start, end) if newlines > 1 else start
+            elif kind == "punct":
+                ch = m[0]
+                append(new(Token, (_PUNCT[ch], ch, line, m.start() - last_nl, None)))
+            elif kind == "string":
+                start, end = m.span()
+                body = unescape(text[start + 1:end - 1])
+                append(new(Token, (string, m[0], line, start - last_nl, body)))
+            elif kind == "pipe":
+                raw = m[0].rstrip()
+                append(new(Token, (pipe, raw, line, m.start() - last_nl, raw)))
+            elif kind == "int":
+                digits = m[0]
+                append(new(Token, (integer, digits, line, m.start() - last_nl, int(digits))))
+            elif kind == "comment":
+                pass
+            elif kind == "triple":
+                start, end = m.span()
+                col = start - last_nl
+                close = text.find('"""', end)
+                if close < 0:
+                    diags.append(error(E_SYNTAX, "unterminated triple-quoted string",
+                                       SourceSpan(file, line, col, 3)))
+                    close = n
+                append(Token(TokenType.TRIPLE_STRING, '"""', line, col, text[end:close]))
+                newlines = text.count("\n", end, close)
+                if newlines:
+                    line += newlines
+                    last_nl = text.rindex("\n", start, close)
+                pos = min(close + 3, n)
+                break
+            else:  # other
+                start = m.start()
+                if text[start] == '"':
+                    tok, pos, line, line_start = _malformed_string(
+                        text, start, line, last_nl + 1, file, diags)
+                    last_nl = line_start - 1
+                    append(tok)
+                    break
+                diags.append(error(E_SYNTAX, f"unexpected character {text[start]!r}",
+                                   SourceSpan(file, line, start - last_nl, 1)))
+        else:
+            break
+    append(Token(TokenType.EOF, "", line, n - last_nl))
     return toks, diags
 
 

@@ -117,28 +117,29 @@ def parse_test_suite(
 
 class _Parser:
     def __init__(self, tokens: list[Token], file: str, diagnostics: list[Diagnostic]):
-        self.toks = tokens
+        self.toks = tokens  # always ends in the one EOF token
+        self.last = len(tokens) - 1
         self.file = file
         self.diags = diagnostics
         self.i = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        i = min(self.i + offset, len(self.toks) - 1)
-        return self.toks[i]
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def advance(self) -> Token:
-        tok = self.toks[self.i]
-        if self.i < len(self.toks) - 1:
-            self.i += 1
-        return tok
+        """Return the current token and move past it, but never past EOF."""
+        i = self.i
+        if i < self.last:
+            self.i = i + 1
+        return self.toks[i]
 
     def at(self, ttype: TokenType) -> bool:
-        return self.peek().type is ttype
+        return self.toks[self.i].type is ttype
 
     def at_word(self, *words: str) -> bool:
-        tok = self.peek()
+        tok = self.toks[self.i]
         return tok.type is TokenType.IDENT and tok.text in words
 
     def span_of(self, tok: Token) -> SourceSpan:
@@ -153,19 +154,18 @@ class _Parser:
         raise _ParseError()
 
     def expect(self, ttype: TokenType, what: str) -> Token:
-        if not self.at(ttype):
+        if self.toks[self.i].type is not ttype:
             self.fail(f"expected {what}, found {self._describe(self.peek())}")
         return self.advance()
 
     def expect_word(self, word: str) -> Token:
-        if not self.at_word(word):
-            self.fail(f"expected '{word}', found {self._describe(self.peek())}")
+        tok = self.toks[self.i]
+        if tok.type is not TokenType.IDENT or tok.text != word:
+            self.fail(f"expected '{word}', found {self._describe(tok)}")
         return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        if not self.at(TokenType.IDENT):
-            self.fail(f"expected {what}, found {self._describe(self.peek())}")
-        return self.advance()
+        return self.expect(TokenType.IDENT, what)
 
     @staticmethod
     def _describe(tok: Token) -> str:
@@ -752,11 +752,12 @@ class _Parser:
         if cells_raw is None:
             self.fail("malformed table row: expected '| cell | ... |'", tok)
         cells: list[CellExpectation] = []
-        for raw in cells_raw:
-            cell = self._parse_cell_expectation(raw.strip(), tok)
-            if cell is None:
-                return None
-            cells.append(cell)
+        last = len(cells_raw) - 1
+        for k, raw in enumerate(cells_raw):
+            # A '|' inside a tooltip cuts the cell: the tooltip looks
+            # unterminated although the row goes on.
+            cut = k < last or bool(trailer.strip())
+            cells.append(self._parse_cell_expectation(raw.strip(), tok, cut))
         selected = False
         color: str | None = None
         for kind, payload in self._parse_groups(trailer, tok):
@@ -776,7 +777,7 @@ class _Parser:
             return None
         return RowExpectation(cells=tuple(cells), selected=selected, color=color)
 
-    def _parse_cell_expectation(self, text: str, tok: Token) -> CellExpectation | None:
+    def _parse_cell_expectation(self, text: str, tok: Token, cut: bool) -> CellExpectation:
         if text == "*":
             return CellExpectation(ignored=True)
         bracket = text.find("[")
@@ -785,7 +786,7 @@ class _Parser:
         value = text[:bracket].rstrip()
         tooltip: str | None = None
         color: str | None = None
-        for kind, payload in self._parse_groups(text[bracket:], tok):
+        for kind, payload in self._parse_groups(text[bracket:], tok, cut):
             if kind == "tooltip":
                 if tooltip is not None:
                     self.report("duplicate [tooltip ...] on one cell", tok)
@@ -798,10 +799,16 @@ class _Parser:
                 self.report("[selected] marks a row, not a cell", tok)
         return CellExpectation(value=value, tooltip=tooltip, color=color)
 
-    def _parse_groups(self, text: str, tok: Token) -> list[tuple[str, str | None]]:
-        """Parse '[selected]', '[color NAME]', '[tooltip "..."]' groups."""
+    def _parse_groups(self, text: str, tok: Token,
+                      cut: bool = False) -> list[tuple[str, str | None]]:
+        """Parse '[selected]', '[color NAME]', '[tooltip "..."]' groups.
+
+        ``cut`` says that more of the row follows ``text`` after a '|'.
+        """
         groups, err = _scan_groups(text)
         if err is not None:
+            if cut and err == _UNTERMINATED_TOOLTIP:
+                err = "a tooltip string cannot contain '|'"
             self.fail(err, tok)
         return groups
 
@@ -816,6 +823,7 @@ def _split_pipe_row(raw: str) -> tuple[list[str] | None, str]:
 # A tooltip body stops at the closing quote, an unknown escape or a lone
 # final backslash.
 _TOOLTIP_BODY = re.compile(r'(?:[^"\\]|\\[%s])*' % re.escape("".join(ESCAPES)))
+_UNTERMINATED_TOOLTIP = "unterminated tooltip string"
 
 
 def _scan_groups(text: str) -> tuple[list[tuple[str, str | None]], str | None]:
@@ -862,7 +870,7 @@ def _scan_groups(text: str) -> tuple[list[tuple[str, str | None]], str | None]:
             if i + 1 < n and text[i] == "\\":
                 return groups, f"unknown escape \\{text[i + 1]} in tooltip string"
             if i >= n or text[i] != '"':
-                return groups, "unterminated tooltip string"
+                return groups, _UNTERMINATED_TOOLTIP
             body = unescape(text[start:i])
             i += 1
             if i >= n or text[i] != "]":

@@ -7,6 +7,8 @@ yields a structurally equal AST.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .model import (
     ArgContextRef,
     ArgLiteral,
@@ -240,22 +242,31 @@ def _print_rows_check(w: _Writer, depth: int, check: CheckValue) -> None:
         titles = ", ".join(_escape(t) for t in exp.ignored_columns)
         w.line(depth + 1, f"ignore {titles}")
     w.line(depth + 1, "rows {")
-    grid = [list(exp.header)]
-    marks: list[str] = [""]
-    for row in exp.rows:
-        grid.append([expectation_cell_text(c) for c in row.cells])
-        parts = []
-        if row.selected:
-            parts.append("[selected]")
-        if row.color is not None:
-            parts.append(f"[color {row.color}]")
-        marks.append((" " + " ".join(parts)) if parts else "")
+    grid, marks = expectation_grid(exp)
     for line, mark in zip(align_pipe_rows(grid), marks):
         w.line(depth + 2, line + mark)
     w.line(depth + 1, "}")
     if exp.selected_row_check is not None:
         w.line(depth + 1, f"selectedRow {exp.selected_row_check}")
     w.line(depth, "}")
+
+
+def expectation_grid(
+    exp: RowsExpectation,
+) -> tuple[tuple[tuple[str, ...], ...], tuple[str, ...]]:
+    """The cell texts of an expected table, header first, and the row marks
+    that follow each pipe row (the header's is empty)."""
+    grid = [exp.header]
+    marks = [""]
+    for row in exp.rows:
+        grid.append(tuple(expectation_cell_text(c) for c in row.cells))
+        parts = []
+        if row.selected:
+            parts.append("[selected]")
+        if row.color is not None:
+            parts.append(f"[color {row.color}]")
+        marks.append((" " + " ".join(parts)) if parts else "")
+    return tuple(grid), tuple(marks)
 
 
 def expectation_cell_text(cell: CellExpectation) -> str:
@@ -269,7 +280,7 @@ def expectation_cell_text(cell: CellExpectation) -> str:
     return " ".join(parts)
 
 
-def align_pipe_rows(grid: list[list[str]]) -> list[str]:
+def align_pipe_rows(grid: Sequence[Sequence[str]]) -> list[str]:
     """Render a cell grid as pipe rows with uniform column widths."""
     columns = max(len(row) for row in grid)
     widths = [0] * columns

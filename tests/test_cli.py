@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, GOLDENS, VMDSL_PATH, VMTEST_PATH
+from conftest import CORPUS, GOLDENS, ROOT, VMDSL_PATH, VMTEST_PATH
 from vimotest.cli import main
+from vimotest.taskmanager import REGISTRY
 
 
 def write_config(tmp_path, **entries):
@@ -55,6 +56,16 @@ class TestRun:
         code = main(["run", str(CORPUS), *extra])
         captured = capsys.readouterr()
         return code, captured
+
+    def test_help_lists_each_setup_with_its_summary(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for setup_id, registration in REGISTRY.items():
+            assert registration.summary
+            assert any(line.split() == [setup_id, *registration.summary.split()]
+                       for line in lines), (setup_id, lines)
 
     def test_reference_logic_passes(self, capsys):
         code, captured = self.run_corpus(capsys, "--setup", "taskmanager")
@@ -190,7 +201,9 @@ class TestGen:
 
 class TestEntryPoint:
     def _run(self, *args, env_extra=None):
-        env = dict(os.environ, **(env_extra or {}))
+        # The child finds the package without an installed copy or PYTHONPATH.
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, **(env_extra or {}))
         return subprocess.run(
             [sys.executable, "-m", "vimotest", *args],
             capture_output=True, text=True, env=env)

@@ -390,7 +390,8 @@ class TestLineSafety:
                         if isinstance(stmt, Comment):
                             assert "\n" not in stmt.text, stmt
                         elif isinstance(stmt, RowMatrix):
-                            assert not any("\n" in row for row in stmt.grid), stmt
+                            assert not any("\n" in cell for row in stmt.grid
+                                           for cell in row), stmt
                 for name, text in emit(unit, name_map, config):
                     for line in text.split("\n"):
                         assert "\r" not in line, (name, line)
@@ -517,6 +518,32 @@ def write_tree(root, files: dict[str, str]) -> None:
         path = root / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
+
+
+def expected_rows_comment(text: str, widget: str) -> list[str]:
+    """The ``// | ... |`` lines under ``// expected <widget> rows:``."""
+    lines = [line.lstrip() for line in text.split("\n")]
+    start = lines.index(f"// expected {widget} rows:") + 1
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("// |"):
+            break
+        rows.append(line)
+    return rows
+
+
+class TestExpectedRowsComment:
+    @pytest.mark.parametrize("target,test_file", [("java", "HostileTestsTest.java"),
+                                                  ("cpp", "hostile_tests_test.cpp")])
+    def test_columns_line_up_after_escaping(self, target, test_file):
+        """Cells the comment widens (a doubled backslash before 'u', a CR
+        spelled as \\r) are escaped before the columns are padded."""
+        files, _, _ = emit_sources(target, HOSTILE_VMDSL, HOSTILE_VMTEST)
+        rows = expected_rows_comment(files[test_file], "Items")
+        assert len(rows) == 3
+        assert (r"\\u000a" if target == "java" else r"a\rb") in "".join(rows)
+        pipes = [[i for i, ch in enumerate(row) if ch == "|"] for row in rows]
+        assert all(p == pipes[0] for p in pipes), rows
 
 
 class TestGeneratedSourcesCompile:

@@ -5,10 +5,16 @@ character-walking lexer that the master-pattern lexer replaced, so they pin
 its exact spans and messages. The non-ASCII cases pin the ASCII-only rules.
 """
 
-import pytest
+import re
 
-from vimotest.lexer import tokenize
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vimotest.diagnostics import E_SYNTAX, SourceSpan, error
+from vimotest.lexer import ESCAPES, IDENT_PATTERN, TokenType, tokenize, unescape
 from vimotest.model import is_identifier
+from vimotest.parser import _Parser, parse_view_model
 
 
 def lex(src):
@@ -170,3 +176,147 @@ def test_lexer_and_model_agree_on_identifiers(word):
     tokens, diags = tokenize(word)
     one_ident = not diags and [t.type.name for t in tokens] == ["IDENT", "EOF"]
     assert one_ident == is_identifier(word)
+
+
+# -- reference oracle ---------------------------------------------------------
+# The lexer before blanks were skipped inside the regex engine: a master
+# pattern matched at each offset, with blanks, newlines and comments as one
+# skip group. It returns the same tuples as ``lex``.
+
+_REF_TOKEN_RE = re.compile(rf"""
+    (?P<skip>(?:[ \t\r\n]|//[^\n]*)+)
+  | (?P<pipe>\|[^\n]*)
+  | (?P<punct>[{{}}(),:.=])
+  | (?P<triple>\"\"\")
+  | (?P<string>"[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*")
+  | (?P<ident>{IDENT_PATTERN})
+  | (?P<int>-?[0-9]+)
+""", re.VERBOSE)
+_REF_PUNCT = {"{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
+              ",": "COMMA", ":": "COLON", ".": "DOT", "=": "EQUALS"}
+_REF_STRING_RUN_RE = re.compile(r'[^"\\\n]*')
+
+
+def reference_lex(text, file="f"):
+    toks, diags = [], []
+    n = len(text)
+    pos, line, line_start = 0, 1, 0
+    while pos < n:
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos] == '"':
+                tok, pos, line, line_start = _reference_malformed_string(
+                    text, pos, line, line_start, file, diags)
+                toks.append(tok)
+            else:
+                diags.append(error(E_SYNTAX, f"unexpected character {text[pos]!r}",
+                                   SourceSpan(file, line, pos - line_start + 1, 1)))
+                pos += 1
+            continue
+        kind, end, col = m.lastgroup, m.end(), pos - line_start + 1
+        if kind == "skip":
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, end) + 1
+        elif kind == "ident":
+            toks.append(("IDENT", m.group(), line, col, m.group()))
+        elif kind == "punct":
+            toks.append((_REF_PUNCT[m.group()], m.group(), line, col, None))
+        elif kind == "pipe":
+            raw = m.group().rstrip()
+            toks.append(("PIPE_ROW", raw, line, col, raw))
+        elif kind == "string":
+            toks.append(("STRING", m.group(), line, col, unescape(text[pos + 1:end - 1])))
+        elif kind == "int":
+            toks.append(("INT", m.group(), line, col, int(m.group())))
+        else:  # triple
+            close = text.find('"""', end)
+            if close < 0:
+                diags.append(error(E_SYNTAX, "unterminated triple-quoted string",
+                                   SourceSpan(file, line, col, 3)))
+                close = n
+            toks.append(("TRIPLE_STRING", '"""', line, col, text[end:close]))
+            newlines = text.count("\n", end, close)
+            end = min(close + 3, n)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, close) + 1
+        pos = end
+    toks.append(("EOF", "", line, n - line_start + 1, None))
+    return toks, [(d.code, d.message, d.render(), d.span.length) for d in diags]
+
+
+def _reference_malformed_string(text, pos, line, line_start, file, diags):
+    start_line, col = line, pos - line_start + 1
+    n = len(text)
+    parts = []
+    i = pos + 1
+    while True:
+        run_end = _REF_STRING_RUN_RE.match(text, i).end()
+        parts.append(text[i:run_end])
+        i = run_end
+        if text.startswith('"', i):
+            i += 1
+            break
+        if text.startswith("\\", i) and i + 1 < n:
+            esc = text[i + 1]
+            if esc == "\n":
+                line += 1
+                line_start = i + 2
+            if esc in ESCAPES:
+                parts.append(ESCAPES[esc])
+            else:
+                diags.append(error(E_SYNTAX, f"unknown escape \\{esc}",
+                                   SourceSpan(file, line, max(i - line_start + 1, 1), 2)))
+            i += 2
+            continue
+        if text.startswith("\\", i):
+            i += 1
+        diags.append(error(E_SYNTAX, "unterminated string literal",
+                           SourceSpan(file, start_line, col, 1)))
+        break
+    return ("STRING", text[pos:i], start_line, col, "".join(parts)), i, line, line_start
+
+
+@pytest.mark.parametrize("src,tokens,diags", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_reference_oracle_matches_the_recorded_cases(src, tokens, diags):
+    assert reference_lex(src) == (tokens, diags)
+
+
+# DSL-shaped fragments plus the characters and pairs at the edges of the
+# rules: form feed and vertical tab (not blanks), CRLF, a lone '/' and '-',
+# triple quotes, escapes good and bad, and non-ASCII letters and digits.
+_FRAGMENTS = [
+    " ", "  ", "\t", "\r", "\n", "\r\n", "\f", "\x0b", "/", "//", "-", "-7", "0",
+    '"', '"""', "\\", "\\n", "\\q", "\\\n", "|", "| a | b |", "{", "}", "(", ")",
+    ",", ":", ".", "=", "a", "Zz_9", "_", "widgets", "\u00b2", "\u00e9", "\u0663",
+]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join),
+       st.sampled_from(["", "//", "\n//", '"', '"""']))
+def test_tokens_and_diagnostics_match_the_reference(body, ending):
+    src = body + ending
+    assert lex(src) == reference_lex(src)
+
+
+# -- the parser's view of the end of input ------------------------------------
+
+def test_advance_at_eof_stays_put():
+    tokens, _ = tokenize("a b")
+    parser = _Parser(tokens, "f", [])
+    assert [parser.advance().text for _ in range(2)] == ["a", "b"]
+    for _ in range(3):
+        tok = parser.advance()
+        assert tok.type is TokenType.EOF and parser.peek() is tok
+        assert parser.i == len(tokens) - 1
+
+
+def test_found_end_of_input_keeps_its_span():
+    desc, diags = parse_view_model("viewmodel V {\n  widgets {", "f")
+    assert desc is None
+    assert [(d.render(), d.span.length) for d in diags] == [
+        ("f:2:12: E001: expected '}', found end of input", 1)]

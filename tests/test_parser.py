@@ -319,7 +319,27 @@ class TestParseTestSuite:
                                          '[tooltip "a|b"]')
         assert suite is None
         assert [d.render() for d in diags] == [
-            "t.vmtest:19:11: E001: unterminated tooltip string"]
+            "t.vmtest:19:11: E001: a tooltip string cannot contain '|'"]
+
+    def _tooltip_row_diagnostics(self, row):
+        src = ('testsuite S for V { scenario "T" { given { } when { } then { '
+               f"table T {{ rows {{ | A | B |\n {row}\n }} }} }} }} }}")
+        suite, diags = parse_test_suite(src, "f")
+        assert suite is None
+        return [d.render() for d in diags]
+
+    def test_pipe_in_tooltip_names_the_pipe(self):
+        assert self._tooltip_row_diagnostics('| x [tooltip "4th|January"] | y |') == [
+            "f:2:2: E001: a tooltip string cannot contain '|'"]
+        # the rest of the row after the cut is the row trailer
+        assert self._tooltip_row_diagnostics('| x | y [tooltip "4th|January"]') == [
+            "f:2:2: E001: a tooltip string cannot contain '|'"]
+
+    def test_tooltip_running_to_the_end_of_the_row_is_unterminated(self):
+        assert self._tooltip_row_diagnostics('| x | y [tooltip "4th January |') == [
+            "f:2:2: E001: unterminated tooltip string"]
+        assert self._tooltip_row_diagnostics('| x | y | [tooltip "4th January') == [
+            "f:2:2: E001: unterminated tooltip string"]
 
     def test_parsing_resumes_after_a_bad_row(self):
         src = ('testsuite S for V { scenario "C" { given { } when { } then { '
