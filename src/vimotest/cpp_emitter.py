@@ -11,27 +11,10 @@ from __future__ import annotations
 
 from .analyzer import NameMap
 from .genconfig import GenConfig
-from .ir import (
-    AssertEqual,
-    BoolLit,
-    CallSetup,
-    CellField,
-    Comment,
-    DeclareLocal,
-    IRClass,
-    IRUnit,
-    IntLit,
-    InvokeCommand,
-    LocalRef,
-    NullLit,
-    PropertyGet,
-    RowColorField,
-    RowCount,
-    RowMatrix,
-    StringLit,
-)
+from .ir import CellField, IRClass, IRUnit, IntLit, PropertyGet, RowColorField, RowCount, StringLit
 from .literals import comment_text, quote
-from .names import camel_case, snake_case
+from .names import snake_case
+from .testbody import TargetSpec, write_test_body
 
 _TYPES = {
     "bool": "bool",
@@ -48,6 +31,25 @@ _PARAM_TYPES = {
     "rowList": "const std::vector<Row>&",
     "optIndex": "std::optional<int>",
 }
+
+
+def _typed(expected, actual) -> str | None:
+    # Compare like with like: size_t counts, optional indexes, string cells.
+    if isinstance(expected, IntLit):
+        if isinstance(actual, RowCount):
+            return f"std::size_t({expected.value})"
+        if isinstance(actual, PropertyGet) and actual.ir_type == "optIndex":
+            return f"std::optional<int>({expected.value})"
+    elif isinstance(expected, StringLit) and isinstance(actual, (CellField, RowColorField)):
+        return f"std::string({quote(expected.value)})"
+    return None
+
+
+_SPEC = TargetSpec(
+    indent="    ", types=_TYPES, scope="", member="::",
+    construct="{type} {name}({args});", construct_bare="{type} {name};",
+    assert_call="VT_ASSERT_EQ", continuation="    ", null="std::optional<int>()",
+    index=("[", "]"), comment=comment_text, expected=_typed)
 
 ASSERT_HEADER_NAME = "vimotest_assert.hpp"
 
@@ -130,21 +132,14 @@ def emit_cpp(ir: IRUnit, name_map: NameMap, config: GenConfig) -> list[tuple[str
 def _header_file(cls: IRClass, config: GenConfig, view_model: str | None,
                  view_model_header: str | None) -> str:
     lines: list[str] = ["#pragma once", ""]
-    includes = set()
-    if any(p.ir_type == "optIndex" for p in cls.properties):
-        includes.add("<optional>")
-    if any(p.ir_type in ("string", "rowList") for p in cls.properties):
-        includes.add("<string>")
-    if any(p.ir_type == "rowList" for p in cls.properties):
-        includes.add("<vector>")
-    for op in cls.operations:
-        for param in op.params:
-            if param.ir_type == "string":
-                includes.add("<string>")
-    for pc in cls.param_classes:
-        for field in pc.fields:
-            if field.ir_type == "string":
-                includes.add("<string>")
+    # A param class's fields are its operation's params.
+    used = ({p.ir_type for p in cls.properties}
+            | {p.ir_type for op in cls.operations for p in op.params})
+    includes = {header for ir_type, header in (("optIndex", "<optional>"),
+                                                ("string", "<string>"),
+                                                ("rowList", "<string>"),
+                                                ("rowList", "<vector>"))
+                if ir_type in used}
     if view_model_header is not None:
         lines.append(f'#include "{view_model_header}"')
     for include in sorted(includes):
@@ -181,23 +176,16 @@ def _header_file(cls: IRClass, config: GenConfig, view_model: str | None,
         lines.append("")
     lines.append(f"    virtual ~{cls.name}() = default;")
     for prop in cls.properties:
-        cpp_type = _TYPES[prop.ir_type]
+        # Getters return and setters take what a parameter of the type is,
+        # except that a row list is taken by value and moved in.
+        param_type = _PARAM_TYPES[prop.ir_type]
         lines.append("")
+        lines.append(f"    {param_type} {prop.getter}() const {{ return {prop.name}_; }}")
         if prop.ir_type == "rowList":
-            lines.append(f"    const {cpp_type}& {prop.getter}() const {{ "
-                         f"return {prop.name}_; }}")
-            lines.append(f"    void {prop.setter}({cpp_type} value) {{ "
+            lines.append(f"    void {prop.setter}({_TYPES['rowList']} value) {{ "
                          f"{prop.name}_ = std::move(value); }}")
-        elif prop.ir_type == "string":
-            lines.append(f"    const {cpp_type}& {prop.getter}() const {{ "
-                         f"return {prop.name}_; }}")
-            lines.append(f"    void {prop.setter}(const {cpp_type}& value) {{ "
-                         f"{prop.name}_ = value; }}")
         else:
-            lines.append(f"    {cpp_type} {prop.getter}() const {{ "
-                         f"return {prop.name}_; }}")
-            lines.append(f"    void {prop.setter}({cpp_type} value) {{ "
-                         f"{prop.name}_ = value; }}")
+            lines.append(f"    void {prop.setter}({param_type} value) {{ {prop.name}_ = value; }}")
     for op in cls.operations:
         lines.append("")
         if op.param_object is not None:
@@ -247,10 +235,10 @@ def _test_file(ir: IRUnit, name_map: NameMap, config: GenConfig) -> str:
     lines.append("#include <optional>")
     lines.append("#include <string>")
     lines.append("")
-    ns = f"{config.cpp_namespace}::" if config.cpp_namespace else ""
+    spec = _SPEC._replace(scope=f"{config.cpp_namespace}::") if config.cpp_namespace else _SPEC
     for test in ir.tests:
         lines.append(f"static void test_{test.name}() {{")
-        _test_body(lines, ir, ns, test)
+        write_test_body(lines, ir, test, spec)
         lines.append("}")
         lines.append("")
     lines.append("int main() {")
@@ -259,102 +247,3 @@ def _test_file(ir: IRUnit, name_map: NameMap, config: GenConfig) -> str:
     lines.append("    return ::vimotest::summary();")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _test_body(lines: list[str], ir: IRUnit, ns: str, test) -> None:
-    ind = "    "
-    view_model = ir.view_model
-    controller = ir.controller
-    vm_type = f"{view_model.name}Impl" if view_model.abstract else view_model.name
-    lines.append(f"{ind}{ns}{vm_type} vm;")
-    command_target = "vm"
-    command_home = view_model.name
-    if controller is not None:
-        ctrl_type = f"{controller.name}Impl" if controller.abstract else controller.name
-        lines.append(f"{ind}{ns}{ctrl_type} controller(vm);")
-        command_target = "controller"
-        command_home = controller.name
-    lines.append(f"{ind}{ns}{ir.suite_name}Setup setup(vm);")
-    param_locals: dict[str, int] = {}
-    for stmt in test.statements:
-        if isinstance(stmt, Comment):
-            lines.append(f"{ind}// {comment_text(stmt.text)}")
-        elif isinstance(stmt, RowMatrix):
-            lines.append(f"{ind}// expected {stmt.widget} rows:")
-            for row in stmt.display(comment_text):
-                lines.append(f"{ind}// {row}")
-        elif isinstance(stmt, DeclareLocal):
-            _declare_local(lines, ind, stmt)
-        elif isinstance(stmt, CallSetup):
-            lines.append(f"{ind}setup.provideContext({quote(stmt.context_name)}, "
-                         f"{_expr(stmt.payload)}, {quote(stmt.delivery)});")
-        elif isinstance(stmt, InvokeCommand):
-            if stmt.param_object is not None:
-                base = camel_case(stmt.param_object)
-                count = param_locals.get(base, 0) + 1
-                param_locals[base] = count
-                local = base if count == 1 else f"{base}{count}"
-                cls = controller if controller is not None else view_model
-                fields = next(pc.fields for pc in cls.param_classes
-                              if pc.name == stmt.param_object)
-                qualified = f"{ns}{command_home}::{stmt.param_object}"
-                lines.append(f"{ind}{qualified} {local};")
-                for field, arg in zip(fields, stmt.args):
-                    lines.append(f"{ind}{local}.{field.name} = {_expr(arg)};")
-                lines.append(f"{ind}{command_target}.{stmt.method}({local});")
-            else:
-                args = ", ".join(_expr(a) for a in stmt.args)
-                lines.append(f"{ind}{command_target}.{stmt.method}({args});")
-        elif isinstance(stmt, AssertEqual):
-            expected = _expected_expr(stmt.expected, stmt.actual)
-            lines.append(f"{ind}VT_ASSERT_EQ({expected}, {_expr(stmt.actual)}, "
-                         f"{quote(stmt.message)});")
-
-
-def _declare_local(lines: list[str], ind: str, stmt: DeclareLocal) -> None:
-    init = stmt.init
-    if isinstance(init, StringLit) and init.multiline:
-        parts = init.value.split("\n")
-        head = quote(parts[0] + "\n")
-        lines.append(f"{ind}std::string {stmt.name} = {head}")
-        for part in parts[1:-1]:
-            chunk = quote(part + "\n")
-            lines.append(f"{ind}    {chunk}")
-        lines.append(f"{ind}    {quote(parts[-1])};")
-    else:
-        lines.append(f"{ind}{_TYPES[stmt.ir_type]} {stmt.name} = {_expr(init)};")
-
-
-def _expr(expr) -> str:
-    if isinstance(expr, StringLit):
-        return quote(expr.value)
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, BoolLit):
-        return "true" if expr.value else "false"
-    if isinstance(expr, NullLit):
-        return "std::optional<int>()"
-    if isinstance(expr, LocalRef):
-        return expr.name
-    if isinstance(expr, PropertyGet):
-        return f"vm.{expr.getter}()"
-    if isinstance(expr, RowCount):
-        return f"vm.{expr.getter}().size()"
-    if isinstance(expr, CellField):
-        return f"vm.{expr.getter}()[{expr.row}].cells[{expr.column}].{expr.field}"
-    if isinstance(expr, RowColorField):
-        return f"vm.{expr.getter}()[{expr.row}].color"
-    raise TypeError(f"cannot emit expression {expr!r}")
-
-
-def _expected_expr(expected, actual) -> str:
-    if isinstance(actual, RowCount) and isinstance(expected, IntLit):
-        return f"std::size_t({expected.value})"
-    if isinstance(actual, PropertyGet) and actual.ir_type == "optIndex":
-        if isinstance(expected, IntLit):
-            return f"std::optional<int>({expected.value})"
-        return "std::optional<int>()"
-    if isinstance(actual, CellField) or isinstance(actual, RowColorField):
-        if isinstance(expected, StringLit):
-            return f"std::string({quote(expected.value)})"
-    return _expr(expected)

@@ -2,8 +2,11 @@
 
 The IR is target-agnostic: every name in it comes from the name map, types
 are the five abstract kinds (bool, string, int, rowList, optIndex), and test
-procedures are flat statement lists. Per-target emitters turn one IR into
-source text.
+procedures are flat statement lists. The IR names every local a test
+declares: the fixture locals below are claimed first, then each context and
+parameter-object local gets a name no earlier local holds. ``testbody``
+writes the statements for either target from a small per-target spec; each
+emitter writes its own class files.
 """
 
 from __future__ import annotations
@@ -134,10 +137,20 @@ class CallSetup:
 
 
 @dataclass(frozen=True)
+class DeclareParams:
+    """A parameter-object local of type ``owner.type_name``, its fields set
+    in declaration order."""
+
+    name: str
+    owner: str
+    type_name: str
+    fields: tuple[tuple[str, IRExpr], ...]
+
+
+@dataclass(frozen=True)
 class InvokeCommand:
     method: str
     args: tuple[IRExpr, ...] = ()
-    param_object: str | None = None
 
 
 @dataclass(frozen=True)
@@ -163,7 +176,13 @@ class AssertEqual:
     message: str
 
 
-IRStatement = Comment | DeclareLocal | CallSetup | InvokeCommand | RowMatrix | AssertEqual
+IRStatement = (Comment | DeclareLocal | CallSetup | DeclareParams | InvokeCommand
+               | RowMatrix | AssertEqual)
+
+# The locals every generated test declares before its statements.
+VM_LOCAL = "vm"
+CONTROLLER_LOCAL = "controller"  # only when a View Controller is generated
+SETUP_LOCAL = "setup"
 
 
 # -- declarations ------------------------------------------------------------
@@ -247,34 +266,25 @@ def lower_to_ir(
 ) -> IRUnit:
     properties = _lower_properties(desc, name_map)
     operations = tuple(_lower_operation(c, name_map, config) for c in desc.commands)
-    param_classes = tuple(
-        IRParamClass(
-            name=name_map.commands[c.name].param_object,
-            fields=tuple(IRParam(p.name, _PARAM_IR_TYPE[p.type])
-                         for p in c.form.params))
-        for c in desc.commands
-        if config.parameter_object and isinstance(c.form, CustomCommand)
-        and c.form.params)
+    param_classes = tuple(IRParamClass(op.param_object, op.params)
+                          for op in operations if op.param_object is not None)
 
+    name, abstract = name_map.type_name, config.abstract_view_model
     if config.commands_on_view_model:
-        classes: tuple[IRClass, ...] = (IRClass(
-            name=name_map.type_name, abstract=config.abstract_view_model,
-            properties=properties, operations=operations,
-            param_classes=param_classes),)
+        classes: tuple[IRClass, ...] = (
+            IRClass(name, abstract, properties, operations, param_classes),)
+        fixture = (VM_LOCAL, SETUP_LOCAL)
     else:
-        view_model = IRClass(name=name_map.type_name,
-                             abstract=config.abstract_view_model,
-                             properties=properties)
-        controller = IRClass(name=name_map.type_name + "Controller",
-                             abstract=config.abstract_view_model,
-                             operations=operations, param_classes=param_classes)
-        classes = (view_model, controller)
+        classes = (IRClass(name, abstract, properties),
+                   IRClass(name + "Controller", abstract, (), operations, param_classes))
+        fixture = (VM_LOCAL, CONTROLLER_LOCAL, SETUP_LOCAL)
 
     tests: tuple[IRTest, ...] = ()
     suite_name = None
     if linked is not None:
         suite_name = linked.suite.name
-        tests = tuple(_lower_scenario(s, desc, name_map, config)
+        tests = tuple(_lower_scenario(s, desc, name_map, config, fixture,
+                                      classes[-1].name)
                       for s in linked.scenarios)
     return IRUnit(classes=classes, tests=tests, suite_name=suite_name)
 
@@ -312,8 +322,8 @@ def _lower_operation(command: CommandDecl, name_map: NameMap,
 
 
 class _LocalNames:
-    def __init__(self):
-        self.used: set[str] = set()
+    def __init__(self, fixture: tuple[str, ...]):
+        self.used: set[str] = set(fixture)
 
     def claim(self, base: str) -> str:
         name = base
@@ -325,36 +335,40 @@ class _LocalNames:
         return name
 
 
-def _context_payload(body, config) -> tuple[str, str]:
-    """Payload literal and delivery mode for one context.
+def _declare_context(context, config, locals_, statements) -> tuple[str, str]:
+    """Declare a string local holding one context's payload; return the local
+    and the delivery mode.
 
     File-based contexts keep their path and are always delivered as files;
     everything else is rendered inline per the configured format.
     """
-    if isinstance(body, FileBody):
-        return body.path, "file"
-    return render_context(body, config.context_format), config.context_delivery
+    if isinstance(context.body, FileBody):
+        payload, delivery = context.body.path, "file"
+    else:
+        payload = render_context(context.body, config.context_format)
+        delivery = config.context_delivery
+    local = locals_.claim(camel_case(context.name))
+    statements.append(DeclareLocal(name=local, ir_type="string", init=StringLit(
+        value=payload, multiline="\n" in payload)))
+    return local, delivery
 
 
-def _lower_scenario(linked_scenario, desc, name_map, config) -> IRTest:
+def _lower_scenario(linked_scenario, desc, name_map, config, fixture,
+                    command_home) -> IRTest:
     statements: list[IRStatement] = []
-    locals_ = _LocalNames()
+    locals_ = _LocalNames(fixture)
     context_locals: dict[str, str] = {}
 
     for context in linked_scenario.contexts:
-        payload, delivery = _context_payload(context.body, config)
-        local = locals_.claim(camel_case(context.name))
+        local, delivery = _declare_context(context, config, locals_, statements)
         context_locals[context.name] = local
-        statements.append(DeclareLocal(
-            name=local, ir_type="string",
-            init=StringLit(value=payload, multiline="\n" in payload)))
         statements.append(CallSetup(context_name=context.name,
                                     payload=LocalRef(local),
                                     delivery=delivery))
 
     for action in linked_scenario.actions:
-        statements.extend(
-            _lower_action(action, desc, name_map, config, locals_, context_locals))
+        statements.extend(_lower_action(action, name_map, config, locals_,
+                                        context_locals, command_home))
 
     for check in linked_scenario.checks:
         statements.extend(_lower_check(check, desc, name_map))
@@ -362,25 +376,21 @@ def _lower_scenario(linked_scenario, desc, name_map, config) -> IRTest:
     return IRTest(name=linked_scenario.test_name, statements=tuple(statements))
 
 
-def _lower_action(action, desc, name_map, config, locals_, context_locals):
+def _lower_action(action, name_map, config, locals_, context_locals,
+                  command_home):
     statements: list[IRStatement] = []
     args: list[IRExpr] = []
     for arg in action.args:
         if isinstance(arg, ContextArgument):
             local = context_locals.get(arg.name)
             if local is None:
-                payload, _ = _context_payload(arg.body, config)
-                local = locals_.claim(camel_case(arg.name))
+                local, _ = _declare_context(arg, config, locals_, statements)
                 context_locals[arg.name] = local
-                statements.append(DeclareLocal(
-                    name=local, ir_type="string",
-                    init=StringLit(value=payload, multiline="\n" in payload)))
             args.append(LocalRef(local))
         else:
             args.append(_literal_expr(arg))
     form = action.decl.form
     names = name_map.commands[action.decl.name]
-    param_object = None
     if isinstance(form, WidgetCommand):
         effect = COMMAND_EFFECT[form.kind]
         if effect is not None:
@@ -389,9 +399,12 @@ def _lower_action(action, desc, name_map, config, locals_, context_locals):
                 f"the view applies {setter}({_literal_text(action.args[0])}) "
                 f"before the command runs"))
     elif config.parameter_object and form.params:
-        param_object = names.param_object
-    statements.append(InvokeCommand(method=names.method, args=tuple(args),
-                                    param_object=param_object))
+        local = locals_.claim(camel_case(names.param_object))
+        statements.append(DeclareParams(
+            name=local, owner=command_home, type_name=names.param_object,
+            fields=tuple(zip((p.name for p in form.params), args))))
+        args = [LocalRef(local)]
+    statements.append(InvokeCommand(method=names.method, args=tuple(args)))
     return statements
 
 

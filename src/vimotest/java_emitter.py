@@ -13,27 +13,9 @@ import re
 
 from .analyzer import NameMap
 from .genconfig import GenConfig
-from .ir import (
-    AssertEqual,
-    BoolLit,
-    CallSetup,
-    CellField,
-    Comment,
-    DeclareLocal,
-    IRClass,
-    IRUnit,
-    IntLit,
-    InvokeCommand,
-    LocalRef,
-    NullLit,
-    PropertyGet,
-    RowColorField,
-    RowCount,
-    RowMatrix,
-    StringLit,
-)
-from .literals import comment_text, quote
-from .names import camel_case
+from .ir import IRClass, IRUnit, IntLit, PropertyGet
+from .literals import comment_text
+from .testbody import TargetSpec, write_test_body
 
 _TYPES = {
     "bool": "boolean",
@@ -58,11 +40,25 @@ def _comment(text: str) -> str:
     return _UNICODE_ESCAPE.sub(r"\1\1", text) if "\\" in text else text
 
 
+def _boxed(expected, actual) -> str | None:
+    # The selected-row getter returns Integer, so box the expected index.
+    if (isinstance(expected, IntLit) and isinstance(actual, PropertyGet)
+            and actual.ir_type == "optIndex"):
+        return f"Integer.valueOf({expected.value})"
+    return None
+
+
+_SPEC = TargetSpec(
+    indent="        ", types=_TYPES, scope="", member=".",
+    construct="{type} {name} = new {type}({args});",
+    construct_bare="{type} {name} = new {type}();",
+    assert_call="assertEquals", continuation="        + ", null="(Integer) null",
+    index=(".get(", ")"), comment=_comment, expected=_boxed)
+
+
 def emit_java(ir: IRUnit, name_map: NameMap, config: GenConfig) -> list[tuple[str, str]]:
     """Emit (relative path, file text) pairs for the Java target."""
-    prefix = ""
-    if config.java_package:
-        prefix = config.java_package.replace(".", "/") + "/"
+    prefix = config.java_package.replace(".", "/") + "/" if config.java_package else ""
     files: list[tuple[str, str]] = []
     view_model = ir.view_model
     vm_file = name_map.file_name if name_map.file_name_bound else view_model.name
@@ -158,104 +154,7 @@ def _test_file(ir: IRUnit, config: GenConfig) -> str:
         lines.append("")
         lines.append("    @Test")
         lines.append(f"    void {test.name}() {{")
-        _test_body(lines, ir, config, test)
+        write_test_body(lines, ir, test, _SPEC)
         lines.append("    }")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _test_body(lines: list[str], ir: IRUnit, config: GenConfig, test) -> None:
-    ind = "        "
-    view_model = ir.view_model
-    vm_type = f"{view_model.name}Impl" if view_model.abstract else view_model.name
-    lines.append(f"{ind}{vm_type} vm = new {vm_type}();")
-    controller = ir.controller
-    command_target = "vm"
-    command_home = view_model.name
-    if controller is not None:
-        ctrl_type = f"{controller.name}Impl" if controller.abstract else controller.name
-        lines.append(f"{ind}{ctrl_type} controller = new {ctrl_type}(vm);")
-        command_target = "controller"
-        command_home = controller.name
-    lines.append(f"{ind}{ir.suite_name}Setup setup = new {ir.suite_name}Setup(vm);")
-    param_locals: dict[str, int] = {}
-    for stmt in test.statements:
-        if isinstance(stmt, Comment):
-            lines.append(f"{ind}// {_comment(stmt.text)}")
-        elif isinstance(stmt, RowMatrix):
-            lines.append(f"{ind}// expected {stmt.widget} rows:")
-            for row in stmt.display(_comment):
-                lines.append(f"{ind}// {row}")
-        elif isinstance(stmt, DeclareLocal):
-            _declare_local(lines, ind, stmt)
-        elif isinstance(stmt, CallSetup):
-            lines.append(f"{ind}setup.provideContext({quote(stmt.context_name)}, "
-                         f"{_expr(stmt.payload)}, {quote(stmt.delivery)});")
-        elif isinstance(stmt, InvokeCommand):
-            if stmt.param_object is not None:
-                base = camel_case(stmt.param_object)
-                count = param_locals.get(base, 0) + 1
-                param_locals[base] = count
-                local = base if count == 1 else f"{base}{count}"
-                cls = ir.controller if controller is not None else view_model
-                fields = next(pc.fields for pc in cls.param_classes
-                              if pc.name == stmt.param_object)
-                qualified = f"{command_home}.{stmt.param_object}"
-                lines.append(f"{ind}{qualified} {local} = new {qualified}();")
-                for field, arg in zip(fields, stmt.args):
-                    lines.append(f"{ind}{local}.{field.name} = {_expr(arg)};")
-                lines.append(f"{ind}{command_target}.{stmt.method}({local});")
-            else:
-                args = ", ".join(_expr(a) for a in stmt.args)
-                lines.append(f"{ind}{command_target}.{stmt.method}({args});")
-        elif isinstance(stmt, AssertEqual):
-            expected = _expected_expr(stmt.expected, stmt.actual)
-            lines.append(f"{ind}assertEquals({expected}, {_expr(stmt.actual)}, "
-                         f"{quote(stmt.message)});")
-
-
-def _declare_local(lines: list[str], ind: str, stmt: DeclareLocal) -> None:
-    init = stmt.init
-    if isinstance(init, StringLit) and init.multiline:
-        parts = init.value.split("\n")
-        head = quote(parts[0] + "\n")
-        lines.append(f"{ind}String {stmt.name} = {head}")
-        for part in parts[1:-1]:
-            chunk = quote(part + "\n")
-            lines.append(f"{ind}        + {chunk}")
-        lines.append(f"{ind}        + {quote(parts[-1])};")
-    else:
-        lines.append(f"{ind}{_TYPES[stmt.ir_type]} {stmt.name} = {_expr(init)};")
-
-
-def _expr(expr) -> str:
-    if isinstance(expr, StringLit):
-        return quote(expr.value)
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, BoolLit):
-        return "true" if expr.value else "false"
-    if isinstance(expr, NullLit):
-        return "null"
-    if isinstance(expr, LocalRef):
-        return expr.name
-    if isinstance(expr, PropertyGet):
-        return f"vm.{expr.getter}()"
-    if isinstance(expr, RowCount):
-        return f"vm.{expr.getter}().size()"
-    if isinstance(expr, CellField):
-        return (f"vm.{expr.getter}().get({expr.row})"
-                f".cells.get({expr.column}).{expr.field}")
-    if isinstance(expr, RowColorField):
-        return f"vm.{expr.getter}().get({expr.row}).color"
-    raise TypeError(f"cannot emit expression {expr!r}")
-
-
-def _expected_expr(expected, actual) -> str:
-    # The selected-row getter returns Integer, so box or cast the expectation.
-    if isinstance(actual, PropertyGet) and actual.ir_type == "optIndex":
-        if isinstance(expected, IntLit):
-            return f"Integer.valueOf({expected.value})"
-        if isinstance(expected, NullLit):
-            return "(Integer) null"
-    return _expr(expected)

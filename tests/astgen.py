@@ -219,8 +219,15 @@ def _random_scenario(rng, desc, index, contexts, concrete_names) -> TestScenario
                         given=tuple(given), when=when, then=then)
 
 
+# Locals every generated test declares: a context may be named like one.
+_FIXTURE_LOCALS = ("vm", "setup", "controller")
+
+
 def _random_context(rng, contexts, concrete_names) -> ContextDefinition:
     name = contexts.fresh()
+    clash = rng.choice(_FIXTURE_LOCALS)
+    if clash not in concrete_names and rng.random() < 0.2:
+        name = clash
     concrete_names.append(name)
     roll = rng.random()
     if roll < 0.55:

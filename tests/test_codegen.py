@@ -11,7 +11,7 @@ from conftest import GOLDENS, VMDSL_PATH, VMTEST_PATH
 from test_literals import JAVA_UNICODE_ESCAPE
 from vimotest.analyzer import compute_name_map, resolve
 from vimotest.cpp_emitter import emit_cpp
-from vimotest.genconfig import GenConfig, GenConfigError, parse_genconfig
+from vimotest.genconfig import GenConfig, GenConfigError, load_genconfig, parse_genconfig
 from vimotest.ir import Comment, IRUnit, RowMatrix, ir_to_dict, lower_to_ir
 from vimotest.java_emitter import emit_java
 from vimotest.model import (
@@ -25,6 +25,15 @@ from vimotest.model import (
 )
 from vimotest.names import snake_case
 from vimotest.parser import parse_test_suite, parse_view_model
+
+
+# Goldens of the shipped corpus under a non-default config, kept with the
+# genconfig.json that made them.
+OPTION_GOLDENS = ("java_options", "cpp_options")
+
+
+def option_config(golden: str) -> GenConfig:
+    return load_genconfig(str(GOLDENS / golden / "genconfig.json"))
 
 
 def name_map_for(desc, config=None):
@@ -300,6 +309,25 @@ class TestEmitCpp:
         assert "class TaskListVM {" in files["task_list_view_model.hpp"]
 
 
+class TestOptionGoldens:
+    """Parameter objects, a View Controller, non-abstract classes, a package
+    or namespace and the json/xml context formats, pinned byte for byte."""
+
+    @pytest.mark.parametrize("golden", OPTION_GOLDENS)
+    def test_matches_goldens(self, golden, corpus_desc, corpus_linked):
+        root = GOLDENS / golden
+        config = option_config(golden)
+        name_map = name_map_for(corpus_desc, config)
+        emit = emit_java if config.target == "java" else emit_cpp
+        files = dict(emit(lower_to_ir(corpus_desc, corpus_linked, name_map, config),
+                          name_map, config))
+        goldens = {p.relative_to(root).as_posix(): p.read_text(encoding="utf-8")
+                   for p in root.rglob("*") if p.is_file() and p.name != "genconfig.json"}
+        assert sorted(files) == sorted(goldens)
+        for name, text in files.items():
+            assert text == goldens[name], f"{name} deviates from goldens/{golden}"
+
+
 class TestParameterObjectCounting:
     def _desc_with_commands(self):
         return ViewModelDescription(name="Multi", commands=(
@@ -452,22 +480,74 @@ HOSTILE_VMTEST = r"""testsuite HostileTests for HostileViewModel {
 """.replace("<TAB>", "\t").replace("<CR>", "\r")
 
 
-def emit_sources(target: str, vmdsl: str, vmtest: str):
+def emit_sources(config: GenConfig, vmdsl: str, vmtest: str):
     desc, diags = parse_view_model(vmdsl)
     assert desc is not None, [d.render() for d in diags]
     suite, diags = parse_test_suite(vmtest)
     assert suite is not None, [d.render() for d in diags]
     linked, diags = resolve(suite, desc)
     assert linked is not None, [d.render() for d in diags]
-    config = GenConfig(target=target)
     name_map = name_map_for(desc, config)
-    emit = emit_java if target == "java" else emit_cpp
+    emit = emit_java if config.target == "java" else emit_cpp
     files = dict(emit(lower_to_ir(desc, linked, name_map, config), name_map, config))
     return files, name_map, suite.name
 
 
+# Contexts named like the locals every test declares (vm, controller, setup)
+# and like the parameter-object locals of the command they are passed to;
+# the second scenario also passes a context of the first one.
+CLASH_VMDSL = """viewmodel ClashViewModel {
+  widgets {
+    button Go {
+      supports enabled
+    }
+  }
+  commands {
+    command LoadView(tasks: context, note: string)
+    click on Go
+  }
+}
+"""
+
+CLASH_VMTEST = """testsuite ClashTests for ClashViewModel {
+  scenario "fixture names" {
+    given {
+      text setup \"\"\"s\"\"\"
+      text vm \"\"\"v\"\"\"
+      text controller \"\"\"c\"\"\"
+      text loadViewParams \"\"\"p\"\"\"
+    }
+    when {
+      LoadView(setup, "one")
+      LoadView(loadViewParams, "two")
+      click Go
+    }
+    then {
+      button Go enabled true
+    }
+  }
+  scenario "later names" {
+    given {
+      text loadViewParams2 \"\"\"q\"\"\"
+    }
+    when {
+      LoadView(loadViewParams2, "one")
+      LoadView(vm, "two")
+    }
+    then {
+      button Go enabled true
+    }
+  }
+}
+"""
+
 SOURCES = ((VMDSL_PATH.read_text(), VMTEST_PATH.read_text()),
-           (HOSTILE_VMDSL, HOSTILE_VMTEST))
+           (HOSTILE_VMDSL, HOSTILE_VMTEST),
+           (CLASH_VMDSL, CLASH_VMTEST))
+
+# Per target: the default config and the non-default one of its goldens.
+COMPILE_CONFIGS = {target: (GenConfig(target=target), option_config(f"{target}_options"))
+                   for target in ("java", "cpp")}
 
 JAVA_STUBS = {
     "org/junit/jupiter/api/Test.java":
@@ -479,38 +559,64 @@ JAVA_STUBS = {
 }
 
 
-def java_companions(files, name_map, suite_name) -> dict[str, str]:
-    """``<Type>Impl`` overriding every abstract method, and ``<Suite>Setup``."""
+def java_companions(files, name_map, suite_name, config) -> dict[str, str]:
+    """``<Class>Impl`` for each abstract class (a constructor passing the
+    ViewModel on, an override of every abstract method), and ``<Suite>Setup``,
+    all in the configured package."""
+    package = config.java_package
+    prefix = package.replace(".", "/") + "/" if package else ""
+    head = f"package {package};\n\n" if package else ""
+    out = {}
+    for text in files.values():
+        abstract = re.search(r"^public abstract class (\w+) \{", text, re.M)
+        if abstract is None:
+            continue
+        cls = abstract.group(1)
+        body = "".join(f"    @Override\n    public void {m}({p}) {{\n    }}\n"
+                       for m, p in re.findall(r"public abstract void (\w+)\((.*)\);", text))
+        ctor = re.search(rf"protected {cls}\((\w+) viewModel\)", text)
+        if ctor is not None:
+            body = (f"    {cls}Impl({ctor.group(1)} viewModel) {{\n"
+                    "        super(viewModel);\n    }\n") + body
+        out[f"{prefix}{cls}Impl.java"] = f"{head}class {cls}Impl extends {cls} {{\n{body}}}\n"
+    out[f"{prefix}{suite_name}Setup.java"] = (
+        f"{head}class {suite_name}Setup {{\n"
+        f"    {suite_name}Setup({name_map.type_name} vm) {{\n    }}\n\n"
+        "    void provideContext(String name, String payload, String delivery) {\n"
+        "    }\n}\n")
+    return out
+
+
+def cpp_companions(files, name_map, suite_name, config) -> dict[str, str]:
+    """``<header>_impl.hpp`` defining ``<Class>Impl`` for each class header in
+    abstract mode, and ``<suite>_setup.hpp``, all in the configured namespace."""
+    ns = config.cpp_namespace
+    open_ns, close_ns = (f"namespace {ns} {{\n\n", f"\n}}  // namespace {ns}\n") if ns else ("", "")
+    out = {}
+    for name, text in files.items():
+        cls = re.search(r"^class (\w+) \{", text, re.M)
+        if cls is None or not config.abstract_view_model:
+            continue
+        cls = cls.group(1)
+        # Unnamed parameters: -Wextra warns about unused named ones.
+        body = "".join(
+            f"    void {m}({', '.join(p.rsplit(' ', 1)[0] for p in params.split(', ') if p)})"
+            " override {}\n"
+            for m, params in re.findall(r"virtual void (\w+)\((.*)\) = 0;", text))
+        ctor = re.search(rf"explicit {cls}\((\w+)& viewModel\)", text)
+        if ctor is not None:
+            body = (f"    explicit {cls}Impl({ctor.group(1)}& viewModel) "
+                    f": {cls}(viewModel) {{}}\n") + body
+        out[name[:-len(".hpp")] + "_impl.hpp"] = (
+            f'#pragma once\n\n#include "{name}"\n\n#include <string>\n\n{open_ns}'
+            f"class {cls}Impl : public {cls} {{\npublic:\n{body}}};\n{close_ns}")
     vm = name_map.type_name
-    methods = re.findall(r"public abstract void (\w+)\((.*)\);", files[f"{vm}.java"])
-    impl = "".join(f"    @Override\n    public void {m}({p}) {{\n    }}\n"
-                   for m, p in methods)
-    return {
-        f"{vm}Impl.java": f"class {vm}Impl extends {vm} {{\n{impl}}}\n",
-        f"{suite_name}Setup.java": (
-            f"class {suite_name}Setup {{\n    {suite_name}Setup({vm} vm) {{\n    }}\n\n"
-            "    void provideContext(String name, String payload, String delivery) {\n"
-            "    }\n}\n"),
-    }
-
-
-def cpp_companions(files, name_map, suite_name) -> dict[str, str]:
-    """``<file>_impl.hpp`` defining ``<Type>Impl``, and ``<suite>_setup.hpp``."""
-    vm, stem = name_map.type_name, name_map.file_name
-    methods = re.findall(r"virtual void (\w+)\((.*)\) = 0;", files[f"{stem}.hpp"])
-    # Unnamed parameters: -Wextra warns about unused named ones.
-    impl = "".join(
-        f"    void {m}({', '.join(p.rsplit(' ', 1)[0] for p in params.split(', ') if p)})"
-        " override {}\n" for m, params in methods)
-    return {
-        f"{stem}_impl.hpp": (f'#pragma once\n\n#include "{stem}.hpp"\n\n#include <string>\n\n'
-                             f"class {vm}Impl : public {vm} {{\npublic:\n{impl}}};\n"),
-        f"{snake_case(suite_name)}_setup.hpp": (
-            f"#pragma once\n\n#include <string>\n\nclass {vm};\n\n"
-            f"struct {suite_name}Setup {{\n    explicit {suite_name}Setup({vm}&) {{}}\n"
-            "    void provideContext(const std::string&, const std::string&, "
-            "const std::string&) {}\n};\n"),
-    }
+    out[f"{snake_case(suite_name)}_setup.hpp"] = (
+        f"#pragma once\n\n#include <string>\n\n{open_ns}class {vm};\n\n"
+        f"struct {suite_name}Setup {{\n    explicit {suite_name}Setup({vm}&) {{}}\n"
+        "    void provideContext(const std::string&, const std::string&, "
+        f"const std::string&) {{}}\n}};\n{close_ns}")
+    return out
 
 
 def write_tree(root, files: dict[str, str]) -> None:
@@ -538,7 +644,7 @@ class TestExpectedRowsComment:
     def test_columns_line_up_after_escaping(self, target, test_file):
         """Cells the comment widens (a doubled backslash before 'u', a CR
         spelled as \\r) are escaped before the columns are padded."""
-        files, _, _ = emit_sources(target, HOSTILE_VMDSL, HOSTILE_VMTEST)
+        files, _, _ = emit_sources(GenConfig(target=target), HOSTILE_VMDSL, HOSTILE_VMTEST)
         rows = expected_rows_comment(files[test_file], "Items")
         assert len(rows) == 3
         assert (r"\\u000a" if target == "java" else r"a\rb") in "".join(rows)
@@ -546,32 +652,84 @@ class TestExpectedRowsComment:
         assert all(p == pipes[0] for p in pipes), rows
 
 
+# A local declaration in a generated test body: a type, the local, then
+# ` = ` (Java, C++ strings), `;` or `(` (C++ objects).
+DECLARATION = re.compile(r"^ +[\w.:<>]+ (\w+)(?: = |;|\()", re.M)
+
+
+class TestLocalNames:
+    """No generated test declares one local twice, whatever its contexts
+    are called."""
+
+    @pytest.mark.parametrize("config", [GenConfig(target="java"), GenConfig(target="cpp"),
+                                        *(option_config(g) for g in OPTION_GOLDENS)],
+                             ids=["java", "cpp", *OPTION_GOLDENS])
+    def test_each_local_is_declared_once(self, config):
+        files, _, _ = emit_sources(config, CLASH_VMDSL, CLASH_VMTEST)
+        test_file = next(text for name, text in files.items()
+                         if name.endswith(("Test.java", "_test.cpp")))
+        bodies = re.split(r"^ *(?:static )?void \w+\(\) \{$", test_file, flags=re.M)[1:]
+        assert len(bodies) == 2
+        for body in bodies:
+            declared = DECLARATION.findall(body)
+            assert len(declared) == len(set(declared)), declared
+        # The setup still receives each context under its own name.
+        assert 'setup.provideContext("setup", setup2, ' in bodies[0]
+        assert 'setup.provideContext("vm", vm2, ' in bodies[0]
+
+    def test_generated_suites_declare_each_local_once(self):
+        rng = random.Random(5150)
+        configs = [GenConfig(target="java"), *(option_config(g) for g in OPTION_GOLDENS)]
+        for _ in range(60):
+            desc = random_description(rng)
+            linked, diags = resolve(random_suite(rng, desc), desc)
+            assert linked is not None, [d.render() for d in diags]
+            for config in configs:
+                name_map = name_map_for(desc, config)
+                emit = emit_java if config.target == "java" else emit_cpp
+                for name, text in emit(lower_to_ir(desc, linked, name_map, config),
+                                       name_map, config):
+                    for body in re.split(r"^ *(?:static )?void \w+\(\) \{$", text,
+                                         flags=re.M)[1:]:
+                        declared = DECLARATION.findall(body)
+                        assert len(declared) == len(set(declared)), (name, declared)
+
+
 class TestGeneratedSourcesCompile:
-    """The emitted sources of the shipped corpus and of a suite full of
-    hostile strings compile against minimal hand-written companions."""
+    """The emitted sources of the shipped corpus, of a suite full of hostile
+    strings and of a suite whose context names clash with other locals
+    compile against minimal hand-written companions, under the default
+    config and the non-default config of each target's goldens."""
 
     @pytest.mark.skipif(shutil.which("javac") is None, reason="javac not on PATH")
     def test_java_compiles(self, tmp_path):
         write_tree(tmp_path, JAVA_STUBS)
-        for vmdsl, vmtest in SOURCES:
-            files, name_map, suite_name = emit_sources("java", vmdsl, vmtest)
-            write_tree(tmp_path, files)
-            write_tree(tmp_path, java_companions(files, name_map, suite_name))
+        for config in COMPILE_CONFIGS["java"]:
+            for vmdsl, vmtest in SOURCES:
+                files, name_map, suite_name = emit_sources(config, vmdsl, vmtest)
+                write_tree(tmp_path, files)
+                write_tree(tmp_path, java_companions(files, name_map, suite_name, config))
         sources = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.java"))
         result = subprocess.run(
             ["javac", "-encoding", "UTF-8", "-d", "classes", *sources],
             cwd=tmp_path, capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stdout + result.stderr
-        assert (tmp_path / "classes" / "HostileTestsTest.class").exists()
+        for config in COMPILE_CONFIGS["java"]:
+            package = (config.java_package or "").split(".")
+            assert (tmp_path.joinpath("classes", *package) / "ClashTestsTest.class").exists()
 
     @pytest.mark.skipif(shutil.which("g++") is None, reason="g++ not on PATH")
     def test_cpp_compiles(self, tmp_path):
         tests = []
-        for vmdsl, vmtest in SOURCES:
-            files, name_map, suite_name = emit_sources("cpp", vmdsl, vmtest)
-            write_tree(tmp_path, files)
-            write_tree(tmp_path, cpp_companions(files, name_map, suite_name))
-            tests += [name for name in files if name.endswith("_test.cpp")]
+        # Both configs give the same file names, so each gets a directory.
+        for i, config in enumerate(COMPILE_CONFIGS["cpp"]):
+            root = tmp_path / f"config{i}"
+            for vmdsl, vmtest in SOURCES:
+                files, name_map, suite_name = emit_sources(config, vmdsl, vmtest)
+                write_tree(root, files)
+                write_tree(root, cpp_companions(files, name_map, suite_name, config))
+                tests += [f"config{i}/{name}" for name in files if name.endswith("_test.cpp")]
+        assert len(tests) == 2 * len(SOURCES)
         result = subprocess.run(
             ["g++", "-std=c++17", "-Wall", "-Wextra", "-fsyntax-only", *tests],
             cwd=tmp_path, capture_output=True, text=True, timeout=300)
