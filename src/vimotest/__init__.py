@@ -7,7 +7,9 @@ __version__ = "0.1.0"
 from .analyzer import (  # noqa: F401
     LinkedSuite,
     NameMap,
+    Project,
     compute_name_map,
+    link,
     resolve,
     sanitize_test_name,
     validate_description,

@@ -1,10 +1,11 @@
 """Semantic analysis: links suites to descriptions and derives target names.
 
-``validate_description`` enforces the catalog rules on a ViewModel
-description. ``resolve`` binds every widget, command, and context reference
-of a test suite against its description, accumulating all diagnostics before
-returning. ``compute_name_map`` derives the default target names and applies
-explicit name bindings subject by subject.
+``link`` is the one link stage: it validates each description once with
+``validate_description``, which enforces the catalog rules, and binds every
+widget, command, and context reference of each suite against its
+description with ``resolve``. ``compute_name_map`` derives the default
+target names, applies explicit name bindings subject by subject and rejects
+names that are keywords of the target.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .diagnostics import (
     E_UNRESOLVED_CONTEXT,
     E_UNSUPPORTED_FEATURE,
     error,
-    has_errors,
 )
 from .model import (
     ArgContextRef,
@@ -54,7 +54,7 @@ from .model import (
     catalog_lookup,
     is_identifier,
 )
-from .names import camel_case, pascal_case, snake_case
+from .names import KEYWORDS, camel_case, pascal_case, snake_case
 
 # ---------------------------------------------------------------------------
 # Linked suite
@@ -110,6 +110,7 @@ _EXAMPLE_TYPES = {
     FeatureKind.TEXT: str,
     FeatureKind.SELECTED_ROW: int,
 }
+_PARAM_TYPES = {ParamType.BOOL: bool, ParamType.INT: int, ParamType.STRING: str}
 
 
 def validate_description(desc: ViewModelDescription) -> list[Diagnostic]:
@@ -177,11 +178,8 @@ def _validate_widget(widget: WidgetDecl, diags: list[Diagnostic]) -> None:
 
 
 def _is_instance(value, expected: type) -> bool:
-    if expected is bool:
-        return isinstance(value, bool)
-    if expected is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, expected)
+    """``isinstance``, except that a bool is not an int."""
+    return isinstance(value, expected) and (expected is bool or not isinstance(value, bool))
 
 
 def _validate_command(command: CommandDecl, widgets: dict[str, WidgetDecl],
@@ -314,7 +312,7 @@ def resolve(
         raise ValueError(
             f"suite '{suite.name}' targets '{suite.target_view_model}', "
             f"not '{desc.name}'")
-    diags = validate_description(desc)
+    diags: list[Diagnostic] = []
     widgets = {w.name: w for w in desc.widgets}
     commands = {c.name: c for c in desc.commands}
     widget_commands = {
@@ -352,7 +350,9 @@ def resolve(
         linked.append(LinkedScenario(scenario=scenario, test_name=test_name,
                                      contexts=contexts, actions=actions,
                                      checks=checks))
-    if has_errors(diags):
+    # The helpers report what is wrong and collect the rest; with any
+    # diagnostic there is no linked suite.
+    if diags:
         return None, diags
     return LinkedSuite(suite=suite, description=desc, scenarios=tuple(linked)), diags
 
@@ -405,7 +405,7 @@ def _resolve_widget_action(action: WidgetAction, widgets, widget_commands,
                                f"{action.kind.value} takes no argument", action.span))
             return None
         return LinkedAction(decl=decl)
-    if not _matches_param_type(action.arg, expected):
+    if not _is_instance(action.arg, _PARAM_TYPES[expected]):
         diags.append(error(
             E_TYPE_MISMATCH,
             f"{action.kind.value} expects a {expected.value} argument, "
@@ -431,7 +431,6 @@ def _resolve_custom_action(action: CustomAction, commands, registry,
             action.span))
         return None
     resolved: list = []
-    ok = True
     for param, arg in zip(params, action.args):
         if param.type is ParamType.CONTEXT:
             if not isinstance(arg, ArgContextRef):
@@ -440,13 +439,10 @@ def _resolve_custom_action(action: CustomAction, commands, registry,
                     f"parameter '{param.name}' of '{action.name}' takes a "
                     f"context reference",
                     action.span))
-                ok = False
                 continue
             body = chase_context(arg.name, registry, diags, action.span)
-            if body is None:
-                ok = False
-                continue
-            resolved.append(ContextArgument(name=arg.name, body=body))
+            if body is not None:
+                resolved.append(ContextArgument(name=arg.name, body=body))
             continue
         if isinstance(arg, ArgContextRef):
             diags.append(error(
@@ -454,31 +450,17 @@ def _resolve_custom_action(action: CustomAction, commands, registry,
                 f"parameter '{param.name}' of '{action.name}' takes a "
                 f"{param.type.value} literal, got a context reference",
                 action.span))
-            ok = False
             continue
         assert isinstance(arg, ArgLiteral)
-        if not _matches_param_type(arg.value, param.type):
+        if not _is_instance(arg.value, _PARAM_TYPES[param.type]):
             diags.append(error(
                 E_TYPE_MISMATCH,
                 f"parameter '{param.name}' of '{action.name}' takes "
                 f"{param.type.value}, got {arg.value!r}",
                 action.span))
-            ok = False
             continue
         resolved.append(arg.value)
-    if not ok:
-        return None
     return LinkedAction(decl=decl, args=tuple(resolved))
-
-
-def _matches_param_type(value, ptype: ParamType) -> bool:
-    if ptype is ParamType.BOOL:
-        return isinstance(value, bool)
-    if ptype is ParamType.INT:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if ptype is ParamType.STRING:
-        return isinstance(value, str)
-    return False
 
 
 def _resolve_checks(scenario, widgets, diags) -> tuple[CheckValue, ...]:
@@ -514,30 +496,22 @@ def _resolve_checks(scenario, widgets, diags) -> tuple[CheckValue, ...]:
             continue
         seen.add(key)
         if isinstance(check.expectation, RowsExpectation):
-            if not _check_rows_expectation(check, widget, diags):
-                continue
-        elif check.feature in BOOL_FEATURES:
-            if not isinstance(check.expectation, bool):
-                diags.append(error(E_TYPE_MISMATCH,
-                                   f"'{check.feature.value}' expects a bool",
-                                   check.span))
-                continue
-        elif check.feature is FeatureKind.TEXT:
-            if not isinstance(check.expectation, str):
-                diags.append(error(E_TYPE_MISMATCH,
-                                   "'text' expects a string", check.span))
-                continue
+            _check_rows_expectation(check, widget, diags)
+        elif check.feature in BOOL_FEATURES and not isinstance(check.expectation, bool):
+            diags.append(error(E_TYPE_MISMATCH,
+                               f"'{check.feature.value}' expects a bool", check.span))
+        elif check.feature is FeatureKind.TEXT and not isinstance(check.expectation, str):
+            diags.append(error(E_TYPE_MISMATCH, "'text' expects a string", check.span))
         out.append(check)
     return tuple(out)
 
 
 def _check_rows_expectation(check: CheckValue, widget: WidgetDecl,
-                            diags: list[Diagnostic]) -> bool:
+                            diags: list[Diagnostic]) -> None:
     exp = check.expectation
     assert isinstance(exp, RowsExpectation)
     declared = [c.title for c in widget.columns]
     declared_set = set(declared)
-    ok = True
     for title in exp.ignored_columns:
         if title not in declared_set:
             diags.append(error(
@@ -545,7 +519,6 @@ def _check_rows_expectation(check: CheckValue, widget: WidgetDecl,
                 f"ignored column '{title}' is not a column of "
                 f"'{widget.name}'",
                 check.span))
-            ok = False
     header_seen: set[str] = set()
     for title in exp.header:
         if title not in declared_set:
@@ -553,20 +526,17 @@ def _check_rows_expectation(check: CheckValue, widget: WidgetDecl,
                 E_UNKNOWN_COLUMN,
                 f"column '{title}' is not a column of '{widget.name}'",
                 check.span))
-            ok = False
             continue
         if title in header_seen:
             diags.append(error(E_UNKNOWN_COLUMN,
                                f"duplicate column '{title}' in expectation header",
                                check.span))
-            ok = False
         header_seen.add(title)
         if title in exp.ignored_columns:
             diags.append(error(
                 E_UNKNOWN_COLUMN,
                 f"column '{title}' is both asserted and ignored",
                 check.span))
-            ok = False
     for title in declared:
         if title not in header_seen and title not in exp.ignored_columns:
             diags.append(error(
@@ -574,7 +544,6 @@ def _check_rows_expectation(check: CheckValue, widget: WidgetDecl,
                 f"column '{title}' of '{widget.name}' is neither asserted "
                 f"nor ignored",
                 check.span))
-            ok = False
     for row in exp.rows:
         if len(row.cells) != len(exp.header):
             diags.append(error(
@@ -582,7 +551,6 @@ def _check_rows_expectation(check: CheckValue, widget: WidgetDecl,
                 f"expectation row has {len(row.cells)} cells but the header "
                 f"has {len(exp.header)}",
                 check.span))
-            ok = False
     asserts_selection = (exp.selected_row_check is not None
                          or any(r.selected for r in exp.rows))
     if asserts_selection and FeatureKind.SELECTED_ROW not in widget.features():
@@ -590,8 +558,61 @@ def _check_rows_expectation(check: CheckValue, widget: WidgetDecl,
             E_UNSUPPORTED_FEATURE,
             f"widget '{widget.name}' does not have the 'selectedRow' feature",
             check.span))
-        ok = False
-    return ok
+
+
+# ---------------------------------------------------------------------------
+# Link stage
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Project:
+    """The first description of each ViewModel name, the linked suites, and
+    the suites whose target has no description."""
+
+    descriptions: tuple[ViewModelDescription, ...] = ()
+    suites: tuple[LinkedSuite, ...] = ()
+    orphans: tuple[TestSuite, ...] = ()
+
+
+def link(descriptions, suites) -> tuple[Project, list[Diagnostic]]:
+    """Validate every description once, then resolve every suite, each in
+    the order given. A second ViewModel or suite of one name gets E106; it
+    and any suite whose description has errors are left out."""
+    diags: list[Diagnostic] = []
+    first_desc: dict[str, ViewModelDescription] = {}
+    clean: set[str] = set()
+    for desc in descriptions:
+        first = _first(first_desc, desc, "ViewModel", diags)
+        found = validate_description(desc)
+        diags.extend(found)
+        if first and not found:
+            clean.add(desc.name)
+    first_suite: dict[str, TestSuite] = {}
+    linked: list[LinkedSuite] = []
+    orphans: list[TestSuite] = []
+    for suite in suites:
+        first = _first(first_suite, suite, "test suite", diags)
+        desc = first_desc.get(suite.target_view_model)
+        if desc is None:
+            orphans.append(suite)
+            continue
+        result, found = resolve(suite, desc)
+        diags.extend(found)
+        if result is not None and first and desc.name in clean:
+            linked.append(result)
+    return Project(tuple(first_desc.values()), tuple(linked), tuple(orphans)), diags
+
+
+def _first(seen: dict, node, kind: str, diags: list[Diagnostic]) -> bool:
+    """Record ``node`` under its name; report E106 if another came first."""
+    first = seen.get(node.name)
+    if first is None:
+        seen[node.name] = node
+        return True
+    diags.append(error(E_DUPLICATE_NAME, f"duplicate {kind} name '{node.name}'; "
+                       f"the first is at {first.span}", node.span))
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -632,37 +653,29 @@ def sanitize_test_name(description: str) -> str:
     return name
 
 
-def default_property_name(widget: str, feature: FeatureKind) -> str:
-    return camel_case(widget, feature.value)
-
-
 def compute_name_map(
     desc: ViewModelDescription, config=None
 ) -> tuple[NameMap | None, list[Diagnostic]]:
     """Derive the target-name map; explicit bindings override subject by subject."""
     diags: list[Diagnostic] = []
     overrides: dict[tuple, str] = {}
-    type_name = desc.name
+    type_name, type_span = desc.name, desc.span
     file_name_bound = False
     file_name = snake_case(desc.name)
-    widgets = {w.name: w for w in desc.widgets}
     for binding in desc.bindings:
         if binding.subject == "typeName":
-            type_name = binding.bound_name
+            type_name, type_span = binding.bound_name, binding.span
         elif binding.subject == "fileName":
             file_name = binding.bound_name
             file_name_bound = True
-        else:
-            widget = widgets.get(binding.widget or "")
-            if widget is None or binding.feature not in widget.features():
-                continue  # validate_description reports these
+        else:  # an override of an unknown widget or feature is never looked up
             overrides[(binding.subject, binding.widget, binding.feature)] = \
                 binding.bound_name
 
     properties: dict[tuple[str, FeatureKind], PropertyNames] = {}
     for widget in desc.widgets:
         for feature in sorted(widget.features(), key=lambda f: f.value):
-            default = default_property_name(widget.name, feature)
+            default = camel_case(widget.name, feature.value)
             prop = overrides.get(("propertyName", widget.name, feature), default)
             prefix = "is" if feature in BOOL_FEATURES else "get"
             getter = overrides.get(("getterName", widget.name, feature),
@@ -678,7 +691,9 @@ def compute_name_map(
             param_object=pascal_case(command.name) + "Params")
 
     _report_collisions(desc, properties, commands, diags)
-    if has_errors(diags):
+    if config is not None:
+        _report_keywords(desc, type_name, type_span, config.target, diags)
+    if diags:
         return None, diags
     return NameMap(type_name=type_name, file_name=file_name,
                    file_name_bound=file_name_bound, properties=properties,
@@ -705,3 +720,18 @@ def _report_collisions(desc, properties, commands, diags) -> None:
           ((f"{w}.{f.value}", p.setter) for (w, f), p in properties.items()))
     check("command method",
           ((name, c.method) for name, c in commands.items()))
+
+
+def _report_keywords(desc, type_name, type_span, target: str, diags) -> None:
+    """E001 for each name that the target's code uses as written and that is
+    one of its keywords. C++ writes a property ``<name>_``, so only Java
+    uses a bound property name as written."""
+    bound = ("propertyName", "getterName") if target == "java" else ("getterName",)
+    names = [(f"type name '{type_name}'", type_name, type_span)]
+    names += [(f"bound {b.subject} '{b.bound_name}'", b.bound_name, b.span)
+              for b in desc.bindings if b.subject in bound]
+    names += [(f"parameter '{p.name}' of command '{c.name}'", p.name, c.span)
+              for c in desc.commands if isinstance(c.form, CustomCommand)
+              for p in c.form.params]
+    diags.extend(error(E_SYNTAX, f"{what} is a {target} keyword", span)
+                 for what, name, span in names if name in KEYWORDS[target])

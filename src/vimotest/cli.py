@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analyzer import LinkedSuite, resolve, compute_name_map
-from .diagnostics import Diagnostic, has_errors
-from .genconfig import GenConfig, GenConfigError, load_genconfig
+from .analyzer import Project, compute_name_map, link
+from .diagnostics import E_DUPLICATE_NAME, Diagnostic, error
+from .genconfig import GenConfigError, load_genconfig
 from .ir import lower_to_ir
 from .java_emitter import emit_java
 from .cpp_emitter import emit_cpp
@@ -105,50 +105,38 @@ def _collect_files(paths: list[str]) -> tuple[list[Path], list[Path]]:
                 raise _UsageError(f"unsupported file type: {path}")
         else:
             raise _UsageError(f"no such file or directory: {path}")
-    return descriptions, suites
+    # A file named twice, say by a directory and by itself, is read once.
+    return list(dict.fromkeys(descriptions)), list(dict.fromkeys(suites))
 
 
-def _load_sources(paths: list[str]):
+def _load_project(paths: list[str]) -> tuple[Project, list[Diagnostic]]:
+    """Parse every file, then link the sources that parsed."""
     desc_paths, suite_paths = _collect_files(paths)
     diags: list[Diagnostic] = []
-    descriptions = {}
-    for path in desc_paths:
-        desc, d = parse_view_model(path.read_bytes(), str(path))
-        diags.extend(d)
-        if desc is not None:
-            descriptions[desc.name] = desc
-    suites = []
-    for path in suite_paths:
-        suite, d = parse_test_suite(path.read_bytes(), str(path))
-        diags.extend(d)
-        if suite is not None:
-            suites.append((path, suite))
-    return descriptions, suites, diags
+
+    def parse_each(parse, files: list[Path]) -> list:
+        asts = []
+        for path in files:
+            ast, d = parse(path.read_bytes(), str(path))
+            diags.extend(d)
+            if ast is not None:
+                asts.append(ast)
+        return asts
+
+    project, d = link(parse_each(parse_view_model, desc_paths),
+                      parse_each(parse_test_suite, suite_paths))
+    diags.extend(d)
+    if project.orphans and not diags:
+        raise _UsageError("; ".join(
+            f"{suite.span.file}: no ViewModel description named "
+            f"'{suite.target_view_model}' for suite '{suite.name}'"
+            for suite in project.orphans))
+    return project, diags
 
 
 def _print_diags(diags: list[Diagnostic]) -> None:
     for diag in diags:
         print(diag.render(), file=sys.stderr)
-
-
-def _link_all(paths: list[str]) -> tuple[dict, list[LinkedSuite], list[Diagnostic]]:
-    descriptions, suites, diags = _load_sources(paths)
-    linked: list[LinkedSuite] = []
-    missing: list[str] = []
-    for path, suite in suites:
-        desc = descriptions.get(suite.target_view_model)
-        if desc is None:
-            missing.append(
-                f"{path}: no ViewModel description named "
-                f"'{suite.target_view_model}' for suite '{suite.name}'")
-            continue
-        link, d = resolve(suite, desc)
-        diags.extend(d)
-        if link is not None:
-            linked.append(link)
-    if missing and not has_errors(diags):
-        raise _UsageError("; ".join(missing))
-    return descriptions, linked, diags
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +145,9 @@ def _link_all(paths: list[str]) -> tuple[dict, list[LinkedSuite], list[Diagnosti
 
 
 def _cmd_check(args) -> int:
-    _, _, diags = _link_all(args.paths)
+    _, diags = _load_project(args.paths)
     _print_diags(diags)
-    return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
+    return EXIT_DIAGNOSTICS if diags else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +155,10 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _use_color() -> bool:
-    if os.environ.get("VIMOTEST_COLOR") == "0":
-        return False
-    return sys.stdout.isatty()
-
-
 def _styled(text: str, code: str) -> str:
-    if _use_color():
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
+    if os.environ.get("VIMOTEST_COLOR") == "0" or not sys.stdout.isatty():
+        return text
+    return f"\x1b[{code}m{text}\x1b[0m"
 
 
 _STATUS_STYLE = {"passed": ("PASS", "32"), "failed": ("FAIL", "31"),
@@ -189,20 +171,21 @@ def _cmd_run(args) -> int:
         raise _UsageError(
             f"unknown setup id '{args.setup}'; registered: "
             f"{', '.join(sorted(REGISTRY))}")
-    _, linked, diags = _link_all(args.paths)
+    project, diags = _load_project(args.paths)
     _print_diags(diags)
-    if has_errors(diags):
+    if diags:
         return EXIT_DIAGNOSTICS
+    linked = project.suites
     if args.suite is not None:
         linked = [l for l in linked if l.suite.name == args.suite]
         if not linked:
             raise _UsageError(f"no suite named '{args.suite}'")
     report_suites = []
     all_passed = True
-    for link in linked:
-        results = run_suite(link, registration.logic_factory,
+    for suite in linked:
+        results = run_suite(suite, registration.logic_factory,
                             registration.setup_factory, RunConfig())
-        report_suites.append((link.suite.name, results))
+        report_suites.append((suite.suite.name, results))
         all_passed &= all(r.status == "passed" for r in results)
     if args.format == "json":
         print(json.dumps(_report_dict(report_suites), indent=2))
@@ -277,26 +260,28 @@ def _cmd_gen(args) -> int:
     except GenConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    descriptions, linked, diags = _link_all(args.paths)
+    project, diags = _load_project(args.paths)
     _print_diags(diags)
-    if has_errors(diags):
+    if diags:
         return EXIT_DIAGNOSTICS
 
-    emitted: dict[str, str] = {}
-    emit_diags = []
-    covered: set[str] = set()
-    for link in linked:
-        files, d = _emit_for(link.description, link, config)
-        emit_diags.extend(d)
-        covered.add(link.description.name)
-        emitted.update(files)
-    for name, desc in descriptions.items():
-        if name not in covered:
-            files, d = _emit_for(desc, None, config)
-            emit_diags.extend(d)
-            emitted.update(files)
-    _print_diags(emit_diags)
-    if has_errors(emit_diags):
+    emit = emit_java if config.target == "java" else emit_cpp
+    emitted: dict[str, tuple] = {}  # path -> (text, first writer, its span)
+    for desc in project.descriptions:
+        name_map, d = compute_name_map(desc, config)
+        diags.extend(d)
+        if name_map is None:
+            continue
+        for suite in [s for s in project.suites if s.description is desc] or [None]:
+            node = desc if suite is None else suite.suite
+            writer = f"{'ViewModel' if suite is None else 'suite'} '{node.name}'"
+            for rel, text in emit(lower_to_ir(desc, suite, name_map, config), name_map, config):
+                first_text, first, at = emitted.setdefault(rel, (text, writer, node.span))
+                if first_text != text:
+                    diags.append(error(E_DUPLICATE_NAME, f"generated file '{rel}' of {writer} "
+                                       f"differs from the one of {first} at {at}", node.span))
+    _print_diags(diags)
+    if diags:
         return EXIT_DIAGNOSTICS
 
     out_dir = Path(args.out)
@@ -309,18 +294,7 @@ def _cmd_gen(args) -> int:
     for rel in sorted(emitted):
         target = out_dir / rel
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(emitted[rel], encoding="utf-8", newline="\n")
+        target.write_text(emitted[rel][0], encoding="utf-8", newline="\n")
         print(str(target))
     return EXIT_OK
 
-
-def _emit_for(desc, link, config: GenConfig):
-    name_map, diags = compute_name_map(desc, config)
-    if name_map is None:
-        return {}, diags
-    unit = lower_to_ir(desc, link, name_map, config)
-    if config.target == "java":
-        files = emit_java(unit, name_map, config)
-    else:
-        files = emit_cpp(unit, name_map, config)
-    return dict(files), diags

@@ -27,6 +27,9 @@ class SourceSpan:
     column: int = 1
     length: int = 0
 
+    def __str__(self) -> str:
+        return f"{self.file}:{self.line}:{self.column}"
+
 
 UNKNOWN_SPAN = SourceSpan()
 
@@ -38,16 +41,11 @@ class Diagnostic:
     span: SourceSpan
 
     def render(self) -> str:
-        return f"{self.span.file}:{self.span.line}:{self.span.column}: {self.code}: {self.message}"
+        return f"{self.span}: {self.code}: {self.message}"
 
 
 def error(code: str, message: str, span: SourceSpan) -> Diagnostic:
     return Diagnostic(code=code, message=message, span=span)
-
-
-def has_errors(diagnostics: list[Diagnostic]) -> bool:
-    """Every diagnostic is an error."""
-    return bool(diagnostics)
 
 
 def span_field():

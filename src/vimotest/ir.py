@@ -3,10 +3,11 @@
 The IR is target-agnostic: every name in it comes from the name map, types
 are the five abstract kinds (bool, string, int, rowList, optIndex), and test
 procedures are flat statement lists. The IR names every local a test
-declares: the fixture locals below are claimed first, then each context and
-parameter-object local gets a name no earlier local holds. ``testbody``
-writes the statements for either target from a small per-target spec; each
-emitter writes its own class files.
+declares: the fixture locals below and the target's keywords are taken
+first, then each context and parameter-object local gets a name no earlier
+local or keyword holds. ``testbody`` writes the statements for either
+target from a small per-target spec; each emitter writes its own class
+files.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .model import (
     ViewModelDescription,
     WidgetCommand,
 )
-from .names import camel_case, pascal_case
+from .names import KEYWORDS, camel_case, pascal_case
 from .printer import align_pipe_rows, expectation_grid
 from .runtime import render_context
 
@@ -322,8 +323,8 @@ def _lower_operation(command: CommandDecl, name_map: NameMap,
 
 
 class _LocalNames:
-    def __init__(self, fixture: tuple[str, ...]):
-        self.used: set[str] = set(fixture)
+    def __init__(self, fixture: tuple[str, ...], target: str):
+        self.used: set[str] = set(fixture) | KEYWORDS[target]
 
     def claim(self, base: str) -> str:
         name = base
@@ -356,7 +357,7 @@ def _declare_context(context, config, locals_, statements) -> tuple[str, str]:
 def _lower_scenario(linked_scenario, desc, name_map, config, fixture,
                     command_home) -> IRTest:
     statements: list[IRStatement] = []
-    locals_ = _LocalNames(fixture)
+    locals_ = _LocalNames(fixture, config.target)
     context_locals: dict[str, str] = {}
 
     for context in linked_scenario.contexts:

@@ -17,7 +17,6 @@ from .diagnostics import (
     E_SYNTAX,
     SourceSpan,
     error,
-    has_errors,
 )
 from .lexer import ESCAPES, Token, TokenType, tokenize, unescape
 from .model import (
@@ -95,7 +94,7 @@ def parse_view_model(
     diags.extend(lex_diags)
     parser = _Parser(tokens, file, diags)
     desc = parser.parse_view_model_file()
-    if has_errors(diags):
+    if diags:
         return None, diags
     return desc, diags
 
@@ -110,7 +109,7 @@ def parse_test_suite(
     diags.extend(lex_diags)
     parser = _Parser(tokens, file, diags)
     suite = parser.parse_test_suite_file()
-    if has_errors(diags):
+    if diags:
         return None, diags
     return suite, diags
 
@@ -196,26 +195,16 @@ class _Parser:
     # -- literals ----------------------------------------------------------
 
     def parse_bool(self) -> bool:
-        if self.at_word("true"):
-            self.advance()
-            return True
-        if self.at_word("false"):
-            self.advance()
-            return False
-        self.fail(f"expected 'true' or 'false', found {self._describe(self.peek())}")
-        raise AssertionError  # unreachable
+        if not self.at_word("true", "false"):
+            self.fail(f"expected 'true' or 'false', found {self._describe(self.peek())}")
+        return self.advance().text == "true"
 
     def parse_literal(self):
         tok = self.peek()
-        if tok.type is TokenType.STRING:
-            self.advance()
-            return tok.value
-        if tok.type is TokenType.INT:
-            self.advance()
-            return tok.value
-        if tok.type is TokenType.IDENT and tok.text in ("true", "false"):
-            self.advance()
-            return tok.text == "true"
+        if tok.type is TokenType.STRING or tok.type is TokenType.INT:
+            return self.advance().value
+        if self.at_word("true", "false"):
+            return self.parse_bool()
         self.fail(f"expected a literal, found {self._describe(tok)}")
 
     # -- ViewModel description file -----------------------------------------

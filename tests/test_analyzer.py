@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -9,10 +11,12 @@ from vimotest.analyzer import (
     build_context_registry,
     chase_context,
     compute_name_map,
+    link,
     resolve,
     sanitize_test_name,
     validate_description,
 )
+from vimotest.genconfig import GenConfig
 from vimotest.model import (
     ContextDefinition,
     DataTableBody,
@@ -338,6 +342,77 @@ class TestNameMap:
                     assert (widget.name, feature) in name_map.properties
             for command in desc.commands:
                 assert command.name in name_map.commands
+
+
+class TestKeywordNames:
+    SOURCE = ('viewmodel V bind { typeName = "int" property B.enabled name = "class" '
+              'property B.enabled getter = "new" } '
+              "{ widgets { button B { supports enabled } } "
+              "commands { command Go(delete: string) } }")
+
+    @pytest.mark.parametrize("target,names", [
+        ("java", ["type name 'int'", "bound propertyName 'class'",
+                  "bound getterName 'new'"]),
+        # C++ writes a property as ``class_``.
+        ("cpp", ["type name 'int'", "bound getterName 'new'",
+                 "parameter 'delete' of command 'Go'"]),
+    ])
+    def test_names_used_as_written_are_e001(self, target, names):
+        desc, diags = parse_view_model(self.SOURCE)
+        assert desc is not None and not validate_description(desc), diags
+        name_map, diags = compute_name_map(desc, GenConfig(target=target))
+        assert name_map is None
+        assert [d.message for d in diags] == [f"{n} is a {target} keyword" for n in names]
+        assert codes(diags) == ["E001"] * len(names)
+
+    def test_no_config_no_keyword_check(self):
+        desc, _ = parse_view_model(self.SOURCE)
+        name_map, diags = compute_name_map(desc)
+        assert name_map is not None and not diags
+
+
+class TestLink:
+    def test_matches_validate_then_resolve_per_suite(self):
+        """On projects of one suite per description, ``link`` gives exactly the
+        diagnostics of validating each description and resolving its suite,
+        the description diagnostics first, and links the suites that gave
+        none."""
+        rng = random.Random(6060)
+        for _ in range(80):
+            descs, suites = [], []
+            for i in range(rng.randint(1, 3)):
+                desc = replace(random_description(rng), name=f"Vm{i}")
+                # A suite written for another description, or a description
+                # that lost a widget, gives diagnostics.
+                suite = random_suite(rng, random_description(rng)
+                                     if rng.random() < 0.3 else desc)
+                if desc.widgets and rng.random() < 0.3:
+                    desc = replace(desc, widgets=desc.widgets[1:])
+                descs.append(desc)
+                suites.append(replace(suite, name=f"S{i}", target_view_model=desc.name))
+            project, diags = link(descs, suites)
+
+            reference, description_diags, linked = [], [], []
+            for desc, suite in zip(descs, suites):
+                found = validate_description(desc)
+                result, more = resolve(suite, desc)
+                reference += found + more
+                description_diags += found
+                if not found and result is not None:
+                    linked.append(result)
+            assert Counter(diags) == Counter(reference)
+            assert diags[:len(description_diags)] == description_diags
+            assert project.suites == tuple(linked)
+            assert project.descriptions == tuple(descs) and project.orphans == ()
+
+    def test_duplicates_are_left_out_and_orphans_returned(self, corpus_desc, corpus_suite):
+        orphan = replace(corpus_suite, name="Orphan", target_view_model="Missing")
+        project, diags = link([corpus_desc, corpus_desc],
+                              [corpus_suite, corpus_suite, orphan])
+        assert codes(diags) == ["E106", "E106"]
+        assert project.descriptions == (corpus_desc,)
+        assert [s.suite.name for s in project.suites] == ["TaskListTests"]
+        assert project.orphans == (orphan,)
 
 
 class TestSanitizeTestName:

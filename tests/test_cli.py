@@ -199,6 +199,90 @@ class TestGen:
         assert [p.name for p in out.iterdir()] == ["TaskListViewModel.java"]
 
 
+def bad_description(tmp_path):
+    """The shipped description plus a selectRow command on a button (E103)."""
+    bad = tmp_path / "bad.vmdsl"
+    bad.write_text(VMDSL_PATH.read_text().replace(
+        "    click on DeleteTask\n", "    click on DeleteTask\n    selectRow on AddNewTask\n"))
+    return bad, f"{bad}:25:5: E103: button widgets do not support the selectRow command"
+
+
+def renamed_suite(tmp_path, name):
+    path = tmp_path / f"{name}.vmtest"
+    path.write_text(VMTEST_PATH.read_text().replace("testsuite TaskListTests", f"testsuite {name}"))
+    return path
+
+
+class TestLinkStage:
+    """Every description is validated once, whether or not a suite targets
+    it, and a second declaration of one name is an error."""
+
+    def test_lone_bad_description_fails_check_and_gen(self, tmp_path, capsys):
+        bad, line = bad_description(tmp_path)
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr().err == line + "\n"
+        config = write_config(tmp_path, target="java")
+        out = tmp_path / "out"
+        assert main(["gen", str(bad), "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
+
+    def test_description_diagnostic_printed_once_for_two_suites(self, tmp_path, capsys):
+        bad, line = bad_description(tmp_path)
+        assert main(["check", str(bad), str(VMTEST_PATH),
+                     str(renamed_suite(tmp_path, "OtherTests"))]) == 2
+        assert capsys.readouterr().err == line + "\n"
+
+    def test_duplicate_view_model_is_e106(self, tmp_path, capsys):
+        copy = tmp_path / "copy.vmdsl"
+        copy.write_text(VMDSL_PATH.read_text())
+        assert main(["check", str(VMDSL_PATH), str(copy), str(VMTEST_PATH)]) == 2
+        assert capsys.readouterr().err == (
+            f"{copy}:2:1: E106: duplicate ViewModel name 'TaskListViewModel'; "
+            f"the first is at {VMDSL_PATH}:2:1\n")
+
+    def test_duplicate_suite_name_is_e106(self, tmp_path, capsys):
+        copy = renamed_suite(tmp_path, "TaskListTests")
+        assert main(["check", str(VMDSL_PATH), str(VMTEST_PATH), str(copy)]) == 2
+        assert capsys.readouterr().err == (
+            f"{copy}:2:1: E106: duplicate test suite name 'TaskListTests'; "
+            f"the first is at {VMTEST_PATH}:2:1\n")
+
+    def test_a_file_named_twice_is_read_once(self, capsys):
+        assert main(["run", str(CORPUS), str(VMTEST_PATH), str(VMDSL_PATH),
+                     "--setup", "taskmanager"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.count("PASS") == 1
+
+    def test_gen_path_collision_is_e106(self, tmp_path, capsys):
+        first, second = tmp_path / "a.vmdsl", tmp_path / "b.vmdsl"
+        for path, name, widget in ((first, "A", "X"), (second, "B", "Y")):
+            path.write_text(f'viewmodel {name} bind {{ fileName = "shared" }} '
+                            f"{{ widgets {{ button {widget} }} commands {{ }} }}\n")
+        config = write_config(tmp_path, target="java")
+        out = tmp_path / "out"
+        assert main(["check", str(first), str(second)]) == 0
+        assert main(["gen", str(first), str(second), "--config", config,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"{second}:1:1: E106: generated file 'shared.java' of ViewModel 'B' "
+            f"differs from the one of ViewModel 'A' at {first}:1:1\n")
+        assert not out.exists()
+
+    def test_gen_rejects_a_keyword_parameter_name(self, tmp_path, capsys):
+        desc = tmp_path / "keyword.vmdsl"
+        desc.write_text(VMDSL_PATH.read_text().replace("LoadView(tasks: context)",
+                                                       "LoadView(class: context)"))
+        assert main(["check", str(desc)]) == 0
+        for target in ("java", "cpp"):
+            config = write_config(tmp_path, target=target)
+            assert main(["gen", str(desc), "--config", config,
+                         "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == (
+                f"{desc}:21:5: E001: parameter 'class' of command 'LoadView' "
+                f"is a {target} keyword\n")
+
+
 class TestEntryPoint:
     def _run(self, *args, env_extra=None):
         # The child finds the package without an installed copy or PYTHONPATH.

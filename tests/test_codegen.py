@@ -541,9 +541,24 @@ CLASH_VMTEST = """testsuite ClashTests for ClashViewModel {
 }
 """
 
+# Contexts named like keywords of both targets, of Java only and of C++
+# only: each target renames its own keywords and keeps the other names.
+KEYWORD_CONTEXTS = ("class", "int", "new", "this", "package", "instanceof",
+                    "delete", "namespace", "auto", "and", "template")
+KEYWORD_VMDSL = CLASH_VMDSL.replace("ClashViewModel", "KeywordViewModel")
+KEYWORD_VMTEST = (
+    "testsuite KeywordTests for KeywordViewModel {\n"
+    '  scenario "keyword contexts" {\n'
+    "    given {\n"
+    + "".join(f'      text {n} """{n}"""\n' for n in KEYWORD_CONTEXTS)
+    + "    }\n    when {\n"
+    + "".join(f'      LoadView({n}, "{n}")\n' for n in KEYWORD_CONTEXTS)
+    + "    }\n    then {\n      button Go enabled true\n    }\n  }\n}\n")
+
 SOURCES = ((VMDSL_PATH.read_text(), VMTEST_PATH.read_text()),
            (HOSTILE_VMDSL, HOSTILE_VMTEST),
-           (CLASH_VMDSL, CLASH_VMTEST))
+           (CLASH_VMDSL, CLASH_VMTEST),
+           (KEYWORD_VMDSL, KEYWORD_VMTEST))
 
 # Per target: the default config and the non-default one of its goldens.
 COMPILE_CONFIGS = {target: (GenConfig(target=target), option_config(f"{target}_options"))
@@ -697,9 +712,10 @@ class TestLocalNames:
 
 class TestGeneratedSourcesCompile:
     """The emitted sources of the shipped corpus, of a suite full of hostile
-    strings and of a suite whose context names clash with other locals
-    compile against minimal hand-written companions, under the default
-    config and the non-default config of each target's goldens."""
+    strings, of a suite whose context names clash with other locals and of
+    a suite whose context names are keywords compile against minimal
+    hand-written companions, under the default config and the non-default
+    config of each target's goldens."""
 
     @pytest.mark.skipif(shutil.which("javac") is None, reason="javac not on PATH")
     def test_java_compiles(self, tmp_path):
