@@ -34,7 +34,6 @@ from .model import (
     BOOL_FEATURES,
     CheckValue,
     CommandDecl,
-    CommandKind,
     COMMAND_EFFECT,
     COMMAND_PARAM,
     ContextBody,
@@ -642,13 +641,18 @@ class NameMap:
     commands: dict = field(default_factory=dict)  # command name -> CommandNames
 
 
+_ANY_KEYWORD = KEYWORDS["java"] | KEYWORDS["cpp"]
+
+
 def sanitize_test_name(description: str) -> str:
-    """Turn a free-text scenario description into a target method name."""
+    """Turn a free-text scenario description into a target method name; one
+    that starts with a digit or is a keyword of either target gets the
+    prefix ``scenario``."""
     words = re.findall(r"[A-Za-z0-9]+", description)
     if not words:
         return "scenario"
     name = camel_case(*words)
-    if name[0].isdigit():
+    if name[0].isdigit() or name in _ANY_KEYWORD:
         name = "scenario" + pascal_case(*words)
     return name
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .analyzer import NameMap
 from .genconfig import GenConfig
-from .ir import CellField, IRClass, IRUnit, IntLit, PropertyGet, RowColorField, RowCount, StringLit
-from .literals import comment_text, quote
+from .ir import IRClass, IRUnit
+from .literals import comment_text
 from .names import snake_case
 from .testbody import TargetSpec, write_test_body
 
@@ -33,23 +33,13 @@ _PARAM_TYPES = {
 }
 
 
-def _typed(expected, actual) -> str | None:
-    # Compare like with like: size_t counts, optional indexes, string cells.
-    if isinstance(expected, IntLit):
-        if isinstance(actual, RowCount):
-            return f"std::size_t({expected.value})"
-        if isinstance(actual, PropertyGet) and actual.ir_type == "optIndex":
-            return f"std::optional<int>({expected.value})"
-    elif isinstance(expected, StringLit) and isinstance(actual, (CellField, RowColorField)):
-        return f"std::string({quote(expected.value)})"
-    return None
-
-
 _SPEC = TargetSpec(
     indent="    ", types=_TYPES, scope="", member="::",
     construct="{type} {name}({args});", construct_bare="{type} {name};",
     assert_call="VT_ASSERT_EQ", continuation="    ", null="std::optional<int>()",
-    index=("[", "]"), comment=comment_text, expected=_typed)
+    index=("[", "]"), comment=comment_text,
+    # Compare like with like: size_t counts, string cells, optional indexes.
+    row_count="std::size_t({})", cell="std::string({})", row_index="std::optional<int>({})")
 
 ASSERT_HEADER_NAME = "vimotest_assert.hpp"
 

@@ -2,7 +2,8 @@
 
 The IR is target-agnostic: every name in it comes from the name map, types
 are the five abstract kinds (bool, string, int, rowList, optIndex), and test
-procedures are flat statement lists. The IR names every local a test
+procedures are flat statement lists; an expected table is one ``AssertRows``
+statement, which ``testbody`` expands. The IR names every local a test
 declares: the fixture locals below and the target's keywords are taken
 first, then each context and parameter-object local gets a name no earlier
 local or keyword holds. ``testbody`` writes the statements for either
@@ -13,7 +14,6 @@ files.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 from .analyzer import ContextArgument, LinkedSuite, NameMap
 from .genconfig import GenConfig
@@ -21,6 +21,7 @@ from .literals import quote
 from .model import (
     COMMAND_EFFECT,
     COMMAND_PARAM,
+    FEATURE_RANK,
     CommandDecl,
     CustomCommand,
     FeatureKind,
@@ -30,8 +31,7 @@ from .model import (
     ViewModelDescription,
     WidgetCommand,
 )
-from .names import KEYWORDS, camel_case, pascal_case
-from .printer import align_pipe_rows, expectation_grid
+from .names import KEYWORDS, camel_case
 from .runtime import render_context
 
 _FEATURE_IR_TYPE = {
@@ -77,11 +77,6 @@ class BoolLit:
 
 
 @dataclass(frozen=True)
-class NullLit:
-    pass
-
-
-@dataclass(frozen=True)
 class LocalRef:
     name: str
 
@@ -89,30 +84,9 @@ class LocalRef:
 @dataclass(frozen=True)
 class PropertyGet:
     getter: str
-    ir_type: str
 
 
-@dataclass(frozen=True)
-class RowCount:
-    getter: str
-
-
-@dataclass(frozen=True)
-class CellField:
-    getter: str
-    row: int
-    column: int
-    field: str  # text | tooltip | color
-
-
-@dataclass(frozen=True)
-class RowColorField:
-    getter: str
-    row: int
-
-
-IRExpr = (StringLit | IntLit | BoolLit | NullLit | LocalRef | PropertyGet
-          | RowCount | CellField | RowColorField)
+IRExpr = StringLit | IntLit | BoolLit | LocalRef | PropertyGet
 
 
 # -- statements --------------------------------------------------------------
@@ -155,30 +129,30 @@ class InvokeCommand:
 
 
 @dataclass(frozen=True)
-class RowMatrix:
-    """The expected table, carried for test readability as cell text (header
-    first) plus the row marks that follow each pipe row."""
-
-    widget: str
-    grid: tuple[tuple[str, ...], ...]
-    marks: tuple[str, ...]
-
-    def display(self, escape: Callable[[str], str]) -> list[str]:
-        """Aligned pipe rows of the cells as ``escape`` spells them, so a
-        cell the escape widens keeps its column straight."""
-        lines = align_pipe_rows([[escape(cell) for cell in row] for row in self.grid])
-        return [line + mark for line, mark in zip(lines, self.marks)]
-
-
-@dataclass(frozen=True)
 class AssertEqual:
+    """A scalar literal compared with a property."""
+
     expected: IRExpr
-    actual: IRExpr
+    actual: PropertyGet
     message: str
 
 
+@dataclass(frozen=True)
+class AssertRows:
+    """An expected table: the row count, then every asserted aspect of its
+    rows in order. ``columns`` holds the declared column index of each
+    header cell; ``selected_getter`` is None when the widget has no
+    selected row."""
+
+    widget: str
+    rows_getter: str
+    selected_getter: str | None
+    columns: tuple[int, ...]
+    expectation: RowsExpectation
+
+
 IRStatement = (Comment | DeclareLocal | CallSetup | DeclareParams | InvokeCommand
-               | RowMatrix | AssertEqual)
+               | AssertEqual | AssertRows)
 
 # The locals every generated test declares before its statements.
 VM_LOCAL = "vm"
@@ -291,10 +265,9 @@ def lower_to_ir(
 
 
 def _lower_properties(desc, name_map) -> tuple[IRProperty, ...]:
-    order = {f: i for i, f in enumerate(FeatureKind)}
     out = []
     for widget in desc.widgets:
-        for feature in sorted(widget.features(), key=order.__getitem__):
+        for feature in sorted(widget.features(), key=FEATURE_RANK.__getitem__):
             names = name_map.properties[(widget.name, feature)]
             out.append(IRProperty(name=names.property_name,
                                   ir_type=_FEATURE_IR_TYPE[feature],
@@ -372,7 +345,7 @@ def _lower_scenario(linked_scenario, desc, name_map, config, fixture,
                                         context_locals, command_home))
 
     for check in linked_scenario.checks:
-        statements.extend(_lower_check(check, desc, name_map))
+        statements.append(_lower_check(check, desc, name_map))
 
     return IRTest(name=linked_scenario.test_name, statements=tuple(statements))
 
@@ -424,68 +397,16 @@ def _literal_text(value) -> str:
 
 
 def _lower_check(check, desc, name_map):
-    if isinstance(check.expectation, RowsExpectation):
-        return _lower_rows_check(check, desc, name_map)
-    names = name_map.properties[(check.widget, check.feature)]
-    expected = _literal_expr(check.expectation)
-    actual = PropertyGet(getter=names.getter,
-                         ir_type=_FEATURE_IR_TYPE[check.feature])
-    return [AssertEqual(expected=expected, actual=actual,
-                        message=f"{check.widget}.{check.feature.value}")]
-
-
-def _lower_rows_check(check, desc, name_map):
     exp = check.expectation
-    widget = desc.widget(check.widget)
-    rows_getter = name_map.properties[(check.widget, FeatureKind.ROWS)].getter
-    declared = {c.title: i for i, c in enumerate(widget.columns)}
-
-    grid, marks = expectation_grid(exp)
-    statements: list[IRStatement] = [
-        RowMatrix(widget=check.widget, grid=grid, marks=marks),
-        AssertEqual(expected=IntLit(len(exp.rows)),
-                    actual=RowCount(getter=rows_getter),
-                    message=f"{check.widget}: row count"),
-    ]
-    for i, row in enumerate(exp.rows):
-        for j, cell in enumerate(row.cells):
-            if cell.ignored:
-                continue
-            title = exp.header[j]
-            column = declared[title]
-            statements.append(AssertEqual(
-                expected=StringLit(cell.value),
-                actual=CellField(getter=rows_getter, row=i, column=column,
-                                 field="text"),
-                message=f"{check.widget}[{i}][{title}]: value"))
-            if cell.tooltip is not None:
-                statements.append(AssertEqual(
-                    expected=StringLit(cell.tooltip),
-                    actual=CellField(getter=rows_getter, row=i, column=column,
-                                     field="tooltip"),
-                    message=f"{check.widget}[{i}][{title}]: tooltip"))
-            if cell.color is not None:
-                statements.append(AssertEqual(
-                    expected=StringLit("" if cell.color == "none" else cell.color),
-                    actual=CellField(getter=rows_getter, row=i, column=column,
-                                     field="color"),
-                    message=f"{check.widget}[{i}][{title}]: color"))
-        if row.color is not None:
-            statements.append(AssertEqual(
-                expected=StringLit("" if row.color == "none" else row.color),
-                actual=RowColorField(getter=rows_getter, row=i),
-                message=f"{check.widget}[{i}]: color"))
-        if row.selected:
-            statements.append(_selected_assert(check.widget, name_map, IntLit(i)))
-    if exp.selected_row_check is not None:
-        expected = (NullLit() if exp.selected_row_check == "none"
-                    else IntLit(exp.selected_row_check))
-        statements.append(_selected_assert(check.widget, name_map, expected))
-    return statements
-
-
-def _selected_assert(widget: str, name_map, expected):
-    getter = name_map.properties[(widget, FeatureKind.SELECTED_ROW)].getter
-    return AssertEqual(expected=expected,
-                       actual=PropertyGet(getter=getter, ir_type="optIndex"),
-                       message=f"{widget}: selected row")
+    if isinstance(exp, RowsExpectation):
+        declared = {c.title: i for i, c in enumerate(desc.widget(check.widget).columns)}
+        selected = name_map.properties.get((check.widget, FeatureKind.SELECTED_ROW))
+        return AssertRows(
+            widget=check.widget,
+            rows_getter=name_map.properties[(check.widget, FeatureKind.ROWS)].getter,
+            selected_getter=None if selected is None else selected.getter,
+            columns=tuple(declared[title] for title in exp.header),
+            expectation=exp)
+    names = name_map.properties[(check.widget, check.feature)]
+    return AssertEqual(expected=_literal_expr(exp), actual=PropertyGet(names.getter),
+                       message=f"{check.widget}.{check.feature.value}")

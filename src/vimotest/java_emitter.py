@@ -13,7 +13,7 @@ import re
 
 from .analyzer import NameMap
 from .genconfig import GenConfig
-from .ir import IRClass, IRUnit, IntLit, PropertyGet
+from .ir import IRClass, IRUnit
 from .literals import comment_text
 from .testbody import TargetSpec, write_test_body
 
@@ -40,20 +40,14 @@ def _comment(text: str) -> str:
     return _UNICODE_ESCAPE.sub(r"\1\1", text) if "\\" in text else text
 
 
-def _boxed(expected, actual) -> str | None:
-    # The selected-row getter returns Integer, so box the expected index.
-    if (isinstance(expected, IntLit) and isinstance(actual, PropertyGet)
-            and actual.ir_type == "optIndex"):
-        return f"Integer.valueOf({expected.value})"
-    return None
-
-
 _SPEC = TargetSpec(
     indent="        ", types=_TYPES, scope="", member=".",
     construct="{type} {name} = new {type}({args});",
     construct_bare="{type} {name} = new {type}();",
     assert_call="assertEquals", continuation="        + ", null="(Integer) null",
-    index=(".get(", ")"), comment=_comment, expected=_boxed)
+    index=(".get(", ")"), comment=_comment,
+    # The selected-row getter returns Integer, so an expected index is boxed.
+    row_count="{}", cell="{}", row_index="Integer.valueOf({})")
 
 
 def emit_java(ir: IRUnit, name_map: NameMap, config: GenConfig) -> list[tuple[str, str]]:

@@ -61,15 +61,9 @@ class ParamType(Enum):
 # Closed color set; "none" asserts the absence of a color.
 COLOR_NAMES = ("red", "green", "yellow", "blue", "gray", "none")
 
-# Canonical feature order for the pretty-printer and the code generators.
-FEATURE_ORDER = (
-    FeatureKind.ENABLED,
-    FeatureKind.VISIBLE,
-    FeatureKind.TEXT,
-    FeatureKind.CHECKED,
-    FeatureKind.ROWS,
-    FeatureKind.SELECTED_ROW,
-)
+# Canonical feature order (the declaration order of FeatureKind) for the
+# parser, the pretty-printer and the code generators.
+FEATURE_RANK = {feature: i for i, feature in enumerate(FeatureKind)}
 
 BOOL_FEATURES = frozenset({FeatureKind.ENABLED, FeatureKind.VISIBLE, FeatureKind.CHECKED})
 

@@ -36,7 +36,7 @@ from .model import (
     FeatureKind,
     FileBody,
     COLOR_NAMES,
-    FEATURE_ORDER,
+    FEATURE_RANK,
     NameBinding,
     Param,
     ParamType,
@@ -872,5 +872,4 @@ def _scan_groups(text: str) -> tuple[list[tuple[str, str | None]], str | None]:
 
 
 def _sorted_examples(examples: dict) -> tuple:
-    order = {f: i for i, f in enumerate(FEATURE_ORDER)}
-    return tuple(sorted(examples.items(), key=lambda kv: order[kv[0]]))
+    return tuple(sorted(examples.items(), key=lambda kv: FEATURE_RANK[kv[0]]))

@@ -11,7 +11,6 @@ from collections.abc import Sequence
 
 from .model import (
     ArgContextRef,
-    ArgLiteral,
     CellExpectation,
     CheckValue,
     CommandDecl,
@@ -19,7 +18,7 @@ from .model import (
     CustomAction,
     CustomCommand,
     DataTableBody,
-    FEATURE_ORDER,
+    FEATURE_RANK,
     FeatureKind,
     FileBody,
     NameBinding,
@@ -35,8 +34,6 @@ from .model import (
     WidgetKind,
     XmlBody,
 )
-
-_FEATURE_RANK = {f: i for i, f in enumerate(FEATURE_ORDER)}
 
 
 def pretty_print(ast: ViewModelDescription | TestSuite) -> str:
@@ -72,7 +69,7 @@ def _literal(value) -> str:
 
 
 def _features_sorted(features) -> list[FeatureKind]:
-    return sorted(features, key=_FEATURE_RANK.__getitem__)
+    return sorted(features, key=FEATURE_RANK.__getitem__)
 
 
 class _Writer:

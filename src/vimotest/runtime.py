@@ -13,12 +13,13 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from .analyzer import ContextArgument, LinkedScenario, LinkedSuite
 from .model import (
     BOOL_FEATURES,
+    COLOR_NAMES,
     RowsExpectation,
     COMMAND_EFFECT,
     ContextBody,
@@ -29,11 +30,10 @@ from .model import (
     ViewModelDescription,
     WidgetCommand,
     WidgetDecl,
-    WidgetKind,
     XmlBody,
 )
 
-STORE_COLORS = ("red", "green", "yellow", "blue", "gray")
+STORE_COLORS = tuple(c for c in COLOR_NAMES if c != "none")
 
 _FEATURES = {kind.value: kind for kind in FeatureKind}
 

@@ -14,9 +14,9 @@ from .ir import (
     SETUP_LOCAL,
     VM_LOCAL,
     AssertEqual,
+    AssertRows,
     BoolLit,
     CallSetup,
-    CellField,
     Comment,
     DeclareLocal,
     DeclareParams,
@@ -27,14 +27,11 @@ from .ir import (
     IntLit,
     InvokeCommand,
     LocalRef,
-    NullLit,
     PropertyGet,
-    RowColorField,
-    RowCount,
-    RowMatrix,
     StringLit,
 )
 from .literals import quote
+from .printer import align_pipe_rows, expectation_grid
 
 
 class TargetSpec(NamedTuple):
@@ -49,14 +46,16 @@ class TargetSpec(NamedTuple):
     null: str  # the optIndex value for no row
     index: tuple[str, str]  # around a row or cell index
     comment: Callable[[str], str]  # text kept on one ``//`` line
-    # The expected value spelled in the actual value's type, or None when the
-    # plain expression already has it.
-    expected: Callable[[IRExpr, IRExpr], str | None]
+    # An expected table value spelled in the type of what it is compared
+    # with: a row count, a quoted cell or row string, a selected row index.
+    row_count: str
+    cell: str
+    row_index: str
 
 
 def write_test_body(lines: list[str], unit: IRUnit, test: IRTest,
                     spec: TargetSpec) -> None:
-    ind, assert_call, typed_expected = spec.indent, spec.assert_call, spec.expected
+    ind, assert_call = spec.indent, spec.assert_call
     lines.append(_new(spec, _instance_type(spec, unit.view_model), VM_LOCAL))
     target = VM_LOCAL
     if unit.controller is not None:
@@ -67,10 +66,10 @@ def write_test_body(lines: list[str], unit: IRUnit, test: IRTest,
     for stmt in test.statements:
         kind = type(stmt)
         if kind is AssertEqual:
-            expected = (typed_expected(stmt.expected, stmt.actual)
-                        or _expr(stmt.expected, spec))
-            lines.append(f"{ind}{assert_call}({expected}, "
+            lines.append(f"{ind}{assert_call}({_expr(stmt.expected, spec)}, "
                          f"{_expr(stmt.actual, spec)}, {quote(stmt.message)});")
+        elif kind is AssertRows:
+            _assert_rows(lines, stmt, spec)
         elif kind is InvokeCommand:
             args = ", ".join([_expr(a, spec) for a in stmt.args])
             lines.append(f"{ind}{target}.{stmt.method}({args});")
@@ -86,10 +85,6 @@ def write_test_body(lines: list[str], unit: IRUnit, test: IRTest,
                 lines.append(f"{ind}{stmt.name}.{field} = {_expr(arg, spec)};")
         elif kind is Comment:
             lines.append(f"{ind}// {spec.comment(stmt.text)}")
-        elif kind is RowMatrix:
-            lines.append(f"{ind}// expected {stmt.widget} rows:")
-            for row in stmt.display(spec.comment):
-                lines.append(f"{ind}// {row}")
 
 
 def _instance_type(spec: TargetSpec, cls: IRClass) -> str:
@@ -118,14 +113,59 @@ def _declare_local(lines: list[str], ind: str, stmt: DeclareLocal,
         lines.append(f"{ind}{spec.types[stmt.ir_type]} {stmt.name} = {_expr(init, spec)};")
 
 
+def _assert_rows(lines: list[str], stmt: AssertRows, spec: TargetSpec) -> None:
+    """The expected table as an aligned comment, then its row count and,
+    row by row, each non-ignored cell's value, tooltip and colour, the row's
+    colour and its selection; then the selected-row check."""
+    ind, widget, exp = spec.indent, stmt.widget, stmt.expectation
+    grid, marks = expectation_grid(exp)
+    lines.append(f"{ind}// expected {widget} rows:")
+    # Escape before aligning, so a cell the escape widens keeps its column.
+    shown = align_pipe_rows([[spec.comment(cell) for cell in row] for row in grid])
+    lines.extend(f"{ind}// {row}{mark}" for row, mark in zip(shown, marks))
+
+    head = f"{ind}{spec.assert_call}("
+
+    def assert_(expected: str, actual: str, message: str) -> None:
+        lines.append(f"{head}{expected}, {actual}, {quote(message)});")
+
+    open_, close = spec.index
+    string, index = spec.cell.format, spec.row_index.format
+    rows = f"{VM_LOCAL}.{stmt.rows_getter}()"
+    selected = f"{VM_LOCAL}.{stmt.selected_getter}()"
+    assert_(spec.row_count.format(len(exp.rows)), f"{rows}.size()", f"{widget}: row count")
+    for i, row in enumerate(exp.rows):
+        row_ref = f"{rows}{open_}{i}{close}"
+        for title, column, cell in zip(exp.header, stmt.columns, row.cells):
+            if cell.ignored:
+                continue
+            cell_ref = f"{row_ref}.cells{open_}{column}{close}"
+            label = f"{widget}[{i}][{title}]"
+            assert_(string(quote(cell.value)), f"{cell_ref}.text", f"{label}: value")
+            if cell.tooltip is not None:
+                assert_(string(quote(cell.tooltip)), f"{cell_ref}.tooltip",
+                        f"{label}: tooltip")
+            if cell.color is not None:
+                assert_(string(_color(cell.color)), f"{cell_ref}.color", f"{label}: color")
+        if row.color is not None:
+            assert_(string(_color(row.color)), f"{row_ref}.color", f"{widget}[{i}]: color")
+        if row.selected:
+            assert_(index(i), selected, f"{widget}: selected row")
+    check = exp.selected_row_check
+    if check is not None:
+        assert_(spec.null if check == "none" else index(check), selected,
+                f"{widget}: selected row")
+
+
+def _color(name: str) -> str:
+    """An expected colour as a string literal; no colour is ``""``."""
+    return quote("" if name == "none" else name)
+
+
 def _expr(expr: IRExpr, spec: TargetSpec) -> str:
     kind = type(expr)
     if kind is StringLit:
         return quote(expr.value)
-    if kind is CellField:
-        open_, close = spec.index
-        return (f"{VM_LOCAL}.{expr.getter}(){open_}{expr.row}{close}"
-                f".cells{open_}{expr.column}{close}.{expr.field}")
     if kind is PropertyGet:
         return f"{VM_LOCAL}.{expr.getter}()"
     if kind is LocalRef:
@@ -134,11 +174,4 @@ def _expr(expr: IRExpr, spec: TargetSpec) -> str:
         return str(expr.value)
     if kind is BoolLit:
         return "true" if expr.value else "false"
-    if kind is RowCount:
-        return f"{VM_LOCAL}.{expr.getter}().size()"
-    if kind is RowColorField:
-        open_, close = spec.index
-        return f"{VM_LOCAL}.{expr.getter}(){open_}{expr.row}{close}.color"
-    if kind is NullLit:
-        return spec.null
     raise TypeError(f"cannot emit expression {expr!r}")

@@ -25,7 +25,7 @@ from vimotest.model import (
     CustomAction,
     CustomCommand,
     DataTableBody,
-    FEATURE_ORDER,
+    FEATURE_RANK,
     FeatureKind,
     FileBody,
     NameBinding,
@@ -56,8 +56,6 @@ _CELL_ALPHABET = string.ascii_letters + string.digits + " .,:;!?&<>'\"/+-=#@\\é
 # text that spells a Java unicode escape.
 _STRING_PIECES = ("\n", "\t", '"', "\\", "\\u000a")
 _TITLE_ALPHABET = string.ascii_letters + string.digits
-
-_FEATURE_RANK = {f: i for i, f in enumerate(FEATURE_ORDER)}
 
 _EXAMPLE_VALUES = {
     FeatureKind.ENABLED: lambda rng: rng.random() < 0.5,
@@ -149,7 +147,7 @@ def random_description(rng: random.Random) -> ViewModelDescription:
 def _random_widget(rng: random.Random, name: str) -> WidgetDecl:
     kind = rng.choice(list(WidgetKind))
     entry = catalog_lookup(kind)
-    optional = sorted(entry.optional, key=lambda f: _FEATURE_RANK[f])
+    optional = sorted(entry.optional, key=lambda f: FEATURE_RANK[f])
     enabled = frozenset(f for f in optional if rng.random() < 0.5)
     columns: tuple[ColumnSpec, ...] = ()
     examples: list[tuple[FeatureKind, object]] = []
@@ -160,7 +158,7 @@ def _random_widget(rng: random.Random, name: str) -> WidgetDecl:
             for j in range(rng.randint(1, 4)))
     else:
         for feature in sorted(entry.inherent | enabled,
-                              key=lambda f: _FEATURE_RANK[f]):
+                              key=lambda f: FEATURE_RANK[f]):
             maker = _EXAMPLE_VALUES.get(feature)
             if maker is not None and rng.random() < 0.25:
                 examples.append((feature, maker(rng)))
@@ -179,7 +177,7 @@ def _random_bindings(rng: random.Random, widgets) -> tuple[NameBinding, ...]:
         bindings.append(NameBinding(subject="fileName", bound_name=f"bound_file_{n}"))
     for _ in range(rng.randint(0, 2)):
         widget = rng.choice(widgets)
-        features = sorted(widget.features(), key=lambda f: _FEATURE_RANK[f])
+        features = sorted(widget.features(), key=lambda f: FEATURE_RANK[f])
         if not features:
             continue
         feature = rng.choice(features)
@@ -294,7 +292,7 @@ def _random_checks(rng, desc) -> tuple[CheckValue, ...]:
                     feature=FeatureKind.ROWS,
                     expectation=random_rows_expectation(rng, widget)))
             continue
-        for feature in sorted(widget.features(), key=lambda f: _FEATURE_RANK[f]):
+        for feature in sorted(widget.features(), key=lambda f: FEATURE_RANK[f]):
             if feature not in _SCALAR_CHECKABLE or rng.random() > 0.4:
                 continue
             key = (widget.name, feature)

@@ -430,6 +430,25 @@ class TestSanitizeTestName:
     def test_empty_description(self):
         assert sanitize_test_name("???") == "scenario"
 
+    @pytest.mark.parametrize("description,name", [
+        ("class", "scenarioClass"),  # both targets
+        ("New", "scenarioNew"),
+        ("instanceof", "scenarioInstanceof"),  # Java only
+        ("delete!", "scenarioDelete"),  # C++ only
+        ("class list", "classList"),
+    ])
+    def test_keyword_gets_prefix(self, description, name):
+        assert sanitize_test_name(description) == name
+
+    def test_keyword_prefix_collision_is_e106(self, corpus_desc):
+        suite, _ = parse_test_suite(
+            "testsuite S for TaskListViewModel { "
+            'scenario "class" { given { } when { } then { } } '
+            'scenario "Scenario class" { given { } when { } then { } } }')
+        linked, diags = resolve(suite, corpus_desc)
+        assert linked is None and codes(diags) == ["E106"]
+        assert "map to the same test name 'scenarioClass'" in diags[0].message
+
     @given(st.text(max_size=40))
     def test_always_a_valid_identifier(self, text):
         from vimotest.model import is_identifier

@@ -12,7 +12,7 @@ from test_literals import JAVA_UNICODE_ESCAPE
 from vimotest.analyzer import compute_name_map, resolve
 from vimotest.cpp_emitter import emit_cpp
 from vimotest.genconfig import GenConfig, GenConfigError, load_genconfig, parse_genconfig
-from vimotest.ir import Comment, IRUnit, RowMatrix, ir_to_dict, lower_to_ir
+from vimotest.ir import AssertRows, Comment, ir_to_dict, lower_to_ir
 from vimotest.java_emitter import emit_java
 from vimotest.model import (
     CommandDecl,
@@ -25,15 +25,31 @@ from vimotest.model import (
 )
 from vimotest.names import snake_case
 from vimotest.parser import parse_test_suite, parse_view_model
+from vimotest.printer import expectation_grid
 
 
 # Goldens of the shipped corpus under a non-default config, kept with the
 # genconfig.json that made them.
 OPTION_GOLDENS = ("java_options", "cpp_options")
 
+# A description and suite that use every aspect of an expected table, and
+# their goldens under each target's default config.
+ROWS_VMDSL = (GOLDENS / "rows" / "rows.vmdsl").read_text(encoding="utf-8")
+ROWS_VMTEST = (GOLDENS / "rows" / "rows.vmtest").read_text(encoding="utf-8")
+ROWS_GOLDENS = ("rows_java", "rows_cpp")
+
 
 def option_config(golden: str) -> GenConfig:
     return load_genconfig(str(GOLDENS / golden / "genconfig.json"))
+
+
+def assert_matches_golden(files: dict[str, str], golden: str) -> None:
+    root = GOLDENS / golden
+    goldens = {p.relative_to(root).as_posix(): p.read_text(encoding="utf-8")
+               for p in root.rglob("*") if p.is_file() and p.name != "genconfig.json"}
+    assert sorted(files) == sorted(goldens)
+    for name, text in files.items():
+        assert text == goldens[name], f"{name} deviates from goldens/{golden}"
 
 
 def name_map_for(desc, config=None):
@@ -315,17 +331,23 @@ class TestOptionGoldens:
 
     @pytest.mark.parametrize("golden", OPTION_GOLDENS)
     def test_matches_goldens(self, golden, corpus_desc, corpus_linked):
-        root = GOLDENS / golden
         config = option_config(golden)
         name_map = name_map_for(corpus_desc, config)
         emit = emit_java if config.target == "java" else emit_cpp
         files = dict(emit(lower_to_ir(corpus_desc, corpus_linked, name_map, config),
                           name_map, config))
-        goldens = {p.relative_to(root).as_posix(): p.read_text(encoding="utf-8")
-                   for p in root.rglob("*") if p.is_file() and p.name != "genconfig.json"}
-        assert sorted(files) == sorted(goldens)
-        for name, text in files.items():
-            assert text == goldens[name], f"{name} deviates from goldens/{golden}"
+        assert_matches_golden(files, golden)
+
+
+class TestRowsGoldens:
+    """A reordered header, an ignored column, '*' cells, cell and row
+    colours (also 'none'), tooltips, a [selected] mark and both forms of
+    selectedRow, pinned byte for byte in both targets."""
+
+    @pytest.mark.parametrize("golden", ROWS_GOLDENS)
+    def test_matches_goldens(self, golden):
+        files, _, _ = emit_sources(option_config(golden), ROWS_VMDSL, ROWS_VMTEST)
+        assert_matches_golden(files, golden)
 
 
 class TestParameterObjectCounting:
@@ -417,8 +439,9 @@ class TestLineSafety:
                     for stmt in test.statements:
                         if isinstance(stmt, Comment):
                             assert "\n" not in stmt.text, stmt
-                        elif isinstance(stmt, RowMatrix):
-                            assert not any("\n" in cell for row in stmt.grid
+                        elif isinstance(stmt, AssertRows):
+                            grid, _ = expectation_grid(stmt.expectation)
+                            assert not any("\n" in cell for row in grid
                                            for cell in row), stmt
                 for name, text in emit(unit, name_map, config):
                     for line in text.split("\n"):
@@ -542,7 +565,8 @@ CLASH_VMTEST = """testsuite ClashTests for ClashViewModel {
 """
 
 # Contexts named like keywords of both targets, of Java only and of C++
-# only: each target renames its own keywords and keeps the other names.
+# only: each target renames its own keywords and keeps the other names. A
+# scenario named like a keyword gives a prefixed test name.
 KEYWORD_CONTEXTS = ("class", "int", "new", "this", "package", "instanceof",
                     "delete", "namespace", "auto", "and", "template")
 KEYWORD_VMDSL = CLASH_VMDSL.replace("ClashViewModel", "KeywordViewModel")
@@ -553,12 +577,16 @@ KEYWORD_VMTEST = (
     + "".join(f'      text {n} """{n}"""\n' for n in KEYWORD_CONTEXTS)
     + "    }\n    when {\n"
     + "".join(f'      LoadView({n}, "{n}")\n' for n in KEYWORD_CONTEXTS)
-    + "    }\n    then {\n      button Go enabled true\n    }\n  }\n}\n")
+    + "    }\n    then {\n      button Go enabled true\n    }\n  }\n"
+    # A scenario named like a keyword of both targets.
+    '  scenario "class" {\n    given {\n    }\n    when {\n      click Go\n    }\n'
+    "    then {\n      button Go enabled true\n    }\n  }\n}\n")
 
 SOURCES = ((VMDSL_PATH.read_text(), VMTEST_PATH.read_text()),
            (HOSTILE_VMDSL, HOSTILE_VMTEST),
            (CLASH_VMDSL, CLASH_VMTEST),
-           (KEYWORD_VMDSL, KEYWORD_VMTEST))
+           (KEYWORD_VMDSL, KEYWORD_VMTEST),
+           (ROWS_VMDSL, ROWS_VMTEST))
 
 # Per target: the default config and the non-default one of its goldens.
 COMPILE_CONFIGS = {target: (GenConfig(target=target), option_config(f"{target}_options"))
@@ -712,10 +740,10 @@ class TestLocalNames:
 
 class TestGeneratedSourcesCompile:
     """The emitted sources of the shipped corpus, of a suite full of hostile
-    strings, of a suite whose context names clash with other locals and of
-    a suite whose context names are keywords compile against minimal
-    hand-written companions, under the default config and the non-default
-    config of each target's goldens."""
+    strings, of a suite whose context names clash with other locals, of a
+    suite whose names are keywords and of the rows goldens compile against
+    minimal hand-written companions, under the default config and the
+    non-default config of each target's goldens."""
 
     @pytest.mark.skipif(shutil.which("javac") is None, reason="javac not on PATH")
     def test_java_compiles(self, tmp_path):
