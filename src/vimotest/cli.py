@@ -9,7 +9,6 @@ JSON output stays machine-consumable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -17,13 +16,11 @@ from pathlib import Path
 from . import __version__
 from .analyzer import Project, compute_name_map, link
 from .diagnostics import E_DUPLICATE_NAME, Diagnostic, error
-from .genconfig import GenConfigError, load_genconfig
-from .ir import lower_to_ir
-from .java_emitter import emit_java
-from .cpp_emitter import emit_cpp
 from .parser import parse_test_suite, parse_view_model
-from .runtime import RunConfig, ScenarioResult, run_suite
-from .taskmanager import REGISTRY
+
+# Only the front end above is imported with this module. Each subcommand
+# imports the rest of what it uses, so `check` loads no runtime, IR or
+# emitter, `run` no IR or emitter, and `gen` only its target's emitter.
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -53,17 +50,14 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         prog="vimotest",
         description="Check, run, and generate code from ViewModel test DSL files.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", parser_class=_LazyEpilogParser)
 
     check = sub.add_parser("check", help="parse and analyze DSL files")
     check.add_argument("paths", nargs="+")
 
-    width = max(map(len, REGISTRY)) + 2
     run = sub.add_parser(
         "run", help="execute test suites in-process",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="registered setup ids:\n" + "\n".join(
-            f"  {name:<{width}}{REGISTRY[name].summary}" for name in sorted(REGISTRY)))
+        formatter_class=argparse.RawDescriptionHelpFormatter, epilog=_setup_list)
     run.add_argument("paths", nargs="+")
     run.add_argument("--suite", help="run only the suite with this name")
     run.add_argument("--setup", required=True,
@@ -77,6 +71,23 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     gen.add_argument("--force", action="store_true",
                      help="overwrite existing output files")
     return parser
+
+
+class _LazyEpilogParser(argparse.ArgumentParser):
+    """A parser whose epilog may be a function, called when help is printed."""
+
+    def format_help(self) -> str:
+        if callable(self.epilog):
+            self.epilog = self.epilog()
+        return super().format_help()
+
+
+def _setup_list() -> str:
+    from .taskmanager import REGISTRY
+
+    width = max(map(len, REGISTRY)) + 2
+    return "registered setup ids:\n" + "\n".join(
+        f"  {name:<{width}}{REGISTRY[name].summary}" for name in sorted(REGISTRY))
 
 
 class _UsageError(Exception):
@@ -166,6 +177,11 @@ _STATUS_STYLE = {"passed": ("PASS", "32"), "failed": ("FAIL", "31"),
 
 
 def _cmd_run(args) -> int:
+    import json
+
+    from .runtime import RunConfig, run_suite
+    from .taskmanager import REGISTRY
+
     registration = REGISTRY.get(args.setup)
     if registration is None:
         raise _UsageError(
@@ -224,7 +240,7 @@ def _failure_dict(failure) -> dict:
     }
 
 
-def _scenario_dict(result: ScenarioResult) -> dict:
+def _scenario_dict(result) -> dict:
     return {
         "description": result.description,
         "status": result.status,
@@ -255,6 +271,8 @@ def _report_dict(report_suites) -> dict:
 
 
 def _cmd_gen(args) -> int:
+    from .genconfig import GenConfigError, load_genconfig
+
     try:
         config = load_genconfig(args.config)
     except GenConfigError as exc:
@@ -265,7 +283,12 @@ def _cmd_gen(args) -> int:
     if diags:
         return EXIT_DIAGNOSTICS
 
-    emit = emit_java if config.target == "java" else emit_cpp
+    from .ir import lower_to_ir
+
+    if config.target == "java":
+        from .java_emitter import emit_java as emit
+    else:
+        from .cpp_emitter import emit_cpp as emit
     emitted: dict[str, tuple] = {}  # path -> (text, first writer, its span)
     for desc in project.descriptions:
         name_map, d = compute_name_map(desc, config)

@@ -32,7 +32,6 @@ from .model import (
     WidgetCommand,
 )
 from .names import KEYWORDS, camel_case
-from .runtime import render_context
 
 _FEATURE_IR_TYPE = {
     FeatureKind.ENABLED: "bool",
@@ -319,6 +318,8 @@ def _declare_context(context, config, locals_, statements) -> tuple[str, str]:
     if isinstance(context.body, FileBody):
         payload, delivery = context.body.path, "file"
     else:
+        from .runtime import render_context  # only a suite with inline contexts loads it
+
         payload = render_context(context.body, config.context_format)
         delivery = config.context_delivery
     local = locals_.claim(camel_case(context.name))

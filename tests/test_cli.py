@@ -128,6 +128,68 @@ class TestRun:
         assert code == 0
 
 
+HELP_TEXT = {
+    (): """\
+usage: vimotest [-h] [--version] {check,run,gen} ...
+
+Check, run, and generate code from ViewModel test DSL files.
+
+positional arguments:
+  {check,run,gen}
+    check          parse and analyze DSL files
+    run            execute test suites in-process
+    gen            generate target sources
+
+options:
+  -h, --help       show this help message and exit
+  --version        show program's version number and exit
+""",
+    ("check",): """\
+usage: vimotest check [-h] paths [paths ...]
+
+positional arguments:
+  paths
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ("run",): """\
+usage: vimotest run [-h] [--suite SUITE] --setup SETUP [--format {human,json}]
+                    paths [paths ...]
+
+positional arguments:
+  paths
+
+options:
+  -h, --help            show this help message and exit
+  --suite SUITE         run only the suite with this name
+  --setup SETUP         registered logic/setup id (listed below)
+  --format {human,json}
+
+registered setup ids:
+  taskmanager           reference task-manager logic
+  taskmanager-buggy     mutant: new row is not selected
+  taskmanager-keepdue   mutant: new row keeps a due date
+  taskmanager-noappend  mutant: add click appends nothing
+  taskmanager-nocolor   mutant: urgent rows lose their color
+""",
+}
+
+
+class TestHelp:
+    """The help texts stay byte for byte what they were before the
+    subcommands imported their modules lazily."""
+
+    @pytest.mark.parametrize("command", list(HELP_TEXT), ids=" ".join)
+    def test_help_text_is_unchanged(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (HELP_TEXT[command], "")
+
+
 class TestGen:
     def test_java_generation_matches_goldens(self, tmp_path, capsys):
         config = write_config(tmp_path, target="java")
