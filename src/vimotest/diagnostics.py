@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Closed diagnostic code table. Every diagnostic carries one of these codes.
 E_SYNTAX = "E001"
@@ -18,8 +19,7 @@ E_CONTEXT_CYCLE = "E109"
 E_UNKNOWN_COLUMN = "E110"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """A 1-based (line, column) position plus length inside one file."""
 
     file: str = "<input>"

@@ -53,8 +53,7 @@ class Token(NamedTuple):
     value: object = None  # unescaped string / int / raw pipe-row text
 
     def span(self, file: str) -> SourceSpan:
-        return SourceSpan(file=file, line=self.line, column=self.column,
-                          length=max(len(self.text), 1))
+        return SourceSpan(file, self.line, self.column, max(len(self.text), 1))
 
 
 _PUNCT = {

@@ -16,8 +16,13 @@ from .diagnostics import SourceSpan, span_field
 from .lexer import IDENT_PATTERN
 
 
+# The kinds hash by identity: members are singletons and Enum equality is
+# identity, so the hash agrees with ==, and it runs in C where Enum.__hash__
+# is Python code. They are plain Enums, never equal to their strings.
 @unique
 class WidgetKind(Enum):
+    __hash__ = object.__hash__
+
     BUTTON = "button"
     LABEL = "label"
     CHECKBOX = "checkbox"
@@ -27,6 +32,8 @@ class WidgetKind(Enum):
 
 @unique
 class FeatureKind(Enum):
+    __hash__ = object.__hash__
+
     ENABLED = "enabled"
     VISIBLE = "visible"
     TEXT = "text"
@@ -37,6 +44,8 @@ class FeatureKind(Enum):
 
 @unique
 class CommandKind(Enum):
+    __hash__ = object.__hash__
+
     CLICK = "click"
     CHECK = "check"
     FILL_TEXT = "fillText"
@@ -45,6 +54,8 @@ class CommandKind(Enum):
 
 @unique
 class CellKind(Enum):
+    __hash__ = object.__hash__
+
     LABEL = "label"
     IMAGE = "image"
     CHECKBOX = "checkbox"
@@ -52,6 +63,8 @@ class CellKind(Enum):
 
 @unique
 class ParamType(Enum):
+    __hash__ = object.__hash__
+
     STRING = "string"
     BOOL = "bool"
     INT = "int"

@@ -14,6 +14,8 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import compress
+from operator import is_not
 from typing import Callable, Protocol
 
 from .analyzer import ContextArgument, LinkedScenario, LinkedSuite
@@ -110,20 +112,21 @@ class WidgetStateStore:
     raise StoreError. Table rows always match the declared column count and
     the selected row index always stays below the row count.
 
-    A table row is validated when it enters the table. Rows that are
-    immutable all the way down (a plain ``RowValue`` whose ``cells`` is a
-    tuple of plain ``CellValue``) are then recorded per table and not
-    checked again when a later write keeps them; any other row is checked on
-    every write. The record holds each row, so no ``id`` is reused while the
-    store lives.
+    A table row is validated when it enters the table. A table is trusted
+    while every row it holds is immutable all the way down: a plain
+    ``RowValue`` whose ``cells`` is a tuple of plain ``CellValue``. A write
+    to a trusted table checks only the rows between the longest start and
+    end it keeps in place (the same row object at the same position from
+    either end), so an append or an insert checks one row and a delete
+    none; a row that moves, or leaves and comes back, is checked again. A
+    write to an untrusted table checks every row.
     """
 
     def __init__(self, description: ViewModelDescription):
         self._widgets: dict[str, WidgetDecl] = {w.name: w for w in description.widgets}
         self._values: dict[tuple[str, FeatureKind], object] = {}
-        # Per table: id -> row for rows validated and trusted on later writes.
-        self._accepted: dict[str, dict[int, RowValue]] = {
-            w.name: {} for w in description.widgets}
+        # Tables whose stored rows are all immutable all the way down.
+        self._trusted: set[str] = set()
         for widget in description.widgets:
             examples = dict(widget.examples)
             for feature in widget.features():
@@ -209,31 +212,40 @@ class WidgetStateStore:
 
     def _validate_rows(self, widget: str, value) -> tuple[RowValue, ...]:
         rows = tuple(value)
-        accepted = self._accepted[widget]
-        fresh: list[RowValue] = []
-        if not accepted.keys() >= set(map(id, rows)):
-            arity = len(self._widgets[widget].columns)
-            for row in rows:
-                if id(row) in accepted:
-                    continue
-                if not isinstance(row, RowValue):
-                    raise StoreError(f"{widget}.rows takes RowValue items, got {row!r}")
-                if len(row.cells) != arity:
-                    raise StoreError(
-                        f"{widget} row has {len(row.cells)} cells; "
-                        f"the table declares {arity} columns")
-                _validate_color(row.color, f"{widget} row")
-                for cell in row.cells:
-                    _validate_color(cell.color, f"{widget} cell")
-                if (type(row) is RowValue and type(row.cells) is tuple
-                        and all(type(cell) is CellValue for cell in row.cells)):
-                    fresh.append(row)
+        new = rows
+        if widget in self._trusted:
+            old = self._values[(widget, FeatureKind.ROWS)]
+            shared = min(len(rows), len(old))
+            start = next(compress(range(shared), map(is_not, rows, old)), shared)
+            # The kept end is sought only among the rows after the kept start.
+            rest = shared - start
+            end = len(rows) - next(
+                compress(range(rest), map(is_not, reversed(rows), reversed(old))), rest)
+            new = rows[start:end]
+        arity = len(self._widgets[widget].columns)
+        trusted = True
+        for row in new:
+            if not isinstance(row, RowValue):
+                raise StoreError(f"{widget}.rows takes RowValue items, got {row!r}")
+            if len(row.cells) != arity:
+                raise StoreError(
+                    f"{widget} row has {len(row.cells)} cells; "
+                    f"the table declares {arity} columns")
+            _validate_color(row.color, f"{widget} row")
+            for cell in row.cells:
+                _validate_color(cell.color, f"{widget} cell")
+            if trusted and not (type(row) is RowValue and type(row.cells) is tuple
+                                and all(type(cell) is CellValue for cell in row.cells)):
+                trusted = False
         selected = self._values.get((widget, FeatureKind.SELECTED_ROW))
         if isinstance(selected, int) and selected >= len(rows):
             raise StoreError(
                 f"{widget}.selectedRow = {selected} would exceed the new "
                 f"row count {len(rows)}; clear the selection first")
-        accepted.update(zip(map(id, fresh), fresh))
+        if trusted:
+            self._trusted.add(widget)
+        else:
+            self._trusted.discard(widget)
         return rows
 
 

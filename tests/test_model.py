@@ -1,11 +1,16 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from vimotest.model import (
     CATALOG,
+    CellKind,
     CommandKind,
     FeatureKind,
+    ParamType,
     WidgetKind,
     catalog_lookup,
     validate_identifier,
@@ -41,6 +46,35 @@ class TestCatalog:
     def test_inherent_and_optional_disjoint(self):
         for entry in CATALOG.values():
             assert not entry.inherent & entry.optional
+
+
+KINDS = (WidgetKind, FeatureKind, CommandKind, CellKind, ParamType)
+
+
+class TestKindSemantics:
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
+    def test_members_hash_by_identity(self, kind):
+        for member in kind:
+            assert type(member).__hash__ is object.__hash__
+            assert hash(member) == object.__hash__(member)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
+    def test_members_never_equal_their_strings(self, kind):
+        for member in kind:
+            assert member != member.value and member.value != member
+            assert {member: 1}.get(member.value) is None
+
+    def test_formatting_names_the_member(self):
+        assert FeatureKind.TEXT != "text"
+        assert f"{FeatureKind.TEXT}" == str(FeatureKind.TEXT) == "FeatureKind.TEXT"
+        assert repr(FeatureKind.TEXT) == "<FeatureKind.TEXT: 'text'>"
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
+    def test_copies_are_the_same_member(self, kind):
+        for member in kind:
+            for twin in (copy.deepcopy(member), copy.copy(member),
+                         pickle.loads(pickle.dumps(member))):
+                assert twin is member and hash(twin) == hash(member)
 
 
 class TestValidateIdentifier:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from astgen import random_grid
+from vimotest import runtime
 from vimotest.analyzer import resolve
 from vimotest.model import (
     CellExpectation,
@@ -158,8 +159,9 @@ class TestWidgetStateStore:
 
 # ---------------------------------------------------------------------------
 # The store's write contract against a reference that validates every row of
-# every write. The store itself skips rows a table has already accepted; the
-# answers (accept, or reject with a message) must be the same.
+# every write. The store itself skips the rows a write keeps in place at the
+# start and end of a trusted table; the answers (accept, or reject with a
+# message) must be the same.
 # ---------------------------------------------------------------------------
 
 REFERENCE_COLORS = ("red", "green", "yellow", "blue", "gray")
@@ -224,6 +226,11 @@ STORE_OPS = st.one_of(
     st.tuples(st.just("append"), TABLES, POOL),
     st.tuples(st.just("delete"), TABLES, POOL),
     st.tuples(st.just("rewrite"), TABLES),
+    st.tuples(st.just("insert"), TABLES, POOL, st.integers(0, 5)),
+    st.tuples(st.just("move"), TABLES, st.integers(0, 5), st.integers(0, 5)),
+    st.tuples(st.just("reverse"), TABLES),
+    # One row object at both ends: a pool row, or the table's own first row.
+    st.tuples(st.just("ends"), TABLES, st.one_of(POOL, st.none())),
     st.tuples(st.just("select"), TABLES,
               st.sampled_from([None, -1, 0, 1, 2, 4, True, "0"])),
     st.tuples(st.just("mutate"), POOL, st.sampled_from(["purple", "purple", None]),
@@ -280,6 +287,20 @@ class TestStoreWriteContract:
                     new_value = rows[table] + [pool[op[2] % len(pool)]]
                 elif kind == "rewrite":
                     new_value = list(rows[table])
+                elif kind == "insert":
+                    new_value = list(rows[table])
+                    new_value.insert(op[3] % (len(new_value) + 1), pool[op[2] % len(pool)])
+                elif kind == "move":
+                    new_value = list(rows[table])
+                    if new_value:
+                        i, j = op[2] % len(new_value), op[3] % len(new_value)
+                        new_value[i], new_value[j] = new_value[j], new_value[i]
+                elif kind == "reverse":
+                    new_value = rows[table][::-1]
+                elif kind == "ends":
+                    own = op[2] is None and rows[table]
+                    row = rows[table][0] if own else pool[(op[2] or 0) % len(pool)]
+                    new_value = [row, *rows[table], row]
                 else:
                     new_value = list(rows[table])
                     if new_value:
@@ -354,6 +375,94 @@ class TestStoreWriteContract:
         written.pop()
         store.rows("B").pop()
         assert store.rows("B") == [row, row]
+
+
+class TestStoreWriteWork:
+    """How many rows a write checks, counted by the row colour checks."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        calls = []
+        real = runtime._validate_color
+
+        def counting(color, what):
+            if what.endswith(" row"):
+                calls.append(what)
+            real(color, what)
+
+        monkeypatch.setattr(runtime, "_validate_color", counting)
+
+        def count(write):
+            calls.clear()
+            write()
+            return len(calls)
+
+        return count
+
+    @pytest.fixture
+    def table(self, checked):
+        store = WidgetStateStore(two_table_description())
+        rows = [RowValue(cells=(CellValue(text=str(i)), CellValue())) for i in range(100)]
+        assert checked(lambda: store.set_rows("B", rows)) == 100
+        return store, rows
+
+    def write_count(self, checked, store, rows):
+        count = checked(lambda: store.set_rows("B", rows))
+        assert store.rows("B") == rows
+        return count
+
+    def test_append_checks_the_new_row(self, checked, table):
+        store, rows = table
+        new = RowValue(cells=(CellValue(), CellValue()))
+        assert self.write_count(checked, store, rows + [new]) == 1
+
+    def test_delete_and_rewrite_check_nothing(self, checked, table):
+        store, rows = table
+        assert self.write_count(checked, store, rows) == 0
+        assert self.write_count(checked, store, rows[:40] + rows[41:]) == 0
+        assert self.write_count(checked, store, rows[1:40] + rows[41:]) == 0
+        assert self.write_count(checked, store, rows[1:40] + rows[41:-1]) == 0
+        assert self.write_count(checked, store, []) == 0
+
+    def test_insert_checks_the_new_row(self, checked, table):
+        store, rows = table
+        new = RowValue(cells=(CellValue(), CellValue()))
+        assert self.write_count(checked, store, rows[:50] + [new] + rows[50:]) == 1
+
+    def test_moved_and_returning_rows_are_checked_again(self, checked, table):
+        store, rows = table
+        swapped = list(rows)
+        swapped[10], swapped[20] = swapped[20], swapped[10]
+        assert self.write_count(checked, store, swapped) == 11
+        assert self.write_count(checked, store, rows) == 11
+        assert self.write_count(checked, store, rows[::-1]) == 100
+        assert self.write_count(checked, store, rows) == 100
+        assert self.write_count(checked, store, rows[:5] + rows[6:]) == 0
+        assert self.write_count(checked, store, rows) == 1
+        # Dropping a row at each end shifts every kept row.
+        assert self.write_count(checked, store, rows[1:-1]) == 98
+
+    def test_one_row_at_both_ends_is_checked_once(self, checked, table):
+        store, rows = table
+        assert self.write_count(checked, store, rows + [rows[-1]]) == 1
+        assert self.write_count(checked, store, rows) == 0
+        assert self.write_count(checked, store, [rows[0]] + rows) == 1
+
+    def test_untrusted_table_checks_every_row(self, checked, table):
+        store, rows = table
+        listed = RowValue(cells=[CellValue(), CellValue()])
+        assert self.write_count(checked, store, rows + [listed]) == 1
+        assert self.write_count(checked, store, rows + [listed]) == 101
+        assert self.write_count(checked, store, rows) == 100
+        assert self.write_count(checked, store, rows) == 0
+
+    def test_rejected_write_keeps_the_trust_of_the_stored_rows(self, checked, table):
+        store, rows = table
+        listed = RowValue(cells=[CellValue(), CellValue()])
+        bad = RowValue(cells=(CellValue(),))
+        with pytest.raises(StoreError, match="B row has 1 cells"):
+            store.set_rows("B", [listed] + rows + [bad])
+        assert self.write_count(checked, store, rows) == 0
 
 
 def expectation_of(*rows, header=("Col0", "Col1", "Col2"), **kwargs):
