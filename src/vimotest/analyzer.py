@@ -62,15 +62,9 @@ from .names import KEYWORDS, camel_case, pascal_case, snake_case
 
 @dataclass(frozen=True)
 class ResolvedContext:
-    """A given-part entry with its reference chain fully chased."""
-
-    name: str
-    body: ContextBody
-
-
-@dataclass(frozen=True)
-class ContextArgument:
-    """A context-typed command argument: delivers the rendered body string."""
+    """A given-part entry or a context-typed command argument, with its
+    reference chain fully chased. As an argument it delivers the rendered
+    body string."""
 
     name: str
     body: ContextBody
@@ -441,7 +435,7 @@ def _resolve_custom_action(action: CustomAction, commands, registry,
                 continue
             body = chase_context(arg.name, registry, diags, action.span)
             if body is not None:
-                resolved.append(ContextArgument(name=arg.name, body=body))
+                resolved.append(ResolvedContext(name=arg.name, body=body))
             continue
         if isinstance(arg, ArgContextRef):
             diags.append(error(

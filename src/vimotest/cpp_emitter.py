@@ -154,9 +154,11 @@ def _header_file(cls: IRClass, config: GenConfig, view_model: str | None,
         lines.append("        std::string color;")
         lines.append("    };")
         lines.append("")
-    for pc in cls.param_classes:
-        lines.append(f"    struct {pc.name} {{")
-        for field in pc.fields:
+    for op in cls.operations:
+        if not op.param_object:
+            continue
+        lines.append(f"    struct {op.param_object} {{")
+        for field in op.params:
             lines.append(f"        {_TYPES[field.ir_type]} {field.name};")
         lines.append("    };")
         lines.append("")
@@ -183,7 +185,7 @@ def _header_file(cls: IRClass, config: GenConfig, view_model: str | None,
         else:
             params = ", ".join(f"{_PARAM_TYPES[p.ir_type]} {p.name}"
                                for p in op.params)
-        if op.abstract:
+        if cls.abstract:
             lines.append(f"    virtual void {op.name}({params}) = 0;")
         else:
             lines.append(f"    virtual void {op.name}({params}) {{}}")

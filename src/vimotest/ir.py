@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .analyzer import ContextArgument, LinkedSuite, NameMap
+from .analyzer import LinkedSuite, NameMap, ResolvedContext
 from .genconfig import GenConfig
 from .literals import quote
 from .model import (
@@ -169,12 +169,6 @@ class IRParam:
 
 
 @dataclass(frozen=True)
-class IRParamClass:
-    name: str
-    fields: tuple[IRParam, ...]
-
-
-@dataclass(frozen=True)
 class IRProperty:
     name: str
     ir_type: str
@@ -186,7 +180,8 @@ class IRProperty:
 class IROperation:
     name: str
     params: tuple[IRParam, ...] = ()
-    abstract: bool = True
+    # With a name here, the operation takes one object of this class,
+    # whose fields are ``params``.
     param_object: str | None = None
 
 
@@ -196,7 +191,6 @@ class IRClass:
     abstract: bool
     properties: tuple[IRProperty, ...] = ()
     operations: tuple[IROperation, ...] = ()
-    param_classes: tuple[IRParamClass, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -240,17 +234,14 @@ def lower_to_ir(
 ) -> IRUnit:
     properties = _lower_properties(desc, name_map)
     operations = tuple(_lower_operation(c, name_map, config) for c in desc.commands)
-    param_classes = tuple(IRParamClass(op.param_object, op.params)
-                          for op in operations if op.param_object is not None)
-
     name, abstract = name_map.type_name, config.abstract_view_model
     if config.commands_on_view_model:
         classes: tuple[IRClass, ...] = (
-            IRClass(name, abstract, properties, operations, param_classes),)
+            IRClass(name, abstract, properties, operations),)
         fixture = (VM_LOCAL, SETUP_LOCAL)
     else:
         classes = (IRClass(name, abstract, properties),
-                   IRClass(name + "Controller", abstract, (), operations, param_classes))
+                   IRClass(name + "Controller", abstract, (), operations))
         fixture = (VM_LOCAL, CONTROLLER_LOCAL, SETUP_LOCAL)
 
     tests: tuple[IRTest, ...] = ()
@@ -283,15 +274,12 @@ def _lower_operation(command: CommandDecl, name_map: NameMap,
         params = () if intrinsic is None else (
             IRParam(_WIDGET_COMMAND_PARAM_NAME[intrinsic],
                     _PARAM_IR_TYPE[intrinsic]),)
-        return IROperation(name=names.method, params=params,
-                           abstract=config.abstract_view_model)
+        return IROperation(name=names.method, params=params)
     assert isinstance(form, CustomCommand)
     params = tuple(IRParam(p.name, _PARAM_IR_TYPE[p.type]) for p in form.params)
     param_object = (names.param_object
                     if config.parameter_object and form.params else None)
-    return IROperation(name=names.method, params=params,
-                       abstract=config.abstract_view_model,
-                       param_object=param_object)
+    return IROperation(name=names.method, params=params, param_object=param_object)
 
 
 class _LocalNames:
@@ -356,7 +344,7 @@ def _lower_action(action, name_map, config, locals_, context_locals,
     statements: list[IRStatement] = []
     args: list[IRExpr] = []
     for arg in action.args:
-        if isinstance(arg, ContextArgument):
+        if isinstance(arg, ResolvedContext):
             local = context_locals.get(arg.name)
             if local is None:
                 local, _ = _declare_context(arg, config, locals_, statements)

@@ -91,10 +91,12 @@ def _class_file(cls: IRClass, config: GenConfig, view_model: str | None) -> str:
         lines.append("        public List<Cell> cells = new ArrayList<>();")
         lines.append('        public String color = "";')
         lines.append("    }")
-    for param_class in cls.param_classes:
+    for op in cls.operations:
+        if not op.param_object:
+            continue
         lines.append("")
-        lines.append(f"    public static class {param_class.name} {{")
-        for field in param_class.fields:
+        lines.append(f"    public static class {op.param_object} {{")
+        for field in op.params:
             lines.append(f"        public {_TYPES[field.ir_type]} {field.name};")
         lines.append("    }")
     if view_model is not None:
@@ -125,7 +127,7 @@ def _class_file(cls: IRClass, config: GenConfig, view_model: str | None) -> str:
             params = f"{op.param_object} params"
         else:
             params = ", ".join(f"{_TYPES[p.ir_type]} {p.name}" for p in op.params)
-        if op.abstract:
+        if cls.abstract:
             lines.append(f"    public abstract void {op.name}({params});")
         else:
             lines.append(f"    public void {op.name}({params}) {{")

@@ -9,6 +9,8 @@ declaration after a syntax error so several errors can be reported at once.
 from __future__ import annotations
 
 import re
+from itertools import chain
+from typing import Callable, Container, NoReturn, TypeVar
 
 from .diagnostics import (
     Diagnostic,
@@ -20,6 +22,7 @@ from .diagnostics import (
 )
 from .lexer import ESCAPES, Token, TokenType, tokenize, unescape
 from .model import (
+    Action,
     ArgContextRef,
     ArgLiteral,
     Argument,
@@ -56,8 +59,9 @@ from .model import (
 )
 from .names import camel_case
 
+T = TypeVar("T")
+
 _WIDGET_KIND_WORDS = {k.value: k for k in WidgetKind}
-_SIMPLE_WIDGET_WORDS = {k.value: k for k in WidgetKind if k is not WidgetKind.TABLE}
 _FEATURE_WORDS = {f.value: f for f in FeatureKind}
 _ACTION_WORDS = {k.value: k for k in CommandKind}
 _CELL_KIND_WORDS = {k.value: k for k in CellKind}
@@ -68,50 +72,45 @@ _SCALAR_CHECK_FEATURES = {
     "checked": FeatureKind.CHECKED,
     "text": FeatureKind.TEXT,
 }
+_BINDING_WORDS = frozenset({"typeName", "fileName", "property"})
+_COMMAND_WORDS = frozenset(_ACTION_WORDS) | {"command"}
+_SCENARIO_WORDS = frozenset({"scenario"})
 
 
 class _ParseError(Exception):
     pass
 
 
-def _decode(text: str | bytes, file: str) -> tuple[str | None, list[Diagnostic]]:
-    if isinstance(text, bytes):
-        try:
-            return text.decode("utf-8"), []
-        except UnicodeDecodeError as exc:
-            span = SourceSpan(file=file, line=1, column=1, length=0)
-            return None, [error(E_SYNTAX, f"input is not valid UTF-8: {exc.reason}", span)]
-    return text, []
-
-
 def parse_view_model(
     text: str | bytes, file: str = "<input>"
 ) -> tuple[ViewModelDescription | None, list[Diagnostic]]:
-    decoded, diags = _decode(text, file)
-    if decoded is None:
-        return None, diags
-    tokens, lex_diags = tokenize(decoded, file)
-    diags.extend(lex_diags)
-    parser = _Parser(tokens, file, diags)
-    desc = parser.parse_view_model_file()
-    if diags:
-        return None, diags
-    return desc, diags
+    return _parse(text, file, _Parser.parse_view_model_file, "ViewModel")
 
 
 def parse_test_suite(
     text: str | bytes, file: str = "<input>"
 ) -> tuple[TestSuite | None, list[Diagnostic]]:
-    decoded, diags = _decode(text, file)
-    if decoded is None:
-        return None, diags
-    tokens, lex_diags = tokenize(decoded, file)
-    diags.extend(lex_diags)
+    return _parse(text, file, _Parser.parse_test_suite_file, "test suite")
+
+
+def _parse(text: str | bytes, file: str, entry: Callable[[_Parser], T],
+           what: str) -> tuple[T | None, list[Diagnostic]]:
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            span = SourceSpan(file=file, line=1, column=1, length=0)
+            return None, [error(E_SYNTAX, f"input is not valid UTF-8: {exc.reason}", span)]
+    tokens, diags = tokenize(text, file)
     parser = _Parser(tokens, file, diags)
-    suite = parser.parse_test_suite_file()
-    if diags:
+    try:
+        ast = entry(parser)
+    except _ParseError:
         return None, diags
-    return suite, diags
+    if not parser.at(TokenType.EOF):
+        parser.report(f"unexpected content after {what} body: "
+                      f"{parser._describe(parser.peek())}")
+    return (None if diags else ast), diags
 
 
 class _Parser:
@@ -148,7 +147,7 @@ class _Parser:
         tok = tok or self.peek()
         self.diags.append(error(code, message, self.span_of(tok)))
 
-    def fail(self, message: str, tok: Token | None = None, code: str = E_SYNTAX) -> None:
+    def fail(self, message: str, tok: Token | None = None, code: str = E_SYNTAX) -> NoReturn:
         self.report(message, tok, code)
         raise _ParseError()
 
@@ -166,6 +165,13 @@ class _Parser:
     def expect_ident(self, what: str = "identifier") -> Token:
         return self.expect(TokenType.IDENT, what)
 
+    def expect_one_of(self, words: dict[str, T], what: str) -> T:
+        """Consume one of ``words`` and return what it maps to."""
+        tok = self.toks[self.i]
+        if tok.type is not TokenType.IDENT or tok.text not in words:
+            self.fail(f"expected {what}, found {self._describe(tok)}")
+        return words[self.advance().text]
+
     @staticmethod
     def _describe(tok: Token) -> str:
         if tok.type is TokenType.EOF:
@@ -174,7 +180,7 @@ class _Parser:
             return "table row"
         return f"'{tok.text}'"
 
-    def sync(self, stop_words: frozenset[str] | set[str]) -> None:
+    def sync(self, stop_words: Container[str]) -> None:
         """Skip tokens until a declaration start word, '}', or EOF at depth 0."""
         depth = 0
         while not self.at(TokenType.EOF):
@@ -190,6 +196,61 @@ class _Parser:
                 depth -= 1
                 if depth < 0:
                     return
+            self.advance()
+
+    # -- the shared list, block and duplicate rules ---------------------------
+
+    def first(self, seen: set, key, tok: Token, message: str,
+              code: str = E_DUPLICATE_NAME) -> bool:
+        """True for the first ``key``; a repeat is reported at ``tok`` with
+        ``message.format(key)``."""
+        if key in seen:
+            self.report(message.format(key), tok, code)
+            return False
+        seen.add(key)
+        return True
+
+    def items(self, parse_one: Callable, stop_words: Container[str],
+              duplicate: str | None = None) -> tuple:
+        """Parse items up to '}' or EOF, skipping to ``stop_words`` after an error.
+
+        With a ``duplicate`` message, ``parse_one`` returns ``(item, key,
+        token)``: an item whose key was seen before is reported at its token
+        (see ``first``) and dropped.
+        """
+        out = []
+        seen: set = set()
+        while not self.at(TokenType.RBRACE) and not self.at(TokenType.EOF):
+            try:
+                item = parse_one()
+            except _ParseError:
+                self.sync(stop_words)
+                continue
+            if duplicate is not None:
+                item, key, tok = item
+                if not self.first(seen, key, tok, duplicate):
+                    continue
+            out.append(item)
+        return tuple(out)
+
+    def block(self, word: str | None, parse_body: Callable[[], T]) -> T:
+        """Parse ``word { body }``, or just ``{ body }`` without a word."""
+        if word is not None:
+            self.expect_word(word)
+        self.expect(TokenType.LBRACE, "'{'")
+        body = parse_body()
+        self.expect(TokenType.RBRACE, "'}'")
+        return body
+
+    def comma_list(self, parse_one: Callable[[], T | None]) -> tuple[T, ...]:
+        """Parse ``one (',' one)*``; a None from ``parse_one`` is dropped."""
+        out = []
+        while True:
+            item = parse_one()
+            if item is not None:
+                out.append(item)
+            if not self.at(TokenType.COMMA):
+                return tuple(out)
             self.advance()
 
     # -- literals ----------------------------------------------------------
@@ -209,71 +270,29 @@ class _Parser:
 
     # -- ViewModel description file -----------------------------------------
 
-    def parse_view_model_file(self) -> ViewModelDescription | None:
-        try:
-            head = self.expect_word("viewmodel")
-            name = self.expect_ident("ViewModel name")
-            bindings: tuple[NameBinding, ...] = ()
-            if self.at_word("bind"):
-                bindings = self.parse_binding_block()
-            self.expect(TokenType.LBRACE, "'{'")
-            self.expect_word("widgets")
-            self.expect(TokenType.LBRACE, "'{'")
-            widgets = self.parse_widget_decls()
-            self.expect(TokenType.RBRACE, "'}'")
-            self.expect_word("commands")
-            self.expect(TokenType.LBRACE, "'{'")
-            commands = self.parse_command_decls()
-            self.expect(TokenType.RBRACE, "'}'")
-            self.expect(TokenType.RBRACE, "'}'")
-            if not self.at(TokenType.EOF):
-                self.report(f"unexpected content after ViewModel body: "
-                            f"{self._describe(self.peek())}")
-            return ViewModelDescription(
-                name=name.text,
-                widgets=widgets,
-                commands=commands,
-                bindings=bindings,
-                span=self.span_of(head),
-            )
-        except _ParseError:
-            return None
+    def parse_view_model_file(self) -> ViewModelDescription:
+        head = self.expect_word("viewmodel")
+        name = self.expect_ident("ViewModel name")
+        bindings: tuple[NameBinding, ...] = ()
+        if self.at_word("bind"):
+            bindings = self.block("bind", lambda: self.items(
+                self.parse_binding, _BINDING_WORDS, "duplicate binding for {}"))
+        widgets, commands = self.block(None, lambda: (
+            self.block("widgets", lambda: self.items(
+                self.parse_widget_decl, _WIDGET_KIND_WORDS, "duplicate widget name '{}'")),
+            self.block("commands", lambda: self.items(
+                self.parse_command_decl, _COMMAND_WORDS, "duplicate command name '{}'"))))
+        return ViewModelDescription(name=name.text, widgets=widgets, commands=commands,
+                                    bindings=bindings, span=self.span_of(head))
 
-    def parse_binding_block(self) -> tuple[NameBinding, ...]:
-        self.expect_word("bind")
-        self.expect(TokenType.LBRACE, "'{'")
-        bindings: list[NameBinding] = []
-        seen: dict[tuple, Token] = {}
-        while not self.at(TokenType.RBRACE) and not self.at(TokenType.EOF):
-            try:
-                binding, key, tok = self.parse_binding()
-            except _ParseError:
-                self.sync({"typeName", "fileName", "property"})
-                continue
-            if key in seen:
-                self.report(f"duplicate binding for {binding.subject}"
-                            + (f" of {binding.widget}.{binding.feature.value}"
-                               if binding.widget else ""),
-                            tok, E_DUPLICATE_NAME)
-            else:
-                seen[key] = tok
-                bindings.append(binding)
-        self.expect(TokenType.RBRACE, "'}'")
-        return tuple(bindings)
-
-    def parse_binding(self) -> tuple[NameBinding, tuple, Token]:
+    def parse_binding(self) -> tuple[NameBinding, str, Token]:
         tok = self.peek()
+        widget = feature = None
         if self.at_word("typeName", "fileName"):
             subject = self.advance().text
-            self.expect(TokenType.EQUALS, "'='")
-            value = self.expect(TokenType.STRING, "string")
-            self._check_bound_name(subject, value)
-            return (NameBinding(subject=subject, bound_name=value.value,
-                                span=self.span_of(tok)),
-                    (subject,), tok)
-        if self.at_word("property"):
+        elif self.at_word("property"):
             self.advance()
-            widget = self.expect_ident("widget name")
+            widget = self.expect_ident("widget name").text
             self.expect(TokenType.DOT, "'.'")
             feature = self.parse_feature_word()
             if self.at_word("name"):
@@ -283,15 +302,15 @@ class _Parser:
             else:
                 self.fail("expected 'name' or 'getter' after property binding")
             self.advance()
-            self.expect(TokenType.EQUALS, "'='")
-            value = self.expect(TokenType.STRING, "string")
-            self._check_bound_name(subject, value)
-            return (NameBinding(subject=subject, bound_name=value.value,
-                                widget=widget.text, feature=feature,
-                                span=self.span_of(tok)),
-                    (subject, widget.text, feature), tok)
-        self.fail("expected a name binding")
-        raise AssertionError
+        else:
+            self.fail("expected a name binding")
+        self.expect(TokenType.EQUALS, "'='")
+        value = self.expect(TokenType.STRING, "string")
+        self._check_bound_name(subject, value)
+        # The key names what is bound, as the duplicate message shows it.
+        key = subject if widget is None else f"{subject} of {widget}.{feature.value}"
+        return NameBinding(subject=subject, bound_name=value.value, widget=widget,
+                           feature=feature, span=self.span_of(tok)), key, tok
 
     def _check_bound_name(self, subject: str, value: Token) -> None:
         name = value.value
@@ -303,284 +322,133 @@ class _Parser:
             self.report(f"bound name is not a valid identifier: {name!r}", value)
 
     def parse_feature_word(self) -> FeatureKind:
-        tok = self.peek()
-        if tok.type is TokenType.IDENT and tok.text in _FEATURE_WORDS:
-            self.advance()
-            return _FEATURE_WORDS[tok.text]
-        self.fail(f"expected a feature name, found {self._describe(tok)}")
-        raise AssertionError
+        return self.expect_one_of(_FEATURE_WORDS, "a feature name")
 
-    def parse_widget_decls(self) -> tuple[WidgetDecl, ...]:
-        widgets: list[WidgetDecl] = []
-        seen: dict[str, Token] = {}
-        while not self.at(TokenType.RBRACE) and not self.at(TokenType.EOF):
-            try:
-                decl, name_tok = self.parse_widget_decl()
-            except _ParseError:
-                self.sync(set(_WIDGET_KIND_WORDS))
-                continue
-            if decl.name in seen:
-                self.report(f"duplicate widget name '{decl.name}'",
-                            name_tok, E_DUPLICATE_NAME)
-            else:
-                seen[decl.name] = name_tok
-                widgets.append(decl)
-        return tuple(widgets)
-
-    def parse_widget_decl(self) -> tuple[WidgetDecl, Token]:
+    def parse_widget_decl(self) -> tuple[WidgetDecl, str, Token]:
         tok = self.peek()
-        if self.at_word(*_SIMPLE_WIDGET_WORDS):
-            kind = _WIDGET_KIND_WORDS[self.advance().text]
-            name = self.expect_ident("widget name")
-            supports: set[FeatureKind] = set()
-            examples: dict[FeatureKind, object] = {}
-            if self.at(TokenType.LBRACE):
-                self.advance()
-                while not self.at(TokenType.RBRACE) and not self.at(TokenType.EOF):
-                    if self.at_word("supports"):
-                        self.parse_supports(supports)
-                    elif self.at_word("example"):
-                        self.parse_example(examples)
-                    else:
-                        self.fail("expected 'supports' or 'example' in widget body")
-                self.expect(TokenType.RBRACE, "'}'")
-            return (WidgetDecl(
-                name=name.text,
-                kind=kind,
-                enabled_optional=frozenset(supports),
-                examples=_sorted_examples(examples),
-                span=self.span_of(tok),
-            ), name)
-        if self.at_word("table"):
-            self.advance()
-            name = self.expect_ident("widget name")
+        kind = self.expect_one_of(_WIDGET_KIND_WORDS, "a widget declaration")
+        name = self.expect_ident("widget name")
+        supports: set[FeatureKind] = set()
+        examples: list[tuple[FeatureKind, object]] = []
+        columns: tuple[ColumnSpec, ...] = ()
+        if kind is WidgetKind.TABLE:
             self.expect(TokenType.LBRACE, "'{'")
-            self.expect_word("columns")
-            self.expect(TokenType.LBRACE, "'{'")
-            columns = self.parse_column_decls()
-            self.expect(TokenType.RBRACE, "'}'")
-            supports = set()
+            columns = self.block("columns", self.parse_column_decls)
             while self.at_word("supports"):
-                self.parse_supports(supports)
+                supports.update(self.parse_supports())
             self.expect(TokenType.RBRACE, "'}'")
-            return (WidgetDecl(
-                name=name.text,
-                kind=WidgetKind.TABLE,
-                enabled_optional=frozenset(supports),
-                columns=columns,
-                span=self.span_of(tok),
-            ), name)
-        self.fail(f"expected a widget declaration, found {self._describe(tok)}")
-        raise AssertionError
-
-    def parse_supports(self, into: set[FeatureKind]) -> None:
-        self.expect_word("supports")
-        into.add(self.parse_feature_word())
-        while self.at(TokenType.COMMA):
+        elif self.at(TokenType.LBRACE):
             self.advance()
-            into.add(self.parse_feature_word())
+            seen: set[FeatureKind] = set()
+            while not self.at(TokenType.RBRACE) and not self.at(TokenType.EOF):
+                if self.at_word("supports"):
+                    supports.update(self.parse_supports())
+                elif self.at_word("example"):
+                    self.advance()
+                    ftok = self.peek()
+                    feature = self.parse_feature_word()
+                    self.expect(TokenType.EQUALS, "'='")
+                    value = self.parse_literal()
+                    if self.first(seen, feature, ftok,
+                                  "duplicate example for feature '{0.value}'"):
+                        examples.append((feature, value))
+                else:
+                    self.fail("expected 'supports' or 'example' in widget body")
+            self.expect(TokenType.RBRACE, "'}'")
+        examples.sort(key=lambda kv: FEATURE_RANK[kv[0]])
+        return WidgetDecl(name=name.text, kind=kind, enabled_optional=frozenset(supports),
+                          columns=columns, examples=tuple(examples),
+                          span=self.span_of(tok)), name.text, name
 
-    def parse_example(self, into: dict) -> None:
-        self.expect_word("example")
-        tok = self.peek()
-        feature = self.parse_feature_word()
-        self.expect(TokenType.EQUALS, "'='")
-        value = self.parse_literal()
-        if feature in into:
-            self.report(f"duplicate example for feature '{feature.value}'",
-                        tok, E_DUPLICATE_NAME)
-        else:
-            into[feature] = value
+    def parse_supports(self) -> tuple[FeatureKind, ...]:
+        self.expect_word("supports")
+        return self.comma_list(self.parse_feature_word)
 
     def parse_column_decls(self) -> tuple[ColumnSpec, ...]:
         columns: list[ColumnSpec] = []
-        seen: dict[str, Token] = {}
+        seen: set[str] = set()
         while not self.at(TokenType.RBRACE) and not self.at(TokenType.EOF):
             tok = self.peek()
-            if not self.at_word(*_CELL_KIND_WORDS):
-                self.fail(f"expected a column declaration, found {self._describe(tok)}")
-            kind = _CELL_KIND_WORDS[self.advance().text]
+            kind = self.expect_one_of(_CELL_KIND_WORDS, "a column declaration")
             title = self.expect(TokenType.STRING, "column title")
             trimmed = title.value.strip()
-            if trimmed in seen:
-                self.report(f"duplicate column title '{trimmed}'", title, E_DUPLICATE_NAME)
-            else:
-                seen[trimmed] = title
+            if self.first(seen, trimmed, title, "duplicate column title '{}'"):
                 columns.append(ColumnSpec(cell_kind=kind, title=trimmed,
                                           span=self.span_of(tok)))
         if not columns:
             self.fail("a table needs at least one column")
         return tuple(columns)
 
-    def parse_command_decls(self) -> tuple[CommandDecl, ...]:
-        commands: list[CommandDecl] = []
-        seen: dict[str, Token] = {}
-        sync_words = set(_ACTION_WORDS) | {"command"}
-        while not self.at(TokenType.RBRACE) and not self.at(TokenType.EOF):
-            try:
-                decl, name_tok = self.parse_command_decl()
-            except _ParseError:
-                self.sync(sync_words)
-                continue
-            if decl.name in seen:
-                self.report(f"duplicate command name '{decl.name}'",
-                            name_tok, E_DUPLICATE_NAME)
-            else:
-                seen[decl.name] = name_tok
-                commands.append(decl)
-        return tuple(commands)
-
-    def parse_command_decl(self) -> tuple[CommandDecl, Token]:
+    def parse_command_decl(self) -> tuple[CommandDecl, str, Token]:
         tok = self.peek()
         if self.at_word(*_ACTION_WORDS):
             kind = _ACTION_WORDS[self.advance().text]
             self.expect_word("on")
             target = self.expect_ident("widget name")
             name = camel_case(target.text, kind.value)
-            return (CommandDecl(name=name,
-                                form=WidgetCommand(kind=kind, target=target.text),
-                                span=self.span_of(tok)),
-                    target)
-        if self.at_word("command"):
-            self.advance()
-            name = self.expect_ident("command name")
-            if name.text in _ACTION_WORDS:
-                self.report(f"custom commands must not be named '{name.text}'", name)
-            self.expect(TokenType.LPAREN, "'('")
-            params: list[Param] = []
-            seen_params: set[str] = set()
-            if not self.at(TokenType.RPAREN):
-                while True:
-                    pname = self.expect_ident("parameter name")
-                    self.expect(TokenType.COLON, "':'")
-                    ptok = self.peek()
-                    if not self.at_word(*_PARAM_TYPE_WORDS):
-                        self.fail("expected a parameter type "
-                                  "(string, bool, int, or context)")
-                    ptype = _PARAM_TYPE_WORDS[self.advance().text]
-                    if pname.text in seen_params:
-                        self.report(f"duplicate parameter name '{pname.text}'",
-                                    pname, E_DUPLICATE_NAME)
-                    else:
-                        seen_params.add(pname.text)
-                        params.append(Param(name=pname.text, type=ptype))
-                    if self.at(TokenType.COMMA):
-                        self.advance()
-                        continue
-                    break
-            self.expect(TokenType.RPAREN, "')'")
-            return (CommandDecl(name=name.text, form=CustomCommand(params=tuple(params)),
-                                span=self.span_of(tok)),
-                    name)
-        self.fail(f"expected a command declaration, found {self._describe(tok)}")
-        raise AssertionError
+            return CommandDecl(name=name, form=WidgetCommand(kind=kind, target=target.text),
+                               span=self.span_of(tok)), name, target
+        if not self.at_word("command"):
+            self.fail(f"expected a command declaration, found {self._describe(tok)}")
+        self.advance()
+        name = self.expect_ident("command name")
+        if name.text in _ACTION_WORDS:
+            self.report(f"custom commands must not be named '{name.text}'", name)
+        self.expect(TokenType.LPAREN, "'('")
+        seen: set[str] = set()
+        params = () if self.at(TokenType.RPAREN) else self.comma_list(
+            lambda: self.parse_param(seen))
+        self.expect(TokenType.RPAREN, "')'")
+        return CommandDecl(name=name.text, form=CustomCommand(params=params),
+                           span=self.span_of(tok)), name.text, name
+
+    def parse_param(self, seen: set[str]) -> Param | None:
+        pname = self.expect_ident("parameter name")
+        self.expect(TokenType.COLON, "':'")
+        if not self.at_word(*_PARAM_TYPE_WORDS):
+            self.fail("expected a parameter type (string, bool, int, or context)")
+        ptype = _PARAM_TYPE_WORDS[self.advance().text]
+        if self.first(seen, pname.text, pname, "duplicate parameter name '{}'"):
+            return Param(name=pname.text, type=ptype)
+        return None
 
     # -- test suite file ----------------------------------------------------
 
-    def parse_test_suite_file(self) -> TestSuite | None:
-        try:
-            head = self.expect_word("testsuite")
-            name = self.expect_ident("suite name")
-            self.expect_word("for")
-            target = self.expect_ident("ViewModel name")
-            self.expect(TokenType.LBRACE, "'{'")
-            scenarios: list[TestScenario] = []
-            seen: dict[str, Token] = {}
-            while not self.at(TokenType.RBRACE) and not self.at(TokenType.EOF):
-                try:
-                    scenario, desc_tok = self.parse_scenario()
-                except _ParseError:
-                    self.sync({"scenario"})
-                    continue
-                if scenario.description in seen:
-                    self.report(
-                        f"duplicate scenario description {scenario.description!r}",
-                        desc_tok, E_DUPLICATE_NAME)
-                else:
-                    seen[scenario.description] = desc_tok
-                    scenarios.append(scenario)
-            self.expect(TokenType.RBRACE, "'}'")
-            if not self.at(TokenType.EOF):
-                self.report(f"unexpected content after test suite body: "
-                            f"{self._describe(self.peek())}")
-            return TestSuite(name=name.text, target_view_model=target.text,
-                             scenarios=tuple(scenarios), span=self.span_of(head))
-        except _ParseError:
-            return None
+    def parse_test_suite_file(self) -> TestSuite:
+        head = self.expect_word("testsuite")
+        name = self.expect_ident("suite name")
+        self.expect_word("for")
+        target = self.expect_ident("ViewModel name")
+        scenarios = self.block(None, lambda: self.items(
+            self.parse_scenario, _SCENARIO_WORDS, "duplicate scenario description {!r}"))
+        return TestSuite(name=name.text, target_view_model=target.text,
+                         scenarios=scenarios, span=self.span_of(head))
 
-    def parse_scenario(self) -> tuple[TestScenario, Token]:
+    def parse_scenario(self) -> tuple[TestScenario, str, Token]:
         head = self.expect_word("scenario")
         desc = self.expect(TokenType.STRING, "scenario description")
-        self.expect(TokenType.LBRACE, "'{'")
-        self.expect_word("given")
-        self.expect(TokenType.LBRACE, "'{'")
-        given = self.parse_contexts()
-        self.expect(TokenType.RBRACE, "'}'")
-        self.expect_word("when")
-        self.expect(TokenType.LBRACE, "'{'")
-        when = self.parse_actions()
-        self.expect(TokenType.RBRACE, "'}'")
-        self.expect_word("then")
-        self.expect(TokenType.LBRACE, "'{'")
-        then = self.parse_checks()
-        self.expect(TokenType.RBRACE, "'}'")
-        self.expect(TokenType.RBRACE, "'}'")
-        return (TestScenario(description=desc.value, given=given, when=when,
-                             then=then, span=self.span_of(head)),
-                desc)
-
-    def parse_contexts(self) -> tuple[ContextDefinition, ...]:
-        out: list[ContextDefinition] = []
-        sync_words = {"datatable", "text", "xml", "file", "use"}
-        while not self.at(TokenType.RBRACE) and not self.at(TokenType.EOF):
-            try:
-                out.append(self.parse_context())
-            except _ParseError:
-                self.sync(sync_words)
-        return tuple(out)
+        given, when, then = self.block(None, lambda: (
+            self.block("given", lambda: self.items(self.parse_context, _CONTEXT_BODIES)),
+            self.block("when", lambda: self.items(self.parse_action, _ACTION_WORDS)),
+            self.block("then", lambda: tuple(chain.from_iterable(
+                self.items(self.parse_check, _WIDGET_KIND_WORDS))))))
+        return TestScenario(description=desc.value, given=given, when=when,
+                            then=then, span=self.span_of(head)), desc.value, desc
 
     def parse_context(self) -> ContextDefinition:
         tok = self.peek()
-        if self.at_word("datatable"):
-            self.advance()
-            name = self.expect_ident("context name")
-            self.expect(TokenType.LBRACE, "'{'")
-            header, rows = self.parse_plain_table()
-            self.expect(TokenType.RBRACE, "'}'")
-            return ContextDefinition(name=name.text,
-                                     body=DataTableBody(header=header, rows=rows),
-                                     span=self.span_of(tok))
-        if self.at_word("text"):
-            self.advance()
-            name = self.expect_ident("context name")
-            body = self.expect(TokenType.TRIPLE_STRING, "triple-quoted string")
-            return ContextDefinition(name=name.text, body=TextBody(text=body.value),
-                                     span=self.span_of(tok))
-        if self.at_word("xml"):
-            self.advance()
-            name = self.expect_ident("context name")
-            body = self.expect(TokenType.TRIPLE_STRING, "triple-quoted string")
-            return ContextDefinition(name=name.text, body=XmlBody(text=body.value),
-                                     span=self.span_of(tok))
-        if self.at_word("file"):
-            self.advance()
-            name = self.expect_ident("context name")
-            path = self.expect(TokenType.STRING, "file path")
-            return ContextDefinition(name=name.text, body=FileBody(path=path.value),
-                                     span=self.span_of(tok))
-        if self.at_word("use"):
-            self.advance()
-            name = self.expect_ident("context name")
-            return ContextDefinition(name=name.text,
-                                     body=ReferenceBody(target=name.text),
-                                     span=self.span_of(tok))
-        self.fail(f"expected a context definition, found {self._describe(tok)}")
-        raise AssertionError
+        parse_body = self.expect_one_of(_CONTEXT_BODIES, "a context definition")
+        name = self.expect_ident("context name").text
+        return ContextDefinition(name=name, body=parse_body(self, name),
+                                 span=self.span_of(tok))
 
     def parse_plain_table(self) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
         """Header plus data rows of a given-part data table; cells stay literal."""
         header_tok = self.expect(TokenType.PIPE_ROW, "table row")
         header = self.parse_plain_row(header_tok)
+        seen: set[str] = set()
+        for title in header:
+            self.first(seen, title, header_tok, "duplicate column title '{}'")
         rows: list[tuple[str, ...]] = []
         while self.at(TokenType.PIPE_ROW):
             tok = self.advance()
@@ -601,16 +469,7 @@ class _Parser:
             self.report("row marks are only allowed in expectation rows", tok)
         return tuple(cell.strip() for cell in cells)
 
-    def parse_actions(self) -> tuple[Action, ...]:
-        out: list = []
-        while not self.at(TokenType.RBRACE) and not self.at(TokenType.EOF):
-            try:
-                out.append(self.parse_action())
-            except _ParseError:
-                self.sync(set(_ACTION_WORDS))
-        return tuple(out)
-
-    def parse_action(self):
+    def parse_action(self) -> Action:
         tok = self.peek()
         if self.at_word(*_ACTION_WORDS):
             kind = _ACTION_WORDS[self.advance().text]
@@ -624,21 +483,11 @@ class _Parser:
                 arg = self.expect(TokenType.INT, "row index").value
             return WidgetAction(kind=kind, widget=widget.text, arg=arg,
                                 span=self.span_of(tok))
-        if self.at(TokenType.IDENT):
-            name = self.advance()
-            self.expect(TokenType.LPAREN, "'(' after command name")
-            args: list[Argument] = []
-            if not self.at(TokenType.RPAREN):
-                while True:
-                    args.append(self.parse_argument())
-                    if self.at(TokenType.COMMA):
-                        self.advance()
-                        continue
-                    break
-            self.expect(TokenType.RPAREN, "')'")
-            return CustomAction(name=name.text, args=tuple(args), span=self.span_of(tok))
-        self.fail(f"expected a command action, found {self._describe(tok)}")
-        raise AssertionError
+        name = self.expect(TokenType.IDENT, "a command action")
+        self.expect(TokenType.LPAREN, "'(' after command name")
+        args = () if self.at(TokenType.RPAREN) else self.comma_list(self.parse_argument)
+        self.expect(TokenType.RPAREN, "')'")
+        return CustomAction(name=name.text, args=args, span=self.span_of(tok))
 
     def parse_argument(self) -> Argument:
         tok = self.peek()
@@ -647,79 +496,38 @@ class _Parser:
             return ArgContextRef(name=tok.text)
         return ArgLiteral(value=self.parse_literal())
 
-    def parse_checks(self) -> tuple[CheckValue, ...]:
-        out: list[CheckValue] = []
-        sync_words = set(_WIDGET_KIND_WORDS)
-        while not self.at(TokenType.RBRACE) and not self.at(TokenType.EOF):
-            try:
-                out.extend(self.parse_check())
-            except _ParseError:
-                self.sync(sync_words)
-        return tuple(out)
-
     def parse_check(self) -> list[CheckValue]:
         tok = self.peek()
-        if self.at_word(*_SIMPLE_WIDGET_WORDS):
-            kind = _WIDGET_KIND_WORDS[self.advance().text]
-            widget = self.expect_ident("widget name")
-            checks: list[CheckValue] = []
-            while self.at(TokenType.IDENT) and self.peek().text in _SCALAR_CHECK_FEATURES:
-                ftok = self.advance()
-                feature = _SCALAR_CHECK_FEATURES[ftok.text]
-                if feature is FeatureKind.TEXT:
-                    value = self.expect(TokenType.STRING, "string").value
-                else:
-                    value = self.parse_bool()
-                checks.append(CheckValue(widget=widget.text, widget_kind=kind,
-                                         feature=feature, expectation=value,
-                                         span=self.span_of(ftok)))
-            if not checks:
-                self.fail("expected at least one feature check "
-                          "(enabled, visible, checked, or text)")
-            return checks
         if self.at_word("table"):
             return [self.parse_rows_check()]
-        self.fail(f"expected a check, found {self._describe(tok)}")
-        raise AssertionError
+        kind = self.expect_one_of(_WIDGET_KIND_WORDS, "a check")
+        widget = self.expect_ident("widget name")
+        checks: list[CheckValue] = []
+        while self.at(TokenType.IDENT) and self.peek().text in _SCALAR_CHECK_FEATURES:
+            ftok = self.advance()
+            feature = _SCALAR_CHECK_FEATURES[ftok.text]
+            if feature is FeatureKind.TEXT:
+                value = self.expect(TokenType.STRING, "string").value
+            else:
+                value = self.parse_bool()
+            checks.append(CheckValue(widget=widget.text, widget_kind=kind,
+                                     feature=feature, expectation=value,
+                                     span=self.span_of(ftok)))
+        if not checks:
+            self.fail("expected at least one feature check "
+                      "(enabled, visible, checked, or text)")
+        return checks
 
     def parse_rows_check(self) -> CheckValue:
         head = self.expect_word("table")
         widget = self.expect_ident("widget name")
         self.expect(TokenType.LBRACE, "'{'")
-        ignored: list[str] = []
+        ignored: tuple[str, ...] = ()
         if self.at_word("ignore"):
             self.advance()
-            first = self.expect(TokenType.STRING, "column title")
-            ignored.append(first.value)
-            while self.at(TokenType.COMMA):
-                self.advance()
-                title = self.expect(TokenType.STRING, "column title")
-                if title.value in ignored:
-                    self.report(f"duplicate ignored column '{title.value}'", title)
-                else:
-                    ignored.append(title.value)
-        self.expect_word("rows")
-        self.expect(TokenType.LBRACE, "'{'")
-        header_tok = self.expect(TokenType.PIPE_ROW, "header row")
-        header = self.parse_plain_row(header_tok)
-        rows: list[RowExpectation] = []
-        selected_seen: Token | None = None
-        while self.at(TokenType.PIPE_ROW):
-            tok = self.advance()
-            try:
-                row = self.parse_expect_row(tok, len(header))
-            except _ParseError:
-                continue  # reported; the row is one token, so the table goes on
-            if row is None:
-                continue
-            if row.selected:
-                if selected_seen is not None:
-                    self.report("only one row may carry the [selected] mark", tok)
-                    row = RowExpectation(cells=row.cells, selected=False, color=row.color)
-                else:
-                    selected_seen = tok
-            rows.append(row)
-        self.expect(TokenType.RBRACE, "'}'")
+            seen: set[str] = set()
+            ignored = self.comma_list(lambda: self.parse_ignored_title(seen))
+        header, rows = self.block("rows", self.parse_expect_table)
         selected_check: int | str | None = None
         if self.at_word("selectedRow"):
             self.advance()
@@ -729,12 +537,37 @@ class _Parser:
             else:
                 selected_check = self.expect(TokenType.INT, "row index or 'none'").value
         self.expect(TokenType.RBRACE, "'}'")
-        expectation = RowsExpectation(header=header, rows=tuple(rows),
-                                      ignored_columns=tuple(ignored),
+        expectation = RowsExpectation(header=header, rows=rows, ignored_columns=ignored,
                                       selected_row_check=selected_check)
         return CheckValue(widget=widget.text, widget_kind=WidgetKind.TABLE,
                           feature=FeatureKind.ROWS, expectation=expectation,
                           span=self.span_of(head))
+
+    def parse_ignored_title(self, seen: set[str]) -> str | None:
+        title = self.expect(TokenType.STRING, "column title")
+        if self.first(seen, title.value, title, "duplicate ignored column '{}'", E_SYNTAX):
+            return title.value
+        return None
+
+    def parse_expect_table(self) -> tuple[tuple[str, ...], tuple[RowExpectation, ...]]:
+        header = self.parse_plain_row(self.expect(TokenType.PIPE_ROW, "header row"))
+        rows: list[RowExpectation] = []
+        selected_seen = False
+        while self.at(TokenType.PIPE_ROW):
+            tok = self.advance()
+            try:
+                row = self.parse_expect_row(tok, len(header))
+            except _ParseError:
+                continue  # reported; the row is one token, so the table goes on
+            if row is None:
+                continue
+            if row.selected:
+                if selected_seen:
+                    self.report("only one row may carry the [selected] mark", tok)
+                    row = RowExpectation(cells=row.cells, selected=False, color=row.color)
+                selected_seen = True
+            rows.append(row)
+        return header, tuple(rows)
 
     def parse_expect_row(self, tok: Token, arity: int) -> RowExpectation | None:
         cells_raw, trailer = _split_pipe_row(tok.text)
@@ -800,6 +633,17 @@ class _Parser:
                 err = "a tooltip string cannot contain '|'"
             self.fail(err, tok)
         return groups
+
+
+_CONTEXT_BODIES = {
+    "datatable": lambda p, name: DataTableBody(*p.block(None, p.parse_plain_table)),
+    "text": lambda p, name: TextBody(
+        text=p.expect(TokenType.TRIPLE_STRING, "triple-quoted string").value),
+    "xml": lambda p, name: XmlBody(
+        text=p.expect(TokenType.TRIPLE_STRING, "triple-quoted string").value),
+    "file": lambda p, name: FileBody(path=p.expect(TokenType.STRING, "file path").value),
+    "use": lambda p, name: ReferenceBody(target=name),
+}
 
 
 def _split_pipe_row(raw: str) -> tuple[list[str] | None, str]:
@@ -869,7 +713,3 @@ def _scan_groups(text: str) -> tuple[list[tuple[str, str | None]], str | None]:
         else:
             return groups, f"unknown adornment '[{word}...'"
     return groups, None
-
-
-def _sorted_examples(examples: dict) -> tuple:
-    return tuple(sorted(examples.items(), key=lambda kv: FEATURE_RANK[kv[0]]))

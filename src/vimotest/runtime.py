@@ -18,7 +18,7 @@ from itertools import compress
 from operator import is_not
 from typing import Callable, Protocol
 
-from .analyzer import ContextArgument, LinkedScenario, LinkedSuite
+from .analyzer import LinkedScenario, LinkedSuite, ResolvedContext
 from .model import (
     BOOL_FEATURES,
     COLOR_NAMES,
@@ -461,7 +461,7 @@ def execute_scenario(
             for action in linked.actions:
                 args = []
                 for arg in action.args:
-                    if isinstance(arg, ContextArgument):
+                    if isinstance(arg, ResolvedContext):
                         args.append(render_context(arg.body, config.context_format))
                     else:
                         args.append(arg)

@@ -366,7 +366,8 @@ class TestParameterObjectCounting:
         config = GenConfig(target="java", parameter_object=True)
         name_map = name_map_for(desc, config)
         unit = lower_to_ir(desc, None, name_map, config)
-        names = [pc.name for pc in unit.view_model.param_classes]
+        names = [op.param_object for op in unit.view_model.operations
+                 if op.param_object]
         assert names == ["AssignParams", "TouchParams"]
         files = dict(emit_java(unit, name_map, config))
         text = files["Multi.java"]
@@ -378,7 +379,7 @@ class TestParameterObjectCounting:
         config = GenConfig(target="java")
         name_map = name_map_for(desc, config)
         unit = lower_to_ir(desc, None, name_map, config)
-        assert unit.view_model.param_classes == ()
+        assert not any(op.param_object for op in unit.view_model.operations)
         files = dict(emit_java(unit, name_map, config))
         assert "Params" not in files["Multi.java"]
 

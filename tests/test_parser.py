@@ -1,4 +1,6 @@
+import hashlib
 import random
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,10 @@ from vimotest.model import (
     WidgetKind,
 )
 from vimotest.parser import _scan_groups, parse_test_suite, parse_view_model
+from vimotest.printer import pretty_print
 
-from conftest import VMTEST_PATH
+from astgen import random_description, random_suite
+from conftest import VMDSL_PATH, VMTEST_PATH
 
 
 def codes(diags):
@@ -189,6 +193,14 @@ class TestParseTestSuite:
         suite, diags = parse_test_suite(src)
         assert suite is None
         assert codes(diags) == ["E108"]
+
+    def test_duplicate_datatable_header_title_is_e106(self):
+        src = ('testsuite S for V { scenario "D" { given { datatable t {\n'
+               "| a | b | a  |\n| 1 | 2 | 3 |\n} } when { } then { } } }")
+        suite, diags = parse_test_suite(src, "d")
+        assert suite is None
+        assert [(d.render(), d.span.length) for d in diags] == [
+            ("d:2:1: E106: duplicate column title 'a'", 14)]
 
     def test_cells_are_trimmed_and_empty_cells_parse_empty(self):
         src = """testsuite S for V {
@@ -546,3 +558,84 @@ class TestScanGroups:
     def test_groups_before_an_error_are_kept(self):
         assert _scan_groups('[selected] [tooltip "x') == (
             [("selected", None)], "unterminated tooltip string")
+
+
+# -- recovery over many broken inputs ------------------------------------------
+
+# One digest per case of recovery_cases(), in order, as recorded when the
+# cases were added; a deliberate change to recovery records them again.
+RECOVERY_DIGESTS = Path(__file__).with_name("parser_recovery.txt")
+_INSERTS = list('{}(),|"[]')
+
+
+def recovery_sources():
+    """The shipped corpus plus 12 seeded astgen description/suite pairs."""
+    sources = [(parse_view_model, "task_list.vmdsl", VMDSL_PATH.read_text()),
+               (parse_test_suite, "task_list_tests.vmtest", VMTEST_PATH.read_text())]
+    rng = random.Random(7)
+    for k in range(12):
+        desc = random_description(rng)
+        suite = random_suite(rng, desc)
+        sources.append((parse_view_model, f"astgen{k}.vmdsl", pretty_print(desc)))
+        sources.append((parse_test_suite, f"astgen{k}.vmtest", pretty_print(suite)))
+    return sources
+
+
+def mutate_lines(rng: random.Random, text: str) -> tuple[str, list[str]]:
+    """Apply one to three line edits; return the text and what was done."""
+    lines = text.split("\n")
+    done = []
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(lines))
+        line = lines[at]
+        op = rng.choice(("delete", "duplicate", "swap", "drop", "insert"))
+        if op == "delete" and len(lines) > 1:
+            del lines[at]
+        elif op == "duplicate":
+            lines.insert(at, line)
+        elif op == "swap" and at + 1 < len(lines):
+            lines[at], lines[at + 1] = lines[at + 1], line
+        elif op == "drop" and line:
+            col = rng.randrange(len(line))
+            lines[at] = line[:col] + line[col + 1:]
+            op = f"drop column {col + 1} of"
+        elif op == "insert":
+            col = rng.randint(0, len(line))
+            char = rng.choice(_INSERTS)
+            lines[at] = line[:col] + char + line[col:]
+            op = f"insert {char!r} at column {col + 1} of"
+        else:
+            continue
+        done.append(f"{op} line {at + 1}")
+    return "\n".join(lines), done
+
+
+def recovery_cases(count: int):
+    """Seeded mutations: a third of the shipped corpus, the rest astgen."""
+    sources = recovery_sources()
+    rng = random.Random(1111)
+    for index in range(count):
+        k = index % 2 if index % 3 == 0 else 2 + rng.randrange(len(sources) - 2)
+        parse, name, text = sources[k]
+        mutated, done = mutate_lines(rng, text)
+        yield parse, name, mutated, done
+
+
+def parse_digest(parse, name: str, text: str) -> str:
+    """Digest of the diagnostics (text and span length) and the printed AST."""
+    ast, diags = parse(text, name)
+    parts = [f"{d.render()}|{d.span.length}" for d in diags]
+    parts.append("<none>" if ast is None else pretty_print(ast))
+    return hashlib.sha1("\n".join(parts).encode("utf-8")).hexdigest()[:12]
+
+
+class TestRecoveryRegression:
+    def test_mutated_sources_keep_their_diagnostics_and_asts(self):
+        expected = RECOVERY_DIGESTS.read_text().split()
+        cases = list(recovery_cases(len(expected)))
+        assert len(cases) == len(expected)
+        for index, ((parse, name, text, done), want) in enumerate(zip(cases, expected)):
+            got = parse_digest(parse, name, text)
+            assert got == want, (
+                f"case {index} ({name}: {', '.join(done)}) changed; "
+                f"diagnostics now: {[d.render() for d in parse(text, name)[1]]}")
