@@ -11,7 +11,6 @@ names that are keywords of the target.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .diagnostics import (
     Diagnostic,
@@ -26,6 +25,8 @@ from .diagnostics import (
     E_UNKNOWN_WIDGET,
     E_UNRESOLVED_CONTEXT,
     E_UNSUPPORTED_FEATURE,
+    Field,
+    Record,
     error,
 )
 from .model import (
@@ -60,8 +61,7 @@ from .names import KEYWORDS, camel_case, pascal_case, snake_case
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResolvedContext:
+class ResolvedContext(Record):
     """A given-part entry or a context-typed command argument, with its
     reference chain fully chased. As an argument it delivers the rendered
     body string."""
@@ -70,14 +70,12 @@ class ResolvedContext:
     body: ContextBody
 
 
-@dataclass(frozen=True)
-class LinkedAction:
+class LinkedAction(Record):
     decl: CommandDecl
     args: tuple = ()
 
 
-@dataclass(frozen=True)
-class LinkedScenario:
+class LinkedScenario(Record):
     scenario: TestScenario
     test_name: str
     contexts: tuple[ResolvedContext, ...] = ()
@@ -85,8 +83,7 @@ class LinkedScenario:
     checks: tuple[CheckValue, ...] = ()
 
 
-@dataclass(frozen=True)
-class LinkedSuite:
+class LinkedSuite(Record):
     suite: TestSuite
     description: ViewModelDescription
     scenarios: tuple[LinkedScenario, ...] = ()
@@ -558,8 +555,7 @@ def _check_rows_expectation(check: CheckValue, widget: WidgetDecl,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Project:
+class Project(Record):
     """The first description of each ViewModel name, the linked suites, and
     the suites whose target has no description."""
 
@@ -613,26 +609,23 @@ def _first(seen: dict, node, kind: str, diags: list[Diagnostic]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertyNames:
+class PropertyNames(Record):
     property_name: str
     getter: str
     setter: str
 
 
-@dataclass(frozen=True)
-class CommandNames:
+class CommandNames(Record):
     method: str
     param_object: str
 
 
-@dataclass(frozen=True)
-class NameMap:
+class NameMap(Record):
     type_name: str
     file_name: str
     file_name_bound: bool = False
-    properties: dict = field(default_factory=dict)  # (widget, feature) -> PropertyNames
-    commands: dict = field(default_factory=dict)  # command name -> CommandNames
+    properties: dict = Field(factory=dict)  # (widget, feature) -> PropertyNames
+    commands: dict = Field(factory=dict)  # command name -> CommandNames
 
 
 _ANY_KEYWORD = KEYWORDS["java"] | KEYWORDS["cpp"]

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from .diagnostics import Record
 
 
 class GenConfigError(ValueError):
     """The configuration document is malformed or inconsistent."""
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Record):
     target: str = "java"  # java | cpp
     commands_on_view_model: bool = True
     generate_view_controller: bool = False

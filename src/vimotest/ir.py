@@ -13,9 +13,8 @@ files.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from .analyzer import LinkedSuite, NameMap, ResolvedContext
+from .diagnostics import Record
 from .genconfig import GenConfig
 from .literals import quote
 from .model import (
@@ -59,29 +58,24 @@ _WIDGET_COMMAND_PARAM_NAME = {
 # -- expressions -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StringLit:
+class StringLit(Record):
     value: str
     multiline: bool = False
 
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class BoolLit:
+class BoolLit(Record):
     value: bool
 
 
-@dataclass(frozen=True)
-class LocalRef:
+class LocalRef(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class PropertyGet:
+class PropertyGet(Record):
     getter: str
 
 
@@ -91,27 +85,23 @@ IRExpr = StringLit | IntLit | BoolLit | LocalRef | PropertyGet
 # -- statements --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Comment:
+class Comment(Record):
     text: str
 
 
-@dataclass(frozen=True)
-class DeclareLocal:
+class DeclareLocal(Record):
     name: str
     ir_type: str
     init: IRExpr
 
 
-@dataclass(frozen=True)
-class CallSetup:
+class CallSetup(Record):
     context_name: str
     payload: IRExpr
     delivery: str  # inline | file
 
 
-@dataclass(frozen=True)
-class DeclareParams:
+class DeclareParams(Record):
     """A parameter-object local of type ``owner.type_name``, its fields set
     in declaration order."""
 
@@ -121,14 +111,12 @@ class DeclareParams:
     fields: tuple[tuple[str, IRExpr], ...]
 
 
-@dataclass(frozen=True)
-class InvokeCommand:
+class InvokeCommand(Record):
     method: str
     args: tuple[IRExpr, ...] = ()
 
 
-@dataclass(frozen=True)
-class AssertEqual:
+class AssertEqual(Record):
     """A scalar literal compared with a property."""
 
     expected: IRExpr
@@ -136,8 +124,7 @@ class AssertEqual:
     message: str
 
 
-@dataclass(frozen=True)
-class AssertRows:
+class AssertRows(Record):
     """An expected table: the row count, then every asserted aspect of its
     rows in order. ``columns`` holds the declared column index of each
     header cell; ``selected_getter`` is None when the widget has no
@@ -162,22 +149,19 @@ SETUP_LOCAL = "setup"
 # -- declarations ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IRParam:
+class IRParam(Record):
     name: str
     ir_type: str
 
 
-@dataclass(frozen=True)
-class IRProperty:
+class IRProperty(Record):
     name: str
     ir_type: str
     getter: str
     setter: str
 
 
-@dataclass(frozen=True)
-class IROperation:
+class IROperation(Record):
     name: str
     params: tuple[IRParam, ...] = ()
     # With a name here, the operation takes one object of this class,
@@ -185,22 +169,19 @@ class IROperation:
     param_object: str | None = None
 
 
-@dataclass(frozen=True)
-class IRClass:
+class IRClass(Record):
     name: str
     abstract: bool
     properties: tuple[IRProperty, ...] = ()
     operations: tuple[IROperation, ...] = ()
 
 
-@dataclass(frozen=True)
-class IRTest:
+class IRTest(Record):
     name: str
     statements: tuple[IRStatement, ...] = ()
 
 
-@dataclass(frozen=True)
-class IRUnit:
+class IRUnit(Record):
     """classes[0] is always the ViewModel; classes[1], when present, is the
     View Controller holding the command operations."""
 
@@ -217,8 +198,12 @@ class IRUnit:
         return self.classes[1] if len(self.classes) > 1 else None
 
 
-def ir_to_dict(unit: IRUnit) -> dict:
-    return asdict(unit)
+def ir_to_dict(node):
+    """IR as plain data: a record, such as an ``IRUnit``, becomes a dict of its
+    fields, and a tuple a tuple, each item converted in turn."""
+    if isinstance(node, Record):
+        return {f: ir_to_dict(getattr(node, f)) for f in node._fields}
+    return tuple(map(ir_to_dict, node)) if type(node) is tuple else node
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, unique
 
-from .diagnostics import SourceSpan, span_field
+from .diagnostics import Record, SourceSpan, span_field
 from .lexer import IDENT_PATTERN
 
 
@@ -97,8 +96,7 @@ COMMAND_EFFECT: dict[CommandKind, FeatureKind | None] = {
 }
 
 
-@dataclass(frozen=True)
-class WidgetCatalogEntry:
+class WidgetCatalogEntry(Record):
     kind: WidgetKind
     inherent: frozenset[FeatureKind]
     optional: frozenset[FeatureKind]
@@ -169,15 +167,13 @@ def validate_identifier(raw: str) -> str:
 Literal = bool | int | str
 
 
-@dataclass(frozen=True)
-class ColumnSpec:
+class ColumnSpec(Record):
     cell_kind: CellKind
     title: str
     span: SourceSpan = span_field()
 
 
-@dataclass(frozen=True)
-class WidgetDecl:
+class WidgetDecl(Record):
     name: str
     kind: WidgetKind
     enabled_optional: frozenset[FeatureKind] = frozenset()
@@ -191,32 +187,27 @@ class WidgetDecl:
         return catalog_lookup(self.kind).inherent | self.enabled_optional
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(Record):
     name: str
     type: ParamType
 
 
-@dataclass(frozen=True)
-class WidgetCommand:
+class WidgetCommand(Record):
     kind: CommandKind
     target: str
 
 
-@dataclass(frozen=True)
-class CustomCommand:
+class CustomCommand(Record):
     params: tuple[Param, ...] = ()
 
 
-@dataclass(frozen=True)
-class CommandDecl:
+class CommandDecl(Record):
     name: str
     form: WidgetCommand | CustomCommand
     span: SourceSpan = span_field()
 
 
-@dataclass(frozen=True)
-class NameBinding:
+class NameBinding(Record):
     """Overrides one generated target name.
 
     subject is one of "typeName", "fileName", "propertyName", "getterName";
@@ -230,8 +221,7 @@ class NameBinding:
     span: SourceSpan = span_field()
 
 
-@dataclass(frozen=True)
-class ViewModelDescription:
+class ViewModelDescription(Record):
     name: str
     widgets: tuple[WidgetDecl, ...] = ()
     commands: tuple[CommandDecl, ...] = ()
@@ -250,37 +240,31 @@ class ViewModelDescription:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DataTableBody:
+class DataTableBody(Record):
     header: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...] = ()
 
 
-@dataclass(frozen=True)
-class TextBody:
+class TextBody(Record):
     text: str
 
 
-@dataclass(frozen=True)
-class XmlBody:
+class XmlBody(Record):
     text: str
 
 
-@dataclass(frozen=True)
-class FileBody:
+class FileBody(Record):
     path: str
 
 
-@dataclass(frozen=True)
-class ReferenceBody:
+class ReferenceBody(Record):
     target: str
 
 
 ContextBody = DataTableBody | TextBody | XmlBody | FileBody | ReferenceBody
 
 
-@dataclass(frozen=True)
-class ContextDefinition:
+class ContextDefinition(Record):
     name: str
     body: ContextBody
     span: SourceSpan = span_field()
@@ -290,29 +274,25 @@ class ContextDefinition:
         return isinstance(self.body, ReferenceBody) and self.body.target == self.name
 
 
-@dataclass(frozen=True)
-class ArgLiteral:
+class ArgLiteral(Record):
     value: Literal
 
 
-@dataclass(frozen=True)
-class ArgContextRef:
+class ArgContextRef(Record):
     name: str
 
 
 Argument = ArgLiteral | ArgContextRef
 
 
-@dataclass(frozen=True)
-class WidgetAction:
+class WidgetAction(Record):
     kind: CommandKind
     widget: str
     arg: Literal | None = None
     span: SourceSpan = span_field()
 
 
-@dataclass(frozen=True)
-class CustomAction:
+class CustomAction(Record):
     name: str
     args: tuple[Argument, ...] = ()
     span: SourceSpan = span_field()
@@ -321,23 +301,20 @@ class CustomAction:
 Action = WidgetAction | CustomAction
 
 
-@dataclass(frozen=True)
-class CellExpectation:
+class CellExpectation(Record):
     ignored: bool = False
     value: str = ""
     tooltip: str | None = None
     color: str | None = None
 
 
-@dataclass(frozen=True)
-class RowExpectation:
+class RowExpectation(Record):
     cells: tuple[CellExpectation, ...]
     selected: bool = False
     color: str | None = None
 
 
-@dataclass(frozen=True)
-class RowsExpectation:
+class RowsExpectation(Record):
     """Expected table contents: a header naming the asserted columns, one
     expectation row per expected table row, plus optional selection check.
 
@@ -351,8 +328,7 @@ class RowsExpectation:
     selected_row_check: int | str | None = None
 
 
-@dataclass(frozen=True)
-class CheckValue:
+class CheckValue(Record):
     widget: str
     widget_kind: WidgetKind
     feature: FeatureKind
@@ -360,8 +336,7 @@ class CheckValue:
     span: SourceSpan = span_field()
 
 
-@dataclass(frozen=True)
-class TestScenario:
+class TestScenario(Record):
     description: str
     given: tuple[ContextDefinition, ...] = ()
     when: tuple[Action, ...] = ()
@@ -369,8 +344,7 @@ class TestScenario:
     span: SourceSpan = span_field()
 
 
-@dataclass(frozen=True)
-class TestSuite:
+class TestSuite(Record):
     name: str
     target_view_model: str
     scenarios: tuple[TestScenario, ...] = ()

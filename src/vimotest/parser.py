@@ -200,12 +200,11 @@ class _Parser:
 
     # -- the shared list, block and duplicate rules ---------------------------
 
-    def first(self, seen: set, key, tok: Token, message: str,
-              code: str = E_DUPLICATE_NAME) -> bool:
-        """True for the first ``key``; a repeat is reported at ``tok`` with
-        ``message.format(key)``."""
+    def first(self, seen: set, key, tok: Token, message: str) -> bool:
+        """True for the first ``key``; a repeat is reported at ``tok`` as
+        E106 with ``message.format(key)``."""
         if key in seen:
-            self.report(message.format(key), tok, code)
+            self.report(message.format(key), tok, E_DUPLICATE_NAME)
             return False
         seen.add(key)
         return True
@@ -545,7 +544,7 @@ class _Parser:
 
     def parse_ignored_title(self, seen: set[str]) -> str | None:
         title = self.expect(TokenType.STRING, "column title")
-        if self.first(seen, title.value, title, "duplicate ignored column '{}'", E_SYNTAX):
+        if self.first(seen, title.value, title, "duplicate ignored column '{}'"):
             return title.value
         return None
 

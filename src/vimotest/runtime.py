@@ -13,12 +13,12 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
 from itertools import compress
 from operator import is_not
 from typing import Callable, Protocol
 
 from .analyzer import LinkedScenario, LinkedSuite, ResolvedContext
+from .diagnostics import Record
 from .model import (
     BOOL_FEATURES,
     COLOR_NAMES,
@@ -48,21 +48,18 @@ class ExecutionError(Exception):
     """Scenario execution failed outside of an assertion mismatch."""
 
 
-@dataclass(frozen=True)
-class CellValue:
+class CellValue(Record):
     text: str = ""  # label text or image name, depending on the column kind
     tooltip: str | None = None
     color: str | None = None
 
 
-@dataclass(frozen=True)
-class RowValue:
+class RowValue(Record):
     cells: tuple[CellValue, ...]
     color: str | None = None
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(Record):
     widget: str
     feature: str
     aspect: str  # value | tooltip | color | selected | rowCount
@@ -72,8 +69,7 @@ class CheckFailure:
     column_title: str | None = None
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(Record):
     description: str
     status: str  # passed | failed | error
     failures: tuple[CheckFailure, ...] = ()
@@ -92,8 +88,7 @@ class TestSetupPort(Protocol):
         """Receive one rendered context; payload is inline text or a file path."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Runtime slice of the generation configuration."""
 
     context_format: str = "multiline"  # multiline | json | xml

@@ -9,9 +9,9 @@ defect is caught by exactly one assertion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
+from .diagnostics import Record
 from .runtime import CellValue, RowValue, WidgetStateStore
 
 URGENT_PRIORITY = "prioHigh"
@@ -117,10 +117,9 @@ class RecordingSetup:
             self.contexts[name] = payload
 
 
-@dataclass(frozen=True)
-class SetupRegistration:
+class SetupRegistration(Record):
     logic_factory: Callable[[], object]
-    setup_factory: Callable[[], object] = field(default=RecordingSetup)
+    setup_factory: Callable[[], object] = RecordingSetup
     summary: str = ""
 
 

@@ -6,7 +6,7 @@ from vimotest.analyzer import resolve
 from vimotest.model import TestScenario, TestSuite
 from vimotest.parser import parse_test_suite, parse_view_model
 
-# model dataclasses, not test classes
+# model records, not test classes
 TestScenario.__test__ = False
 TestSuite.__test__ = False
 

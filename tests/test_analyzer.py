@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -381,15 +380,18 @@ class TestLink:
         for _ in range(80):
             descs, suites = [], []
             for i in range(rng.randint(1, 3)):
-                desc = replace(random_description(rng), name=f"Vm{i}")
+                drawn = random_description(rng)
+                desc = ViewModelDescription(f"Vm{i}", drawn.widgets, drawn.commands,
+                                            drawn.bindings, drawn.span)
                 # A suite written for another description, or a description
                 # that lost a widget, gives diagnostics.
                 suite = random_suite(rng, random_description(rng)
                                      if rng.random() < 0.3 else desc)
                 if desc.widgets and rng.random() < 0.3:
-                    desc = replace(desc, widgets=desc.widgets[1:])
+                    desc = ViewModelDescription(desc.name, desc.widgets[1:], desc.commands,
+                                                desc.bindings, desc.span)
                 descs.append(desc)
-                suites.append(replace(suite, name=f"S{i}", target_view_model=desc.name))
+                suites.append(TestSuite(f"S{i}", desc.name, suite.scenarios, suite.span))
             project, diags = link(descs, suites)
 
             reference, description_diags, linked = [], [], []
@@ -406,7 +408,7 @@ class TestLink:
             assert project.descriptions == tuple(descs) and project.orphans == ()
 
     def test_duplicates_are_left_out_and_orphans_returned(self, corpus_desc, corpus_suite):
-        orphan = replace(corpus_suite, name="Orphan", target_view_model="Missing")
+        orphan = TestSuite("Orphan", "Missing", corpus_suite.scenarios, corpus_suite.span)
         project, diags = link([corpus_desc, corpus_desc],
                               [corpus_suite, corpus_suite, orphan])
         assert codes(diags) == ["E106", "E106"]

@@ -202,6 +202,13 @@ class TestParseTestSuite:
         assert [(d.render(), d.span.length) for d in diags] == [
             ("d:2:1: E106: duplicate column title 'a'", 14)]
 
+    def test_duplicate_ignored_title_is_e106(self):
+        src = ('testsuite S for V { scenario "D" { given { } when { } then {\n'
+               'table T { ignore "A", "B", "A"\nrows {\n| C |\n| x |\n} } } } }')
+        suite, diags = parse_test_suite(src, "d")
+        assert suite is None
+        assert [d.render() for d in diags] == ["d:2:28: E106: duplicate ignored column 'A'"]
+
     def test_cells_are_trimmed_and_empty_cells_parse_empty(self):
         src = """testsuite S for V {
           scenario "Trim" {

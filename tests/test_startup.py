@@ -35,9 +35,14 @@ PUBLIC = {
                 "render_context", "run_suite"),
 }
 
+# Standard modules no subcommand may load: the record classes replace
+# dataclasses, and with them the `inspect` import chain.
+NEVER_LOADED = ("dataclasses", "inspect")
+
 # Runs `python -m vimotest ARGS...` inside the child, then prints its exit
-# code and the vimotest submodules it loaded as the last line of stderr.
-MODULES_PROBE = """
+# code, the vimotest submodules it loaded and the NEVER_LOADED modules it
+# loaded as the last line of stderr.
+MODULES_PROBE = f"""
 import json, runpy, sys
 sys.argv = ["vimotest", *sys.argv[1:]]
 try:
@@ -45,7 +50,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m.removeprefix("vimotest.") for m in sys.modules
-                               if m.startswith("vimotest."))]), file=sys.stderr)
+                               if m.startswith("vimotest.")),
+                  [m for m in {NEVER_LOADED!r} if m in sys.modules]]), file=sys.stderr)
 """
 
 
@@ -58,8 +64,9 @@ def child(*argv: str) -> subprocess.CompletedProcess:
 
 def loaded_by(*args: str) -> set[str]:
     result = child("-c", MODULES_PROBE, *args)
-    code, modules = json.loads(result.stderr.splitlines()[-1])
+    code, modules, never = json.loads(result.stderr.splitlines()[-1])
     assert code == 0, result.stderr
+    assert never == [], f"{args[0]} loaded {never}"
     return set(modules)
 
 
