@@ -9,9 +9,10 @@ their own collector settings.
 """
 
 import gc
+import os
 import sys
 
-from .cli import main as cli_main
+from .cli import EXIT_FAILURES, main as cli_main
 
 GEN0_THRESHOLD = 100_000
 
@@ -19,7 +20,13 @@ GEN0_THRESHOLD = 100_000
 def main() -> int:
     gc.freeze()
     gc.set_threshold(GEN0_THRESHOLD, *gc.get_threshold()[1:])
-    return cli_main()
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early: point it at devnull for the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURES
+    return code
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .diagnostics import (
     E_UNKNOWN_WIDGET,
     E_UNRESOLVED_CONTEXT,
     E_UNSUPPORTED_FEATURE,
-    Field,
     Record,
     error,
 )
@@ -33,6 +32,8 @@ from .model import (
     ArgContextRef,
     ArgLiteral,
     BOOL_FEATURES,
+    FEATURE_TYPE,
+    PARAM_TYPE,
     CheckValue,
     CommandDecl,
     COMMAND_EFFECT,
@@ -93,14 +94,8 @@ class LinkedSuite(Record):
 # Description validation
 # ---------------------------------------------------------------------------
 
-_EXAMPLE_TYPES = {
-    FeatureKind.ENABLED: bool,
-    FeatureKind.VISIBLE: bool,
-    FeatureKind.CHECKED: bool,
-    FeatureKind.TEXT: str,
-    FeatureKind.SELECTED_ROW: int,
-}
-_PARAM_TYPES = {ParamType.BOOL: bool, ParamType.INT: int, ParamType.STRING: str}
+# The Python type of a literal of each IR type; rows have no literal.
+_LITERAL_TYPES = {"bool": bool, "string": str, "int": int, "optIndex": int}
 
 
 def validate_description(desc: ViewModelDescription) -> list[Diagnostic]:
@@ -155,7 +150,7 @@ def _validate_widget(widget: WidgetDecl, diags: list[Diagnostic]) -> None:
                 f"'{widget.name}' does not have",
                 widget.span))
             continue
-        expected = _EXAMPLE_TYPES.get(feature)
+        expected = _LITERAL_TYPES.get(FEATURE_TYPE[feature])
         if expected is None:
             diags.append(error(E_TYPE_MISMATCH,
                                "example values for rows are not supported", widget.span))
@@ -395,7 +390,7 @@ def _resolve_widget_action(action: WidgetAction, widgets, widget_commands,
                                f"{action.kind.value} takes no argument", action.span))
             return None
         return LinkedAction(decl=decl)
-    if not _is_instance(action.arg, _PARAM_TYPES[expected]):
+    if not _is_instance(action.arg, _LITERAL_TYPES[PARAM_TYPE[expected]]):
         diags.append(error(
             E_TYPE_MISMATCH,
             f"{action.kind.value} expects a {expected.value} argument, "
@@ -442,7 +437,7 @@ def _resolve_custom_action(action: CustomAction, commands, registry,
                 action.span))
             continue
         assert isinstance(arg, ArgLiteral)
-        if not _is_instance(arg.value, _PARAM_TYPES[param.type]):
+        if not _is_instance(arg.value, _LITERAL_TYPES[PARAM_TYPE[param.type]]):
             diags.append(error(
                 E_TYPE_MISMATCH,
                 f"parameter '{param.name}' of '{action.name}' takes "
@@ -623,9 +618,9 @@ class CommandNames(Record):
 class NameMap(Record):
     type_name: str
     file_name: str
-    file_name_bound: bool = False
-    properties: dict = Field(factory=dict)  # (widget, feature) -> PropertyNames
-    commands: dict = Field(factory=dict)  # command name -> CommandNames
+    file_name_bound: bool
+    properties: dict  # (widget, feature) -> PropertyNames
+    commands: dict  # command name -> CommandNames
 
 
 _ANY_KEYWORD = KEYWORDS["java"] | KEYWORDS["cpp"]

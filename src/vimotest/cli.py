@@ -128,7 +128,11 @@ def _load_project(paths: list[str]) -> tuple[Project, list[Diagnostic]]:
     def parse_each(parse, files: list[Path]) -> list:
         asts = []
         for path in files:
-            ast, d = parse(path.read_bytes(), str(path))
+            try:
+                data = path.read_bytes()
+            except OSError as exc:
+                raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
+            ast, d = parse(data, str(path))
             diags.extend(d)
             if ast is not None:
                 asts.append(ast)
@@ -316,8 +320,11 @@ def _cmd_gen(args) -> int:
                 + ", ".join(sorted(clashes)))
     for rel in sorted(emitted):
         target = out_dir / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(emitted[rel][0], encoding="utf-8", newline="\n")
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(emitted[rel][0], encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {exc.filename}: {exc.strerror}") from exc
         print(str(target))
     return EXIT_OK
 

@@ -35,38 +35,26 @@ UNKNOWN_SPAN = SourceSpan()
 
 
 class Field(NamedTuple):
-    """A record field default beyond a plain value: ``factory`` makes a fresh one
-    per instance; ``compare=False`` keeps the field out of ==, hash and repr."""
+    """A record field default that keeps its field out of ==, hash and repr."""
 
-    default: object = None
-    factory: object = None
-    compare: bool = True
+    default: object
 
 
 def span_field():
     """Record field for AST spans: never part of structural equality."""
-    return Field(UNKNOWN_SPAN, compare=False)
+    return Field(UNKNOWN_SPAN)
 
 
-_MISSING = object()  # the default of a required field or of a factory field
+_MISSING = object()  # the default of a required field
 
 # The `pass` keeps `__init__` valid for a class with no fields, such as Record.
-_METHODS = """
-def __init__(self, {params}):
-{body}
-    pass
-def __eq__(self, other):
-    return ({mine}) == ({theirs}) if other.__class__ is self.__class__ else NotImplemented
-def __hash__(self):
-    return hash(({mine}))
-def __repr__(self):
-    return self.__class__.__qualname__ + f"({shown})"
-"""
+_INIT = "def __init__(self, {params}):\n{body}\n    pass"
 
 
 class _RecordType(type):
-    """Builds a record class: ``__slots__`` from the annotations, and the four
-    methods below from one ``exec``, ``__init__`` writing through the slots."""
+    """Builds a record class: ``__slots__`` from the annotations, the names of
+    the compared fields, and an ``__init__`` compiled from one ``exec`` that
+    writes through the slots. Equality, hash and repr are ``Record``'s own."""
 
     def __new__(mcls, name, bases, ns):
         own = ns.get("__annotations__", {})
@@ -74,34 +62,38 @@ class _RecordType(type):
         cls = super().__new__(mcls, name, bases, {**ns, "__slots__": tuple(own)})
         # Field name -> default (a plain value, a Field or _MISSING), inherited first.
         cls._fields = fields = {**getattr(cls, "_fields", {}), **defaults}
-        env, params, body, compared = {"_MISSING": _MISSING}, [], [], []
-        for f, field in fields.items():
-            field = field if isinstance(field, Field) else Field(field)
-            env[f"_s_{f}"], env[f"_d_{f}"], env[f"_f_{f}"] = (
-                getattr(cls, f).__set__, field.default, field.factory)
-            if field.factory is not None:
-                params.append(f"{f}=_MISSING")
-                body.append(f"    if {f} is _MISSING: {f} = _f_{f}()")
-            else:
-                params.append(f if field.default is _MISSING else f"{f}=_d_{f}")
+        cls._compared = tuple(f for f, d in fields.items() if not isinstance(d, Field))
+        env, params, body = {}, [], []
+        for f, default in fields.items():
+            default = default.default if isinstance(default, Field) else default
+            env[f"_s_{f}"], env[f"_d_{f}"] = getattr(cls, f).__set__, default
+            params.append(f if default is _MISSING else f"{f}=_d_{f}")
             body.append(f"    _s_{f}(self, {f})")
-            if field.compare:
-                compared.append(f)
         if hasattr(cls, "__post_init__"):
             body.append("    self.__post_init__()")
-        exec(_METHODS.format(params=", ".join(params), body="\n".join(body),
-                             mine="".join(f"self.{f}," for f in compared),
-                             theirs="".join(f"other.{f}," for f in compared),
-                             shown=", ".join(f"{f}={{self.{f}!r}}" for f in compared)), env)
-        for method in ("__init__", "__eq__", "__hash__", "__repr__"):
-            setattr(cls, method, env[method])
+        exec(_INIT.format(params=", ".join(params), body="\n".join(body)), env)
+        cls.__init__ = env["__init__"]
         return cls
 
 
 class Record(metaclass=_RecordType):
     """An immutable value object whose fields are its annotations, with optional
-    defaults. Equality needs the exact type and skips ``compare=False`` fields
-    such as spans; ``copy`` and ``pickle`` rebuild a record via ``__init__``."""
+    defaults. Equality needs the exact type and, like hash and repr, skips
+    ``Field`` fields such as spans; ``copy`` and ``pickle`` rebuild a record
+    via ``__init__``."""
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._compared])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._compared])
+        return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

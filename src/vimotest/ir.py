@@ -21,6 +21,8 @@ from .model import (
     COMMAND_EFFECT,
     COMMAND_PARAM,
     FEATURE_RANK,
+    FEATURE_TYPE,
+    PARAM_TYPE,
     CommandDecl,
     CustomCommand,
     FeatureKind,
@@ -31,22 +33,6 @@ from .model import (
     WidgetCommand,
 )
 from .names import KEYWORDS, camel_case
-
-_FEATURE_IR_TYPE = {
-    FeatureKind.ENABLED: "bool",
-    FeatureKind.VISIBLE: "bool",
-    FeatureKind.CHECKED: "bool",
-    FeatureKind.TEXT: "string",
-    FeatureKind.ROWS: "rowList",
-    FeatureKind.SELECTED_ROW: "optIndex",
-}
-
-_PARAM_IR_TYPE = {
-    ParamType.STRING: "string",
-    ParamType.BOOL: "bool",
-    ParamType.INT: "int",
-    ParamType.CONTEXT: "string",
-}
 
 _WIDGET_COMMAND_PARAM_NAME = {
     ParamType.BOOL: "checked",
@@ -245,7 +231,7 @@ def _lower_properties(desc, name_map) -> tuple[IRProperty, ...]:
         for feature in sorted(widget.features(), key=FEATURE_RANK.__getitem__):
             names = name_map.properties[(widget.name, feature)]
             out.append(IRProperty(name=names.property_name,
-                                  ir_type=_FEATURE_IR_TYPE[feature],
+                                  ir_type=FEATURE_TYPE[feature],
                                   getter=names.getter, setter=names.setter))
     return tuple(out)
 
@@ -258,10 +244,10 @@ def _lower_operation(command: CommandDecl, name_map: NameMap,
         intrinsic = COMMAND_PARAM[form.kind]
         params = () if intrinsic is None else (
             IRParam(_WIDGET_COMMAND_PARAM_NAME[intrinsic],
-                    _PARAM_IR_TYPE[intrinsic]),)
+                    PARAM_TYPE[intrinsic]),)
         return IROperation(name=names.method, params=params)
     assert isinstance(form, CustomCommand)
-    params = tuple(IRParam(p.name, _PARAM_IR_TYPE[p.type]) for p in form.params)
+    params = tuple(IRParam(p.name, PARAM_TYPE[p.type]) for p in form.params)
     param_object = (names.param_object
                     if config.parameter_object and form.params else None)
     return IROperation(name=names.method, params=params, param_object=param_object)

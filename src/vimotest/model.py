@@ -77,7 +77,18 @@ COLOR_NAMES = ("red", "green", "yellow", "blue", "gray", "none")
 # parser, the pretty-printer and the code generators.
 FEATURE_RANK = {feature: i for i, feature in enumerate(FeatureKind)}
 
-BOOL_FEATURES = frozenset({FeatureKind.ENABLED, FeatureKind.VISIBLE, FeatureKind.CHECKED})
+# The value type of each feature and of each parameter type, as an IR type
+# name. The parser's checks, the analyzer's type rules, the runtime's
+# defaults and the lowering all derive from these two tables.
+FEATURE_TYPE: dict[FeatureKind, str] = {
+    FeatureKind.ENABLED: "bool", FeatureKind.VISIBLE: "bool", FeatureKind.TEXT: "string",
+    FeatureKind.CHECKED: "bool", FeatureKind.ROWS: "rowList", FeatureKind.SELECTED_ROW: "optIndex",
+}
+PARAM_TYPE: dict[ParamType, str] = {
+    ParamType.STRING: "string", ParamType.BOOL: "bool", ParamType.INT: "int",
+    ParamType.CONTEXT: "string",
+}
+BOOL_FEATURES = frozenset(f for f, t in FEATURE_TYPE.items() if t == "bool")
 
 # Intrinsic parameter carried by each widget command, and the feature the
 # command updates on the target widget before presentation logic runs.

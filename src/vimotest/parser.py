@@ -40,6 +40,7 @@ from .model import (
     FileBody,
     COLOR_NAMES,
     FEATURE_RANK,
+    FEATURE_TYPE,
     NameBinding,
     Param,
     ParamType,
@@ -66,12 +67,8 @@ _FEATURE_WORDS = {f.value: f for f in FeatureKind}
 _ACTION_WORDS = {k.value: k for k in CommandKind}
 _CELL_KIND_WORDS = {k.value: k for k in CellKind}
 _PARAM_TYPE_WORDS = {p.value: p for p in ParamType}
-_SCALAR_CHECK_FEATURES = {
-    "enabled": FeatureKind.ENABLED,
-    "visible": FeatureKind.VISIBLE,
-    "checked": FeatureKind.CHECKED,
-    "text": FeatureKind.TEXT,
-}
+_SCALAR_CHECK_FEATURES = {feature.value: feature for feature, type_name in FEATURE_TYPE.items()
+                          if type_name in ("bool", "string")}
 _BINDING_WORDS = frozenset({"typeName", "fileName", "property"})
 _COMMAND_WORDS = frozenset(_ACTION_WORDS) | {"command"}
 _SCENARIO_WORDS = frozenset({"scenario"})

@@ -20,10 +20,10 @@ from typing import Callable, Protocol
 from .analyzer import LinkedScenario, LinkedSuite, ResolvedContext
 from .diagnostics import Record
 from .model import (
-    BOOL_FEATURES,
     COLOR_NAMES,
     RowsExpectation,
     COMMAND_EFFECT,
+    FEATURE_TYPE,
     ContextBody,
     DataTableBody,
     FeatureKind,
@@ -126,7 +126,7 @@ class WidgetStateStore:
             examples = dict(widget.examples)
             for feature in widget.features():
                 self._values[(widget.name, feature)] = examples.get(
-                    feature, _default_value(feature))
+                    feature, _DEFAULT_VALUES[FEATURE_TYPE[feature]])
 
     def _key(self, widget: str, feature: FeatureKind | str) -> tuple[str, FeatureKind]:
         if type(feature) is str:
@@ -249,14 +249,8 @@ def _validate_color(color: str | None, what: str) -> None:
         raise StoreError(f"{what} color must be one of {STORE_COLORS}, got {color!r}")
 
 
-def _default_value(feature: FeatureKind):
-    if feature in BOOL_FEATURES:
-        return False
-    if feature is FeatureKind.TEXT:
-        return ""
-    if feature is FeatureKind.ROWS:
-        return ()
-    return None  # selectedRow
+# The value a feature starts with, by its IR type, when its widget gives no example.
+_DEFAULT_VALUES = {"bool": False, "string": "", "rowList": (), "optIndex": None}
 
 
 # ---------------------------------------------------------------------------

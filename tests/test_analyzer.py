@@ -417,6 +417,58 @@ class TestLink:
         assert project.orphans == (orphan,)
 
 
+# A table of two columns without selectedRow, a button, and a command taking
+# a string, for the suite cases below.
+PINNED_VIEW_MODEL = ('viewmodel V { widgets { table T { columns { label "A" label "B" } } '
+                     'button B { supports enabled } } commands { command Put(s: string) } }')
+
+
+def pinned_scenario(given: str = "", when: str = "", then: str = "", name: str = "one") -> str:
+    return f'scenario "{name}" {{ given {{ {given} }} when {{ {when} }} then {{ {then} }} }}'
+
+
+@pytest.mark.parametrize("view_model, scenarios, rendered", [
+    ('viewmodel V { widgets { button B { example enabled = true } } commands { } }', "",
+     "v.vmdsl:1:25: E102: example for feature 'enabled' which widget 'B' does not have"),
+    ('viewmodel V { widgets { button B { supports enabled example enabled = "yes" } } '
+     'commands { } }', "",
+     "v.vmdsl:1:25: E105: example for 'enabled' must be bool, got 'yes'"),
+    ('viewmodel V { widgets { table T { columns { label "A" } } } commands { selectRow on T } }',
+     "", "v.vmdsl:1:72: E102: the selectRow command updates 'selectedRow', which widget 'T' "
+         "does not have"),
+    ('viewmodel V bind { property B.visible name = "shown" } '
+     '{ widgets { button B { supports enabled } } commands { } }', "",
+     "v.vmdsl:1:20: E102: binding names feature 'visible' which widget 'B' does not have"),
+    (PINNED_VIEW_MODEL, pinned_scenario('text ctx """a"""')
+     + pinned_scenario('text ctx """b"""', name="two"),
+     "s.vmtest:1:111: E106: duplicate context definition 'ctx'"),
+    (PINNED_VIEW_MODEL, pinned_scenario('text ctx """a"""', "Put(ctx)"),
+     "s.vmtest:1:72: E105: parameter 's' of 'Put' takes a string literal, "
+     "got a context reference"),
+    (PINNED_VIEW_MODEL, pinned_scenario(when="Put(3)"),
+     "s.vmtest:1:56: E105: parameter 's' of 'Put' takes string, got 3"),
+    (PINNED_VIEW_MODEL, pinned_scenario(then="table T { rows {\n| A | B | C |\n} }"),
+     "s.vmtest:1:66: E110: column 'C' is not a column of 'T'"),
+    (PINNED_VIEW_MODEL, pinned_scenario(then="table T { rows {\n| A | B | A |\n} }"),
+     "s.vmtest:1:66: E110: duplicate column 'A' in expectation header"),
+    (PINNED_VIEW_MODEL, pinned_scenario(then='table T { ignore "A"\nrows {\n| A | B |\n} }'),
+     "s.vmtest:1:66: E110: column 'A' is both asserted and ignored"),
+    (PINNED_VIEW_MODEL,
+     pinned_scenario(then="table T { rows {\n| A | B |\n| x | y | [selected]\n} }"),
+     "s.vmtest:1:66: E102: widget 'T' does not have the 'selectedRow' feature"),
+], ids=["example-feature-missing", "example-wrong-type", "selectRow-without-selectedRow",
+        "binding-feature-missing", "context-defined-twice", "context-ref-to-string",
+        "int-to-string", "header-column-undeclared", "header-column-repeated",
+        "column-asserted-and-ignored", "selected-without-selectedRow"])
+def test_link_diagnostic_is_pinned(view_model, scenarios, rendered):
+    """Diagnostics that parsed input reaches only through these branches."""
+    desc, diags = parse_view_model(view_model, "v.vmdsl")
+    suite, more = parse_test_suite(f"testsuite S for V {{ {scenarios} }}", "s.vmtest")
+    assert desc is not None and suite is not None, diags + more
+    _, diags = link([desc], [suite] if scenarios else [])
+    assert [d.render() for d in diags] == [rendered]
+
+
 class TestSanitizeTestName:
     def test_example_description(self):
         assert sanitize_test_name("Load Tasks and Add New") == "loadTasksAndAddNew"

@@ -50,6 +50,18 @@ class TestCheck:
         assert main(["check", str(broken)]) == 2
         assert "E001" in capsys.readouterr().err
 
+    def test_directory_named_like_a_source_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "weird.vmdsl").mkdir()
+        assert main(["check", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == \
+            f"error: cannot read {tmp_path / 'weird.vmdsl'}: Is a directory\n"
+
+    def test_dangling_symlink_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "broken.vmtest").symlink_to(tmp_path / "missing.vmtest")
+        assert main(["check", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == \
+            f"error: cannot read {tmp_path / 'broken.vmtest'}: No such file or directory\n"
+
 
 class TestRun:
     def run_corpus(self, capsys, *extra):
@@ -253,6 +265,20 @@ class TestGen:
         assert code == 2
         assert "E107" in capsys.readouterr().err
 
+    def test_output_below_a_file_is_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, target="java")
+        out = tmp_path / "file" / "sub"
+        (tmp_path / "file").write_text("")
+        assert main(["gen", str(CORPUS), "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
+
+    def test_output_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, target="java")
+        out = tmp_path / "file"
+        out.write_text("")
+        assert main(["gen", str(CORPUS), "--config", config, "--out", str(out), "--force"]) == 3
+        assert capsys.readouterr().err == f"error: cannot write {out}: File exists\n"
+
     def test_description_only_generation(self, tmp_path, capsys):
         config = write_config(tmp_path, target="java")
         out = tmp_path / "out"
@@ -346,13 +372,15 @@ class TestLinkStage:
 
 
 class TestEntryPoint:
-    def _run(self, *args, env_extra=None):
+    def _env(self, env_extra=None) -> dict:
         # The child finds the package without an installed copy or PYTHONPATH.
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path, **(env_extra or {}))
+        return dict(os.environ, PYTHONPATH=path, **(env_extra or {}))
+
+    def _run(self, *args, env_extra=None):
         return subprocess.run(
             [sys.executable, "-m", "vimotest", *args],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=self._env(env_extra))
 
     def test_module_invocation(self):
         result = self._run("check", str(CORPUS))
@@ -369,3 +397,13 @@ class TestEntryPoint:
         result = self._run("--version")
         assert result.returncode == 0
         assert result.stdout.strip() == "0.1.0"
+
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vimotest", "run", str(CORPUS), "--setup", "taskmanager"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=self._env())
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr

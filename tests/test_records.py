@@ -12,7 +12,7 @@ import pkgutil
 import pytest
 
 import vimotest
-from vimotest.analyzer import NameMap, compute_name_map
+from vimotest.analyzer import compute_name_map
 from vimotest.diagnostics import UNKNOWN_SPAN, Record, SourceSpan
 from vimotest.genconfig import GenConfig, GenConfigError
 from vimotest.ir import ir_to_dict, lower_to_ir
@@ -107,11 +107,16 @@ def test_spans_are_not_compared_or_shown(cls):
     assert repr(moved) == repr(record) and "span" not in repr(moved)
 
 
-def test_name_map_dicts_are_fresh_per_instance():
-    first, second = NameMap("T", "t"), NameMap("T", "t")
-    assert first.properties == {} and first.commands == {}
-    assert first.properties is not second.properties
-    assert first.commands is not second.commands
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_only_init_is_built_per_class(cls):
+    assert "__init__" in cls.__dict__
+    for method in ("__eq__", "__hash__", "__repr__"):
+        assert getattr(cls, method) is getattr(Record, method), method
+    record = cls(**sample(cls, "x"))
+    compared = tuple(getattr(record, name) for name in cls._fields
+                     if name != "span" or not spanned(cls))
+    if hashable(record):
+        assert hash(record) == hash(compared)
 
 
 @pytest.mark.parametrize("kwargs", [
