@@ -625,6 +625,16 @@ class NameMap(Record):
 
 _ANY_KEYWORD = KEYWORDS["java"] | KEYWORDS["cpp"]
 
+# A property's default name is its widget's camel-case name plus the pascal-case
+# feature word, so a widget name is split once for all its features. Pascal-casing
+# the joined name moves no word boundary across the joint, because every feature
+# word starts with a capital and a lowercase letter; the getter and setter are
+# therefore the widget's pascal-cased camel name plus the same tail.
+_FEATURE_TAIL = {f: pascal_case(f.value) for f in FeatureKind}
+_GETTER_PREFIX = {f: "is" if f in BOOL_FEATURES else "get" for f in FeatureKind}
+# A widget's properties are listed alphabetically by feature word.
+_FEATURE_ORDER = {f: rank for rank, f in enumerate(sorted(FeatureKind, key=lambda f: f.value))}
+
 
 def sanitize_test_name(description: str) -> str:
     """Turn a free-text scenario description into a target method name; one
@@ -660,21 +670,22 @@ def compute_name_map(
 
     properties: dict[tuple[str, FeatureKind], PropertyNames] = {}
     for widget in desc.widgets:
-        for feature in sorted(widget.features(), key=lambda f: f.value):
-            default = camel_case(widget.name, feature.value)
-            prop = overrides.get(("propertyName", widget.name, feature), default)
-            prefix = "is" if feature in BOOL_FEATURES else "get"
-            getter = overrides.get(("getterName", widget.name, feature),
-                                   prefix + pascal_case(default))
-            properties[(widget.name, feature)] = PropertyNames(
-                property_name=prop, getter=getter,
-                setter="set" + pascal_case(default))
+        name = widget.name
+        head = camel_case(name)
+        pascal_head = pascal_case(head)
+        for feature in sorted(widget.features(), key=_FEATURE_ORDER.__getitem__):
+            tail = _FEATURE_TAIL[feature]
+            properties[(name, feature)] = PropertyNames(
+                property_name=overrides.get(("propertyName", name, feature), head + tail),
+                getter=overrides.get(("getterName", name, feature),
+                                     _GETTER_PREFIX[feature] + pascal_head + tail),
+                setter="set" + pascal_head + tail)
 
     commands: dict[str, CommandNames] = {}
     for command in desc.commands:
-        commands[command.name] = CommandNames(
-            method="on" + pascal_case(command.name),
-            param_object=pascal_case(command.name) + "Params")
+        pascal = pascal_case(command.name)
+        commands[command.name] = CommandNames(method="on" + pascal,
+                                              param_object=pascal + "Params")
 
     _report_collisions(desc, properties, commands, diags)
     if config is not None:
@@ -687,25 +698,22 @@ def compute_name_map(
 
 
 def _report_collisions(desc, properties, commands, diags) -> None:
-    def check(kind: str, pairs) -> None:
+    # A key is labelled, as ``widget.feature`` for a property, only on a collision.
+    def check(kind: str, pairs, label=lambda key: f"{key[0]}.{key[1].value}") -> None:
         seen: dict[str, object] = {}
         for key, name in pairs:
             if name in seen:
                 diags.append(error(
                     E_DUPLICATE_NAME,
-                    f"{kind} '{name}' is produced by both {seen[name]} and {key}",
+                    f"{kind} '{name}' is produced by both {label(seen[name])} and {label(key)}",
                     desc.span))
             else:
                 seen[name] = key
 
-    check("property name",
-          ((f"{w}.{f.value}", p.property_name) for (w, f), p in properties.items()))
-    check("getter name",
-          ((f"{w}.{f.value}", p.getter) for (w, f), p in properties.items()))
-    check("setter name",
-          ((f"{w}.{f.value}", p.setter) for (w, f), p in properties.items()))
-    check("command method",
-          ((name, c.method) for name, c in commands.items()))
+    check("property name", ((key, p.property_name) for key, p in properties.items()))
+    check("getter name", ((key, p.getter) for key, p in properties.items()))
+    check("setter name", ((key, p.setter) for key, p in properties.items()))
+    check("command method", ((name, c.method) for name, c in commands.items()), str)
 
 
 def _report_keywords(desc, type_name, type_span, target: str, diags) -> None:

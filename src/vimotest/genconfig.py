@@ -76,7 +76,7 @@ def load_genconfig(path: str) -> GenConfig:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
-        raise GenConfigError(f"cannot read {path}: {exc}") from exc
+        raise GenConfigError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise GenConfigError(f"{path} is not valid JSON: {exc}") from exc
     return parse_genconfig(data)

@@ -219,7 +219,8 @@ def lower_to_ir(
     suite_name = None
     if linked is not None:
         suite_name = linked.suite.name
-        tests = tuple(_lower_scenario(s, desc, name_map, config, fixture,
+        widgets = {w.name: w for w in reversed(desc.widgets)}  # the first of a name wins
+        tests = tuple(_lower_scenario(s, widgets, name_map, config, fixture,
                                       classes[-1].name)
                       for s in linked.scenarios)
     return IRUnit(classes=classes, tests=tests, suite_name=suite_name)
@@ -287,7 +288,7 @@ def _declare_context(context, config, locals_, statements) -> tuple[str, str]:
     return local, delivery
 
 
-def _lower_scenario(linked_scenario, desc, name_map, config, fixture,
+def _lower_scenario(linked_scenario, widgets, name_map, config, fixture,
                     command_home) -> IRTest:
     statements: list[IRStatement] = []
     locals_ = _LocalNames(fixture, config.target)
@@ -305,7 +306,7 @@ def _lower_scenario(linked_scenario, desc, name_map, config, fixture,
                                         context_locals, command_home))
 
     for check in linked_scenario.checks:
-        statements.append(_lower_check(check, desc, name_map))
+        statements.append(_lower_check(check, widgets, name_map))
 
     return IRTest(name=linked_scenario.test_name, statements=tuple(statements))
 
@@ -356,10 +357,10 @@ def _literal_text(value) -> str:
     return repr(value) if not isinstance(value, str) else quote(value)
 
 
-def _lower_check(check, desc, name_map):
+def _lower_check(check, widgets, name_map):
     exp = check.expectation
     if isinstance(exp, RowsExpectation):
-        declared = {c.title: i for i, c in enumerate(desc.widget(check.widget).columns)}
+        declared = {c.title: i for i, c in enumerate(widgets[check.widget].columns)}
         selected = name_map.properties.get((check.widget, FeatureKind.SELECTED_ROW))
         return AssertRows(
             widget=check.widget,

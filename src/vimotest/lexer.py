@@ -6,11 +6,13 @@ The tokenizer never raises on bad input: it records E001 diagnostics and
 keeps scanning.
 
 Scanning follows the master-pattern recipe from the ``re`` documentation:
-one ``finditer`` pass over a compiled alternation. No group matches a blank
-(space, tab, carriage return) on its own, so the regex engine skips blank
-runs itself; a newline and the blank lines and indentation after it form
-the one whitespace match, and line and column come from the offset of the
-last newline seen. A last one-character group catches anything else.
+one ``finditer`` pass over a compiled alternation, one match per token. The
+blanks (space, tab, carriage return) and newlines before a token are an
+optional prefix of its match; when the prefix holds a newline it advances
+the line and the offset of the last newline, which columns are taken from.
+The match's last group names the token. A one-character group catches
+anything else, and an empty alternative at the end of input takes the
+blanks after the last token, so the EOF position counts them.
 """
 
 from __future__ import annotations
@@ -52,9 +54,6 @@ class Token(NamedTuple):
     column: int
     value: object = None  # unescaped string / int / raw pipe-row text
 
-    def span(self, file: str) -> SourceSpan:
-        return SourceSpan(file, self.line, self.column, max(len(self.text), 1))
-
 
 _PUNCT = {
     "{": TokenType.LBRACE,
@@ -67,17 +66,25 @@ _PUNCT = {
     "=": TokenType.EQUALS,
 }
 
+# Group 1 is the blank prefix's newline run; the token groups follow it in
+# this order, and ``m.lastindex`` is the token's group, or 1 or None for the
+# blanks at the end of input. Those match ``\Z`` once: with no alternative
+# after them, the engine would retry them from every offset.
 _TOKEN_RE = re.compile(rf"""
-    (?P<ident>{IDENT_PATTERN})
-  | (?P<newline>\n[ \t\r\n]*)
-  | (?P<punct>[{{}}(),:.=])
-  | (?P<triple>\"\"\")
-  | (?P<string>"[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*")
-  | (?P<pipe>\|[^\n]*)
-  | (?P<int>-?[0-9]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<other>[^ \t\r])
+    [ \t\r]*(\n[ \t\r\n]*)?
+    (?:
+      ({IDENT_PATTERN})
+    | ([{{}}(),:.=])
+    | (\"\"\")
+    | ("[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*")
+    | (\|[^\n]*)
+    | (-?[0-9]+)
+    | (//[^\n]*)
+    | ([^ \t\r\n])
+    | \Z
+    )
 """, re.VERBOSE)
+_G_IDENT, _G_PUNCT, _G_TRIPLE, _G_STRING, _G_PIPE, _G_INT, _G_COMMENT, _G_OTHER = range(2, 10)
 
 _ESCAPE_RE = re.compile(r"\\(.)")
 _STRING_RUN_RE = re.compile(r'[^"\\\n]*')
@@ -107,32 +114,31 @@ def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagno
         # A triple-quoted or malformed string ends this pass: scanning
         # restarts after it.
         for m in _TOKEN_RE.finditer(text, pos):
-            kind = m.lastgroup
-            if kind == "ident":
-                word = m[0]
-                append(new(Token, (ident, word, line, m.start() - last_nl, word)))
-            elif kind == "newline":
-                start, end = m.span()
-                newlines = text.count("\n", start, end)
+            nl = m.start(1)
+            if nl >= 0:
+                end = m.end(1)
+                newlines = text.count("\n", nl, end)
                 line += newlines
-                last_nl = text.rindex("\n", start, end) if newlines > 1 else start
-            elif kind == "punct":
-                ch = m[0]
-                append(new(Token, (_PUNCT[ch], ch, line, m.start() - last_nl, None)))
-            elif kind == "string":
-                start, end = m.span()
+                last_nl = text.rindex("\n", nl, end) if newlines > 1 else nl
+            kind = m.lastindex
+            if kind == _G_IDENT:
+                word = m[_G_IDENT]
+                append(new(Token, (ident, word, line, m.start(_G_IDENT) - last_nl, word)))
+            elif kind == _G_PUNCT:
+                ch = m[_G_PUNCT]
+                append(new(Token, (_PUNCT[ch], ch, line, m.start(_G_PUNCT) - last_nl, None)))
+            elif kind == _G_STRING:
+                start, end = m.span(_G_STRING)
                 body = unescape(text[start + 1:end - 1])
-                append(new(Token, (string, m[0], line, start - last_nl, body)))
-            elif kind == "pipe":
-                raw = m[0].rstrip()
-                append(new(Token, (pipe, raw, line, m.start() - last_nl, raw)))
-            elif kind == "int":
-                digits = m[0]
-                append(new(Token, (integer, digits, line, m.start() - last_nl, int(digits))))
-            elif kind == "comment":
-                pass
-            elif kind == "triple":
-                start, end = m.span()
+                append(new(Token, (string, m[_G_STRING], line, start - last_nl, body)))
+            elif kind == _G_PIPE:
+                raw = m[_G_PIPE].rstrip()
+                append(new(Token, (pipe, raw, line, m.start(_G_PIPE) - last_nl, raw)))
+            elif kind == _G_INT:
+                digits = m[_G_INT]
+                append(new(Token, (integer, digits, line, m.start(_G_INT) - last_nl, int(digits))))
+            elif kind == _G_TRIPLE:
+                start, end = m.span(_G_TRIPLE)
                 col = start - last_nl
                 close = text.find('"""', end)
                 if close < 0:
@@ -146,8 +152,8 @@ def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagno
                     last_nl = text.rindex("\n", start, close)
                 pos = min(close + 3, n)
                 break
-            else:  # other
-                start = m.start()
+            elif kind == _G_OTHER:
+                start = m.start(_G_OTHER)
                 if text[start] == '"':
                     tok, pos, line, line_start = _malformed_string(
                         text, start, line, last_nl + 1, file, diags)
@@ -156,6 +162,7 @@ def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagno
                     break
                 diags.append(error(E_SYNTAX, f"unexpected character {text[start]!r}",
                                    SourceSpan(file, line, start - last_nl, 1)))
+            # else a comment, or the blanks at the end of input
         else:
             break
     append(Token(TokenType.EOF, "", line, n - last_nl))

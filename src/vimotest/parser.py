@@ -72,6 +72,18 @@ _SCALAR_CHECK_FEATURES = {feature.value: feature for feature, type_name in FEATU
 _BINDING_WORDS = frozenset({"typeName", "fileName", "property"})
 _COMMAND_WORDS = frozenset(_ACTION_WORDS) | {"command"}
 _SCENARIO_WORDS = frozenset({"scenario"})
+_BOOL_WORDS = {"true": True, "false": False}
+
+# Token types as module constants. On Python 3.11 the enum metaclass defines
+# ``__getattr__``, which makes every member read such as ``TokenType.IDENT``
+# cost about 0.17 us, against about 0.01 us for a module global.
+_IDENT, _STRING, _TRIPLE, _INT, _PIPE, _EOF = (
+    TokenType.IDENT, TokenType.STRING, TokenType.TRIPLE_STRING, TokenType.INT,
+    TokenType.PIPE_ROW, TokenType.EOF)
+_LBRACE, _RBRACE, _LPAREN, _RPAREN, _COMMA, _COLON, _DOT, _EQUALS = (
+    TokenType.LBRACE, TokenType.RBRACE, TokenType.LPAREN, TokenType.RPAREN,
+    TokenType.COMMA, TokenType.COLON, TokenType.DOT, TokenType.EQUALS)
+_new = tuple.__new__
 
 
 class _ParseError(Exception):
@@ -104,7 +116,7 @@ def _parse(text: str | bytes, file: str, entry: Callable[[_Parser], T],
         ast = entry(parser)
     except _ParseError:
         return None, diags
-    if not parser.at(TokenType.EOF):
+    if not parser.at(_EOF):
         parser.report(f"unexpected content after {what} body: "
                       f"{parser._describe(parser.peek())}")
     return (None if diags else ast), diags
@@ -119,6 +131,10 @@ class _Parser:
         self.i = 0
 
     # -- token plumbing ----------------------------------------------------
+    #
+    # Only an IDENT token's text is an identifier (a string keeps its quotes),
+    # so a keyword test compares the text alone. A helper that matched a
+    # token steps with ``self.i += 1``: a matched token is never the EOF.
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -133,12 +149,11 @@ class _Parser:
     def at(self, ttype: TokenType) -> bool:
         return self.toks[self.i].type is ttype
 
-    def at_word(self, *words: str) -> bool:
-        tok = self.toks[self.i]
-        return tok.type is TokenType.IDENT and tok.text in words
+    def at_word(self, word: str) -> bool:
+        return self.toks[self.i].text == word
 
     def span_of(self, tok: Token) -> SourceSpan:
-        return tok.span(self.file)
+        return _new(SourceSpan, (self.file, tok.line, tok.column, len(tok.text) or 1))
 
     def report(self, message: str, tok: Token | None = None, code: str = E_SYNTAX) -> None:
         tok = tok or self.peek()
@@ -149,47 +164,49 @@ class _Parser:
         raise _ParseError()
 
     def expect(self, ttype: TokenType, what: str) -> Token:
-        if self.toks[self.i].type is not ttype:
-            self.fail(f"expected {what}, found {self._describe(self.peek())}")
-        return self.advance()
+        tok = self.toks[self.i]
+        if tok.type is not ttype:
+            self.fail(f"expected {what}, found {self._describe(tok)}")
+        self.i += 1
+        return tok
 
     def expect_word(self, word: str) -> Token:
         tok = self.toks[self.i]
-        if tok.type is not TokenType.IDENT or tok.text != word:
+        if tok.text != word:
             self.fail(f"expected '{word}', found {self._describe(tok)}")
-        return self.advance()
-
-    def expect_ident(self, what: str = "identifier") -> Token:
-        return self.expect(TokenType.IDENT, what)
+        self.i += 1
+        return tok
 
     def expect_one_of(self, words: dict[str, T], what: str) -> T:
         """Consume one of ``words`` and return what it maps to."""
         tok = self.toks[self.i]
-        if tok.type is not TokenType.IDENT or tok.text not in words:
+        value = words.get(tok.text)
+        if value is None:
             self.fail(f"expected {what}, found {self._describe(tok)}")
-        return words[self.advance().text]
+        self.i += 1
+        return value
 
     @staticmethod
     def _describe(tok: Token) -> str:
-        if tok.type is TokenType.EOF:
+        if tok.type is _EOF:
             return "end of input"
-        if tok.type is TokenType.PIPE_ROW:
+        if tok.type is _PIPE:
             return "table row"
         return f"'{tok.text}'"
 
     def sync(self, stop_words: Container[str]) -> None:
         """Skip tokens until a declaration start word, '}', or EOF at depth 0."""
         depth = 0
-        while not self.at(TokenType.EOF):
+        while not self.at(_EOF):
             tok = self.peek()
             if depth == 0:
-                if tok.type is TokenType.RBRACE:
+                if tok.type is _RBRACE:
                     return
-                if tok.type is TokenType.IDENT and tok.text in stop_words:
+                if tok.type is _IDENT and tok.text in stop_words:
                     return
-            if tok.type is TokenType.LBRACE:
+            if tok.type is _LBRACE:
                 depth += 1
-            elif tok.type is TokenType.RBRACE:
+            elif tok.type is _RBRACE:
                 depth -= 1
                 if depth < 0:
                     return
@@ -216,7 +233,8 @@ class _Parser:
         """
         out = []
         seen: set = set()
-        while not self.at(TokenType.RBRACE) and not self.at(TokenType.EOF):
+        toks = self.toks
+        while (ttype := toks[self.i].type) is not _RBRACE and ttype is not _EOF:
             try:
                 item = parse_one()
             except _ParseError:
@@ -233,34 +251,34 @@ class _Parser:
         """Parse ``word { body }``, or just ``{ body }`` without a word."""
         if word is not None:
             self.expect_word(word)
-        self.expect(TokenType.LBRACE, "'{'")
+        self.expect(_LBRACE, "'{'")
         body = parse_body()
-        self.expect(TokenType.RBRACE, "'}'")
+        self.expect(_RBRACE, "'}'")
         return body
 
     def comma_list(self, parse_one: Callable[[], T | None]) -> tuple[T, ...]:
         """Parse ``one (',' one)*``; a None from ``parse_one`` is dropped."""
         out = []
+        toks = self.toks
         while True:
             item = parse_one()
             if item is not None:
                 out.append(item)
-            if not self.at(TokenType.COMMA):
+            if toks[self.i].type is not _COMMA:
                 return tuple(out)
-            self.advance()
+            self.i += 1
 
     # -- literals ----------------------------------------------------------
 
     def parse_bool(self) -> bool:
-        if not self.at_word("true", "false"):
-            self.fail(f"expected 'true' or 'false', found {self._describe(self.peek())}")
-        return self.advance().text == "true"
+        return self.expect_one_of(_BOOL_WORDS, "'true' or 'false'")
 
     def parse_literal(self):
         tok = self.peek()
-        if tok.type is TokenType.STRING or tok.type is TokenType.INT:
-            return self.advance().value
-        if self.at_word("true", "false"):
+        if tok.type is _STRING or tok.type is _INT:
+            self.i += 1
+            return tok.value
+        if tok.text in _BOOL_WORDS:
             return self.parse_bool()
         self.fail(f"expected a literal, found {self._describe(tok)}")
 
@@ -268,7 +286,7 @@ class _Parser:
 
     def parse_view_model_file(self) -> ViewModelDescription:
         head = self.expect_word("viewmodel")
-        name = self.expect_ident("ViewModel name")
+        name = self.expect(_IDENT, "ViewModel name")
         bindings: tuple[NameBinding, ...] = ()
         if self.at_word("bind"):
             bindings = self.block("bind", lambda: self.items(
@@ -284,12 +302,12 @@ class _Parser:
     def parse_binding(self) -> tuple[NameBinding, str, Token]:
         tok = self.peek()
         widget = feature = None
-        if self.at_word("typeName", "fileName"):
+        if tok.text in ("typeName", "fileName"):
             subject = self.advance().text
         elif self.at_word("property"):
             self.advance()
-            widget = self.expect_ident("widget name").text
-            self.expect(TokenType.DOT, "'.'")
+            widget = self.expect(_IDENT, "widget name").text
+            self.expect(_DOT, "'.'")
             feature = self.parse_feature_word()
             if self.at_word("name"):
                 subject = "propertyName"
@@ -300,8 +318,8 @@ class _Parser:
             self.advance()
         else:
             self.fail("expected a name binding")
-        self.expect(TokenType.EQUALS, "'='")
-        value = self.expect(TokenType.STRING, "string")
+        self.expect(_EQUALS, "'='")
+        value = self.expect(_STRING, "string")
         self._check_bound_name(subject, value)
         # The key names what is bound, as the duplicate message shows it.
         key = subject if widget is None else f"{subject} of {widget}.{feature.value}"
@@ -323,34 +341,35 @@ class _Parser:
     def parse_widget_decl(self) -> tuple[WidgetDecl, str, Token]:
         tok = self.peek()
         kind = self.expect_one_of(_WIDGET_KIND_WORDS, "a widget declaration")
-        name = self.expect_ident("widget name")
+        name = self.expect(_IDENT, "widget name")
         supports: set[FeatureKind] = set()
         examples: list[tuple[FeatureKind, object]] = []
         columns: tuple[ColumnSpec, ...] = ()
         if kind is WidgetKind.TABLE:
-            self.expect(TokenType.LBRACE, "'{'")
+            self.expect(_LBRACE, "'{'")
             columns = self.block("columns", self.parse_column_decls)
             while self.at_word("supports"):
                 supports.update(self.parse_supports())
-            self.expect(TokenType.RBRACE, "'}'")
-        elif self.at(TokenType.LBRACE):
-            self.advance()
+            self.expect(_RBRACE, "'}'")
+        elif self.at(_LBRACE):
+            self.i += 1
             seen: set[FeatureKind] = set()
-            while not self.at(TokenType.RBRACE) and not self.at(TokenType.EOF):
-                if self.at_word("supports"):
+            toks = self.toks
+            while (item := toks[self.i]).type is not _RBRACE and item.type is not _EOF:
+                if item.text == "supports":
                     supports.update(self.parse_supports())
-                elif self.at_word("example"):
-                    self.advance()
-                    ftok = self.peek()
+                elif item.text == "example":
+                    self.i += 1
+                    ftok = toks[self.i]
                     feature = self.parse_feature_word()
-                    self.expect(TokenType.EQUALS, "'='")
+                    self.expect(_EQUALS, "'='")
                     value = self.parse_literal()
                     if self.first(seen, feature, ftok,
                                   "duplicate example for feature '{0.value}'"):
                         examples.append((feature, value))
                 else:
                     self.fail("expected 'supports' or 'example' in widget body")
-            self.expect(TokenType.RBRACE, "'}'")
+            self.expect(_RBRACE, "'}'")
         examples.sort(key=lambda kv: FEATURE_RANK[kv[0]])
         return WidgetDecl(name=name.text, kind=kind, enabled_optional=frozenset(supports),
                           columns=columns, examples=tuple(examples),
@@ -363,10 +382,10 @@ class _Parser:
     def parse_column_decls(self) -> tuple[ColumnSpec, ...]:
         columns: list[ColumnSpec] = []
         seen: set[str] = set()
-        while not self.at(TokenType.RBRACE) and not self.at(TokenType.EOF):
+        while not self.at(_RBRACE) and not self.at(_EOF):
             tok = self.peek()
             kind = self.expect_one_of(_CELL_KIND_WORDS, "a column declaration")
-            title = self.expect(TokenType.STRING, "column title")
+            title = self.expect(_STRING, "column title")
             trimmed = title.value.strip()
             if self.first(seen, trimmed, title, "duplicate column title '{}'"):
                 columns.append(ColumnSpec(cell_kind=kind, title=trimmed,
@@ -377,33 +396,35 @@ class _Parser:
 
     def parse_command_decl(self) -> tuple[CommandDecl, str, Token]:
         tok = self.peek()
-        if self.at_word(*_ACTION_WORDS):
-            kind = _ACTION_WORDS[self.advance().text]
+        kind = _ACTION_WORDS.get(tok.text)
+        if kind is not None:
+            self.i += 1
             self.expect_word("on")
-            target = self.expect_ident("widget name")
+            target = self.expect(_IDENT, "widget name")
             name = camel_case(target.text, kind.value)
             return CommandDecl(name=name, form=WidgetCommand(kind=kind, target=target.text),
                                span=self.span_of(tok)), name, target
-        if not self.at_word("command"):
+        if tok.text != "command":
             self.fail(f"expected a command declaration, found {self._describe(tok)}")
-        self.advance()
-        name = self.expect_ident("command name")
+        self.i += 1
+        name = self.expect(_IDENT, "command name")
         if name.text in _ACTION_WORDS:
             self.report(f"custom commands must not be named '{name.text}'", name)
-        self.expect(TokenType.LPAREN, "'('")
+        self.expect(_LPAREN, "'('")
         seen: set[str] = set()
-        params = () if self.at(TokenType.RPAREN) else self.comma_list(
+        params = () if self.at(_RPAREN) else self.comma_list(
             lambda: self.parse_param(seen))
-        self.expect(TokenType.RPAREN, "')'")
+        self.expect(_RPAREN, "')'")
         return CommandDecl(name=name.text, form=CustomCommand(params=params),
                            span=self.span_of(tok)), name.text, name
 
     def parse_param(self, seen: set[str]) -> Param | None:
-        pname = self.expect_ident("parameter name")
-        self.expect(TokenType.COLON, "':'")
-        if not self.at_word(*_PARAM_TYPE_WORDS):
+        pname = self.expect(_IDENT, "parameter name")
+        self.expect(_COLON, "':'")
+        ptype = _PARAM_TYPE_WORDS.get(self.peek().text)
+        if ptype is None:
             self.fail("expected a parameter type (string, bool, int, or context)")
-        ptype = _PARAM_TYPE_WORDS[self.advance().text]
+        self.i += 1
         if self.first(seen, pname.text, pname, "duplicate parameter name '{}'"):
             return Param(name=pname.text, type=ptype)
         return None
@@ -412,9 +433,9 @@ class _Parser:
 
     def parse_test_suite_file(self) -> TestSuite:
         head = self.expect_word("testsuite")
-        name = self.expect_ident("suite name")
+        name = self.expect(_IDENT, "suite name")
         self.expect_word("for")
-        target = self.expect_ident("ViewModel name")
+        target = self.expect(_IDENT, "ViewModel name")
         scenarios = self.block(None, lambda: self.items(
             self.parse_scenario, _SCENARIO_WORDS, "duplicate scenario description {!r}"))
         return TestSuite(name=name.text, target_view_model=target.text,
@@ -422,7 +443,7 @@ class _Parser:
 
     def parse_scenario(self) -> tuple[TestScenario, str, Token]:
         head = self.expect_word("scenario")
-        desc = self.expect(TokenType.STRING, "scenario description")
+        desc = self.expect(_STRING, "scenario description")
         given, when, then = self.block(None, lambda: (
             self.block("given", lambda: self.items(self.parse_context, _CONTEXT_BODIES)),
             self.block("when", lambda: self.items(self.parse_action, _ACTION_WORDS)),
@@ -434,20 +455,21 @@ class _Parser:
     def parse_context(self) -> ContextDefinition:
         tok = self.peek()
         parse_body = self.expect_one_of(_CONTEXT_BODIES, "a context definition")
-        name = self.expect_ident("context name").text
+        name = self.expect(_IDENT, "context name").text
         return ContextDefinition(name=name, body=parse_body(self, name),
                                  span=self.span_of(tok))
 
     def parse_plain_table(self) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
         """Header plus data rows of a given-part data table; cells stay literal."""
-        header_tok = self.expect(TokenType.PIPE_ROW, "table row")
+        header_tok = self.expect(_PIPE, "table row")
         header = self.parse_plain_row(header_tok)
         seen: set[str] = set()
         for title in header:
             self.first(seen, title, header_tok, "duplicate column title '{}'")
         rows: list[tuple[str, ...]] = []
-        while self.at(TokenType.PIPE_ROW):
-            tok = self.advance()
+        toks = self.toks
+        while (tok := toks[self.i]).type is _PIPE:
+            self.i += 1
             cells = self.parse_plain_row(tok)
             if len(cells) != len(header):
                 self.report(
@@ -467,28 +489,24 @@ class _Parser:
 
     def parse_action(self) -> Action:
         tok = self.peek()
-        if self.at_word(*_ACTION_WORDS):
-            kind = _ACTION_WORDS[self.advance().text]
-            widget = self.expect_ident("widget name")
-            arg = None
-            if kind is CommandKind.CHECK:
-                arg = self.parse_bool()
-            elif kind is CommandKind.FILL_TEXT:
-                arg = self.expect(TokenType.STRING, "string").value
-            elif kind is CommandKind.SELECT_ROW:
-                arg = self.expect(TokenType.INT, "row index").value
+        kind = _ACTION_WORDS.get(tok.text)
+        if kind is not None:
+            self.i += 1
+            widget = self.expect(_IDENT, "widget name")
+            read_arg = _ACTION_ARGS.get(kind)
+            arg = None if read_arg is None else read_arg(self)
             return WidgetAction(kind=kind, widget=widget.text, arg=arg,
                                 span=self.span_of(tok))
-        name = self.expect(TokenType.IDENT, "a command action")
-        self.expect(TokenType.LPAREN, "'(' after command name")
-        args = () if self.at(TokenType.RPAREN) else self.comma_list(self.parse_argument)
-        self.expect(TokenType.RPAREN, "')'")
+        name = self.expect(_IDENT, "a command action")
+        self.expect(_LPAREN, "'(' after command name")
+        args = () if self.at(_RPAREN) else self.comma_list(self.parse_argument)
+        self.expect(_RPAREN, "')'")
         return CustomAction(name=name.text, args=args, span=self.span_of(tok))
 
     def parse_argument(self) -> Argument:
         tok = self.peek()
-        if tok.type is TokenType.IDENT and tok.text not in ("true", "false"):
-            self.advance()
+        if tok.type is _IDENT and tok.text not in _BOOL_WORDS:
+            self.i += 1
             return ArgContextRef(name=tok.text)
         return ArgLiteral(value=self.parse_literal())
 
@@ -497,13 +515,14 @@ class _Parser:
         if self.at_word("table"):
             return [self.parse_rows_check()]
         kind = self.expect_one_of(_WIDGET_KIND_WORDS, "a check")
-        widget = self.expect_ident("widget name")
+        widget = self.expect(_IDENT, "widget name")
         checks: list[CheckValue] = []
-        while self.at(TokenType.IDENT) and self.peek().text in _SCALAR_CHECK_FEATURES:
-            ftok = self.advance()
+        toks = self.toks
+        while (ftok := toks[self.i]).text in _SCALAR_CHECK_FEATURES:
+            self.i += 1
             feature = _SCALAR_CHECK_FEATURES[ftok.text]
-            if feature is FeatureKind.TEXT:
-                value = self.expect(TokenType.STRING, "string").value
+            if FEATURE_TYPE[feature] == "string":
+                value = self.expect(_STRING, "string").value
             else:
                 value = self.parse_bool()
             checks.append(CheckValue(widget=widget.text, widget_kind=kind,
@@ -516,8 +535,8 @@ class _Parser:
 
     def parse_rows_check(self) -> CheckValue:
         head = self.expect_word("table")
-        widget = self.expect_ident("widget name")
-        self.expect(TokenType.LBRACE, "'{'")
+        widget = self.expect(_IDENT, "widget name")
+        self.expect(_LBRACE, "'{'")
         ignored: tuple[str, ...] = ()
         if self.at_word("ignore"):
             self.advance()
@@ -531,8 +550,8 @@ class _Parser:
                 self.advance()
                 selected_check = "none"
             else:
-                selected_check = self.expect(TokenType.INT, "row index or 'none'").value
-        self.expect(TokenType.RBRACE, "'}'")
+                selected_check = self.expect(_INT, "row index or 'none'").value
+        self.expect(_RBRACE, "'}'")
         expectation = RowsExpectation(header=header, rows=rows, ignored_columns=ignored,
                                       selected_row_check=selected_check)
         return CheckValue(widget=widget.text, widget_kind=WidgetKind.TABLE,
@@ -540,17 +559,18 @@ class _Parser:
                           span=self.span_of(head))
 
     def parse_ignored_title(self, seen: set[str]) -> str | None:
-        title = self.expect(TokenType.STRING, "column title")
+        title = self.expect(_STRING, "column title")
         if self.first(seen, title.value, title, "duplicate ignored column '{}'"):
             return title.value
         return None
 
     def parse_expect_table(self) -> tuple[tuple[str, ...], tuple[RowExpectation, ...]]:
-        header = self.parse_plain_row(self.expect(TokenType.PIPE_ROW, "header row"))
+        header = self.parse_plain_row(self.expect(_PIPE, "header row"))
         rows: list[RowExpectation] = []
         selected_seen = False
-        while self.at(TokenType.PIPE_ROW):
-            tok = self.advance()
+        toks = self.toks
+        while (tok := toks[self.i]).type is _PIPE:
+            self.i += 1
             try:
                 row = self.parse_expect_row(tok, len(header))
             except _ParseError:
@@ -631,13 +651,20 @@ class _Parser:
         return groups
 
 
+# The argument a widget action reads after its widget; a click reads none.
+_ACTION_ARGS = {
+    CommandKind.CHECK: _Parser.parse_bool,
+    CommandKind.FILL_TEXT: lambda p: p.expect(_STRING, "string").value,
+    CommandKind.SELECT_ROW: lambda p: p.expect(_INT, "row index").value,
+}
+
 _CONTEXT_BODIES = {
     "datatable": lambda p, name: DataTableBody(*p.block(None, p.parse_plain_table)),
     "text": lambda p, name: TextBody(
-        text=p.expect(TokenType.TRIPLE_STRING, "triple-quoted string").value),
+        text=p.expect(_TRIPLE, "triple-quoted string").value),
     "xml": lambda p, name: XmlBody(
-        text=p.expect(TokenType.TRIPLE_STRING, "triple-quoted string").value),
-    "file": lambda p, name: FileBody(path=p.expect(TokenType.STRING, "file path").value),
+        text=p.expect(_TRIPLE, "triple-quoted string").value),
+    "file": lambda p, name: FileBody(path=p.expect(_STRING, "file path").value),
     "use": lambda p, name: ReferenceBody(target=name),
 }
 

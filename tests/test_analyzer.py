@@ -1,12 +1,16 @@
 import random
+import string
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from astgen import random_description, random_suite
 from vimotest.analyzer import (
+    CommandNames,
+    NameMap,
+    PropertyNames,
     build_context_registry,
     chase_context,
     compute_name_map,
@@ -15,8 +19,10 @@ from vimotest.analyzer import (
     sanitize_test_name,
     validate_description,
 )
+from vimotest.diagnostics import E_DUPLICATE_NAME, error
 from vimotest.genconfig import GenConfig
 from vimotest.model import (
+    BOOL_FEATURES,
     ContextDefinition,
     DataTableBody,
     FeatureKind,
@@ -27,8 +33,12 @@ from vimotest.model import (
     ViewModelDescription,
     WidgetDecl,
     WidgetKind,
+    catalog_lookup,
 )
+from vimotest.names import camel_case, pascal_case, snake_case
 from vimotest.parser import parse_test_suite, parse_view_model
+
+from conftest import VMDSL_PATH
 
 
 def codes(diags):
@@ -341,6 +351,117 @@ class TestNameMap:
                     assert (widget.name, feature) in name_map.properties
             for command in desc.commands:
                 assert command.name in name_map.commands
+
+
+def name_map_oracle(desc, config=None):
+    """The name map as first written: every (widget, feature) pair is
+    camel-cased from the words of both, then pascal-cased again for the
+    getter and setter; collision labels are built for every property."""
+    diags = []
+    overrides = {}
+    type_name, type_span = desc.name, desc.span
+    file_name_bound = False
+    file_name = snake_case(desc.name)
+    for binding in desc.bindings:
+        if binding.subject == "typeName":
+            type_name, type_span = binding.bound_name, binding.span
+        elif binding.subject == "fileName":
+            file_name = binding.bound_name
+            file_name_bound = True
+        else:
+            overrides[(binding.subject, binding.widget, binding.feature)] = binding.bound_name
+    properties = {}
+    for widget in desc.widgets:
+        for feature in sorted(widget.features(), key=lambda f: f.value):
+            default = camel_case(widget.name, feature.value)
+            prop = overrides.get(("propertyName", widget.name, feature), default)
+            prefix = "is" if feature in BOOL_FEATURES else "get"
+            getter = overrides.get(("getterName", widget.name, feature),
+                                   prefix + pascal_case(default))
+            properties[(widget.name, feature)] = PropertyNames(
+                property_name=prop, getter=getter, setter="set" + pascal_case(default))
+    commands = {}
+    for command in desc.commands:
+        commands[command.name] = CommandNames(
+            method="on" + pascal_case(command.name),
+            param_object=pascal_case(command.name) + "Params")
+
+    def check(kind, pairs):
+        seen = {}
+        for key, name in pairs:
+            if name in seen:
+                diags.append(error(E_DUPLICATE_NAME,
+                                   f"{kind} '{name}' is produced by both {seen[name]} and {key}",
+                                   desc.span))
+            else:
+                seen[name] = key
+
+    for kind, attr in (("property name", "property_name"), ("getter name", "getter"),
+                       ("setter name", "setter")):
+        check(kind, ((f"{w}.{f.value}", getattr(p, attr)) for (w, f), p in properties.items()))
+    check("command method", ((name, c.method) for name, c in commands.items()))
+    if diags:
+        return None, diags
+    return NameMap(type_name=type_name, file_name=file_name, file_name_bound=file_name_bound,
+                   properties=properties, commands=commands), diags
+
+
+# Identifiers from lowercase, uppercase and mixed runs, digit runs and
+# underscores, starting with a letter as the lexer requires.
+IDENTIFIERS = st.builds(
+    lambda first, rest: first + "".join(rest),
+    st.sampled_from(string.ascii_letters),
+    st.lists(st.one_of(st.text(string.ascii_lowercase, min_size=1, max_size=4),
+                       st.text(string.ascii_uppercase, min_size=1, max_size=4),
+                       st.text(string.ascii_letters, min_size=1, max_size=4),
+                       st.text(string.digits, min_size=1, max_size=3),
+                       st.just("_")), max_size=6))
+
+
+def every_feature_widgets(name: str) -> tuple[WidgetDecl, ...]:
+    """One widget of each kind named ``name``, with every optional feature."""
+    return tuple(WidgetDecl(name=name, kind=kind,
+                            enabled_optional=catalog_lookup(kind).optional)
+                 for kind in WidgetKind)
+
+
+class TestNameMapDerivation:
+    @settings(max_examples=300, deadline=None)
+    @given(IDENTIFIERS)
+    def test_widget_words_are_split_once(self, name):
+        head = camel_case(name)
+        for feature in FeatureKind:
+            tail = pascal_case(feature.value)
+            default = camel_case(name, feature.value)
+            assert head + tail == default
+            assert pascal_case(head) + tail == pascal_case(default)
+        for widget in every_feature_widgets(name):
+            desc = ViewModelDescription(name="V", widgets=(widget,))
+            assert compute_name_map(desc) == name_map_oracle(desc)
+
+    def test_raw_words_would_change_the_names(self):
+        desc = ViewModelDescription(name="V", widgets=every_feature_widgets("a_B_Z19B")[:1])
+        name_map, _ = compute_name_map(desc)
+        names = name_map.properties[("a_B_Z19B", FeatureKind.ENABLED)]
+        assert names == PropertyNames(property_name="aBZ19BEnabled",
+                                      getter="isABz19BEnabled", setter="setABz19BEnabled")
+        raw = "".join(w.capitalize() for w in ("a", "B", "Z", "19", "B"))
+        assert names.setter != "set" + raw + "Enabled"
+
+    def test_matches_the_oracle_on_the_corpus_and_generated_descriptions(self, corpus_desc):
+        rng = random.Random(1414)
+        for desc in [corpus_desc] + [random_description(rng) for _ in range(40)]:
+            got, want = compute_name_map(desc), name_map_oracle(desc)
+            assert got == want
+            assert list(got[0].properties) == list(want[0].properties)
+            assert list(got[0].commands) == list(want[0].commands)
+
+    def test_collisions_match_the_oracle(self):
+        desc = ViewModelDescription(name="V", widgets=(
+            every_feature_widgets("a_b")[:2] + every_feature_widgets("aB")[:2]))
+        name_map, diags = compute_name_map(desc)
+        assert name_map is None and len(diags) == 9
+        assert [d.render() for d in diags] == [d.render() for d in name_map_oracle(desc)[1]]
 
 
 class TestKeywordNames:

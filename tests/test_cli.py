@@ -279,6 +279,11 @@ class TestGen:
         assert main(["gen", str(CORPUS), "--config", config, "--out", str(out), "--force"]) == 3
         assert capsys.readouterr().err == f"error: cannot write {out}: File exists\n"
 
+    def test_unreadable_config_names_only_the_cause(self, tmp_path, capsys):
+        assert main(["gen", str(CORPUS), "--config", str(tmp_path),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
+
     def test_description_only_generation(self, tmp_path, capsys):
         config = write_config(tmp_path, target="java")
         out = tmp_path / "out"

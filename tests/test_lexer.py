@@ -320,3 +320,11 @@ def test_found_end_of_input_keeps_its_span():
     assert desc is None
     assert [(d.render(), d.span.length) for d in diags] == [
         ("f:2:12: E001: expected '}', found end of input", 1)]
+
+
+def test_blanks_after_the_last_token_are_one_match():
+    # Retried from every offset, this tail would take a minute, not milliseconds.
+    toks, diags = tokenize("a" + " \t\r\n" * 5_000 + "  ", "f")
+    assert [(t.type.name, t.line, t.column) for t in toks] == [
+        ("IDENT", 1, 1), ("EOF", 5_001, 3)]
+    assert diags == []

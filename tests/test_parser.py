@@ -646,3 +646,38 @@ class TestRecoveryRegression:
             assert got == want, (
                 f"case {index} ({name}: {', '.join(done)}) changed; "
                 f"diagnostics now: {[d.render() for d in parse(text, name)[1]]}")
+
+
+# -- spans of every AST node ---------------------------------------------------
+
+# SHA-256 of the (type name, span) of every record in the parsed corpus and 40
+# seeded astgen projects, in walk order. Spans take no part in == or repr, so
+# only this pins the span of a node that no diagnostic mentions.
+SPAN_DIGEST = "058de1406b233552460265f4b717b70772c282ee55ac8eaf889773f457bd7824"
+
+
+def walk_spans(node, out: list) -> None:
+    if isinstance(node, (tuple, list)):
+        for item in node:
+            walk_spans(item, out)
+    elif hasattr(node, "_fields"):
+        out.append((type(node).__name__, getattr(node, "span", None)))
+        for field in node._fields:
+            walk_spans(getattr(node, field), out)
+
+
+def test_every_ast_node_keeps_its_span():
+    sources = [(parse_view_model, VMDSL_PATH.name, VMDSL_PATH.read_text()),
+               (parse_test_suite, VMTEST_PATH.name, VMTEST_PATH.read_text())]
+    rng = random.Random(4040)
+    for k in range(40):
+        desc = random_description(rng)
+        sources.append((parse_view_model, f"astgen{k}.vmdsl", pretty_print(desc)))
+        sources.append((parse_test_suite, f"astgen{k}.vmtest",
+                        pretty_print(random_suite(rng, desc))))
+    spans: list = []
+    for parse, name, text in sources:
+        ast, diags = parse(text, name)
+        assert ast is not None, [d.render() for d in diags]
+        walk_spans(ast, spans)
+    assert hashlib.sha256(repr(spans).encode()).hexdigest() == SPAN_DIGEST, len(spans)
