@@ -464,7 +464,7 @@ def _resolve_checks(scenario, widgets, diags) -> tuple[CheckValue, ...]:
                 f"(declared {widget.kind.value})",
                 check.span))
             continue
-        if check.feature not in widget.features():
+        if not widget.has_feature(check.feature):
             diags.append(error(
                 E_UNSUPPORTED_FEATURE,
                 f"widget '{check.widget}' does not have the "
@@ -538,7 +538,7 @@ def _check_rows_expectation(check: CheckValue, widget: WidgetDecl,
                 check.span))
     asserts_selection = (exp.selected_row_check is not None
                          or any(r.selected for r in exp.rows))
-    if asserts_selection and FeatureKind.SELECTED_ROW not in widget.features():
+    if asserts_selection and not widget.has_feature(FeatureKind.SELECTED_ROW):
         diags.append(error(
             E_UNSUPPORTED_FEATURE,
             f"widget '{widget.name}' does not have the 'selectedRow' feature",

@@ -7,17 +7,21 @@ keeps scanning.
 
 Scanning follows the master-pattern recipe from the ``re`` documentation:
 one ``finditer`` pass over a compiled alternation, one match per token. The
-blanks (space, tab, carriage return) and newlines before a token are an
-optional prefix of its match; when the prefix holds a newline it advances
-the line and the offset of the last newline, which columns are taken from.
-The match's last group names the token. A one-character group catches
-anything else, and an empty alternative at the end of input takes the
-blanks after the last token, so the EOF position counts them.
+blanks (space, tab, carriage return, newline) before a token are a prefix of
+its match, and the match's last group names the token. A one-character group
+catches anything else, and an empty alternative at the end of input takes
+the blanks after the last token.
+
+A token keeps only its start offset. ``line_starts`` and ``position`` turn an
+offset into a 1-based (line, column) on demand, where lines end at ``\\n``:
+the parser does so for each span it builds, the tokenizer for each of its own
+diagnostics.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from enum import Enum, auto
 from typing import NamedTuple
 
@@ -50,8 +54,7 @@ class TokenType(Enum):
 class Token(NamedTuple):
     type: TokenType
     text: str
-    line: int
-    column: int
+    offset: int  # of the first character; see ``position``
     value: object = None  # unescaped string / int / raw pipe-row text
 
 
@@ -66,12 +69,12 @@ _PUNCT = {
     "=": TokenType.EQUALS,
 }
 
-# Group 1 is the blank prefix's newline run; the token groups follow it in
-# this order, and ``m.lastindex`` is the token's group, or 1 or None for the
-# blanks at the end of input. Those match ``\Z`` once: with no alternative
-# after them, the engine would retry them from every offset.
+# The token groups come in this order, and ``m.lastindex`` is the token's
+# group, or None for the blanks at the end of input. Those match ``\Z`` once:
+# with no alternative after them, the engine would retry them from every
+# offset.
 _TOKEN_RE = re.compile(rf"""
-    [ \t\r]*(\n[ \t\r\n]*)?
+    [ \t\r\n]*
     (?:
       ({IDENT_PATTERN})
     | ([{{}}(),:.=])
@@ -84,7 +87,8 @@ _TOKEN_RE = re.compile(rf"""
     | \Z
     )
 """, re.VERBOSE)
-_G_IDENT, _G_PUNCT, _G_TRIPLE, _G_STRING, _G_PIPE, _G_INT, _G_COMMENT, _G_OTHER = range(2, 10)
+_G_IDENT, _G_PUNCT, _G_TRIPLE, _G_STRING, _G_PIPE, _G_INT, _G_COMMENT, _G_OTHER = range(1, 9)
+_NEWLINE_RE = re.compile("\n")
 
 _ESCAPE_RE = re.compile(r"\\(.)")
 _STRING_RUN_RE = re.compile(r'[^"\\\n]*')
@@ -99,85 +103,84 @@ def unescape(body: str) -> str:
     return _ESCAPE_RE.sub(_unescape, body) if "\\" in body else body
 
 
+def line_starts(text: str) -> list[int]:
+    """The offset of the first character of each line of ``text``."""
+    return [0, *[m.end() for m in _NEWLINE_RE.finditer(text)]]
+
+
+def position(starts: list[int], offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of ``offset`` in the text of ``starts``."""
+    line = bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
+
+
 def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
     toks: list[Token] = []
-    diags: list[Diagnostic] = []
+    # (offset, message, length) of each diagnostic, placed when the scan ends.
+    found: list[tuple[int, str, int]] = []
     append = toks.append
     new = tuple.__new__
     ident, string, pipe, integer = (TokenType.IDENT, TokenType.STRING,
                                     TokenType.PIPE_ROW, TokenType.INT)
     n = len(text)
     pos = 0
-    line = 1
-    last_nl = -1  # offset of the last newline seen, so a column is offset - last_nl
     while pos < n:
         # A triple-quoted or malformed string ends this pass: scanning
         # restarts after it.
         for m in _TOKEN_RE.finditer(text, pos):
-            nl = m.start(1)
-            if nl >= 0:
-                end = m.end(1)
-                newlines = text.count("\n", nl, end)
-                line += newlines
-                last_nl = text.rindex("\n", nl, end) if newlines > 1 else nl
             kind = m.lastindex
             if kind == _G_IDENT:
                 word = m[_G_IDENT]
-                append(new(Token, (ident, word, line, m.start(_G_IDENT) - last_nl, word)))
+                append(new(Token, (ident, word, m.start(_G_IDENT), word)))
             elif kind == _G_PUNCT:
                 ch = m[_G_PUNCT]
-                append(new(Token, (_PUNCT[ch], ch, line, m.start(_G_PUNCT) - last_nl, None)))
+                append(new(Token, (_PUNCT[ch], ch, m.start(_G_PUNCT), None)))
             elif kind == _G_STRING:
                 start, end = m.span(_G_STRING)
                 body = unescape(text[start + 1:end - 1])
-                append(new(Token, (string, m[_G_STRING], line, start - last_nl, body)))
+                append(new(Token, (string, m[_G_STRING], start, body)))
             elif kind == _G_PIPE:
                 raw = m[_G_PIPE].rstrip()
-                append(new(Token, (pipe, raw, line, m.start(_G_PIPE) - last_nl, raw)))
+                append(new(Token, (pipe, raw, m.start(_G_PIPE), raw)))
             elif kind == _G_INT:
                 digits = m[_G_INT]
-                append(new(Token, (integer, digits, line, m.start(_G_INT) - last_nl, int(digits))))
+                append(new(Token, (integer, digits, m.start(_G_INT), int(digits))))
             elif kind == _G_TRIPLE:
                 start, end = m.span(_G_TRIPLE)
-                col = start - last_nl
                 close = text.find('"""', end)
                 if close < 0:
-                    diags.append(error(E_SYNTAX, "unterminated triple-quoted string",
-                                       SourceSpan(file, line, col, 3)))
+                    found.append((start, "unterminated triple-quoted string", 3))
                     close = n
-                append(Token(TokenType.TRIPLE_STRING, '"""', line, col, text[end:close]))
-                newlines = text.count("\n", end, close)
-                if newlines:
-                    line += newlines
-                    last_nl = text.rindex("\n", start, close)
+                append(Token(TokenType.TRIPLE_STRING, '"""', start, text[end:close]))
                 pos = min(close + 3, n)
                 break
             elif kind == _G_OTHER:
                 start = m.start(_G_OTHER)
                 if text[start] == '"':
-                    tok, pos, line, line_start = _malformed_string(
-                        text, start, line, last_nl + 1, file, diags)
-                    last_nl = line_start - 1
+                    tok, pos = _malformed_string(text, start, found)
                     append(tok)
                     break
-                diags.append(error(E_SYNTAX, f"unexpected character {text[start]!r}",
-                                   SourceSpan(file, line, start - last_nl, 1)))
+                found.append((start, f"unexpected character {text[start]!r}", 1))
             # else a comment, or the blanks at the end of input
         else:
             break
-    append(Token(TokenType.EOF, "", line, n - last_nl))
+    append(Token(TokenType.EOF, "", n))
+    diags: list[Diagnostic] = []
+    if found:
+        starts = line_starts(text)
+        diags = [error(E_SYNTAX, message, SourceSpan(file, *position(starts, offset), length))
+                 for offset, message, length in found]
     return toks, diags
 
 
-def _malformed_string(text: str, pos: int, line: int, line_start: int, file: str,
-                      diags: list[Diagnostic]) -> tuple[Token, int, int, int]:
+def _malformed_string(text: str, pos: int,
+                      found: list[tuple[int, str, int]]) -> tuple[Token, int]:
     """Scan a string the master pattern rejected: a bad escape or no closing quote.
 
     Unknown escapes are dropped from the value and reported where the
     backslash stands; a backslash-newline continues the string on the next
-    line. Returns the token and the new (pos, line, line_start).
+    line and is reported there. Returns the token and the offset after it.
     """
-    start_line, col = line, pos - line_start + 1
     n = len(text)
     parts: list[str] = []
     i = pos + 1
@@ -190,20 +193,14 @@ def _malformed_string(text: str, pos: int, line: int, line_start: int, file: str
             break
         if text.startswith("\\", i) and i + 1 < n:
             esc = text[i + 1]
-            if esc == "\n":
-                line += 1
-                line_start = i + 2
             if esc in ESCAPES:
                 parts.append(ESCAPES[esc])
-            else:
-                diags.append(error(E_SYNTAX, f"unknown escape \\{esc}",
-                                   SourceSpan(file, line, max(i - line_start + 1, 1), 2)))
+            else:  # a backslash-newline is reported where the next line starts
+                found.append((i + 2 if esc == "\n" else i, f"unknown escape \\{esc}", 2))
             i += 2
             continue
         if text.startswith("\\", i):  # a backslash at the end of input
             i += 1
-        diags.append(error(E_SYNTAX, "unterminated string literal",
-                           SourceSpan(file, start_line, col, 1)))
+        found.append((pos, "unterminated string literal", 1))
         break
-    token = Token(TokenType.STRING, text[pos:i], start_line, col, "".join(parts))
-    return token, i, line, line_start
+    return Token(TokenType.STRING, text[pos:i], pos, "".join(parts)), i

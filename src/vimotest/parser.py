@@ -20,7 +20,7 @@ from .diagnostics import (
     SourceSpan,
     error,
 )
-from .lexer import ESCAPES, Token, TokenType, tokenize, unescape
+from .lexer import ESCAPES, Token, TokenType, line_starts, position, tokenize, unescape
 from .model import (
     Action,
     ArgContextRef,
@@ -57,6 +57,7 @@ from .model import (
     WidgetKind,
     XmlBody,
     is_identifier,
+    xml_attribute_name,
 )
 from .names import camel_case
 
@@ -111,7 +112,7 @@ def _parse(text: str | bytes, file: str, entry: Callable[[_Parser], T],
             span = SourceSpan(file=file, line=1, column=1, length=0)
             return None, [error(E_SYNTAX, f"input is not valid UTF-8: {exc.reason}", span)]
     tokens, diags = tokenize(text, file)
-    parser = _Parser(tokens, file, diags)
+    parser = _Parser(tokens, file, diags, text)
     try:
         ast = entry(parser)
     except _ParseError:
@@ -123,11 +124,13 @@ def _parse(text: str | bytes, file: str, entry: Callable[[_Parser], T],
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str, diagnostics: list[Diagnostic]):
+    def __init__(self, tokens: list[Token], file: str, diagnostics: list[Diagnostic],
+                 text: str):
         self.toks = tokens  # always ends in the one EOF token
         self.last = len(tokens) - 1
         self.file = file
         self.diags = diagnostics
+        self.starts = line_starts(text)  # the offset where each line starts
         self.i = 0
 
     # -- token plumbing ----------------------------------------------------
@@ -153,7 +156,8 @@ class _Parser:
         return self.toks[self.i].text == word
 
     def span_of(self, tok: Token) -> SourceSpan:
-        return _new(SourceSpan, (self.file, tok.line, tok.column, len(tok.text) or 1))
+        line, column = position(self.starts, tok.offset)
+        return _new(SourceSpan, (self.file, line, column, len(tok.text) or 1))
 
     def report(self, message: str, tok: Token | None = None, code: str = E_SYNTAX) -> None:
         tok = tok or self.peek()
@@ -464,8 +468,15 @@ class _Parser:
         header_tok = self.expect(_PIPE, "table row")
         header = self.parse_plain_row(header_tok)
         seen: set[str] = set()
+        attributes: dict[str, str] = {}  # XML attribute name -> its first title
         for title in header:
-            self.first(seen, title, header_tok, "duplicate column title '{}'")
+            if not self.first(seen, title, header_tok, "duplicate column title '{}'"):
+                continue
+            name = xml_attribute_name(title)
+            first = attributes.setdefault(name, title)
+            if first != title:
+                self.report(f"column titles '{first}' and '{title}' share the XML "
+                            f"attribute name '{name}'", header_tok, E_DUPLICATE_NAME)
         rows: list[tuple[str, ...]] = []
         toks = self.toks
         while (tok := toks[self.i]).type is _PIPE:
@@ -485,7 +496,7 @@ class _Parser:
             self.fail("malformed table row: expected '| cell | ... |'", tok)
         if trailer.strip():
             self.report("row marks are only allowed in expectation rows", tok)
-        return tuple(cell.strip() for cell in cells)
+        return tuple(map(str.strip, cells))
 
     def parse_action(self) -> Action:
         tok = self.peek()
@@ -589,16 +600,20 @@ class _Parser:
         cells_raw, trailer = _split_pipe_row(tok.text)
         if cells_raw is None:
             self.fail("malformed table row: expected '| cell | ... |'", tok)
-        cells: list[CellExpectation] = []
+        # A '|' inside a tooltip cuts the cell: the tooltip looks
+        # unterminated although the row goes on.
+        marked = bool(trailer.strip())
         last = len(cells_raw) - 1
-        for k, raw in enumerate(cells_raw):
-            # A '|' inside a tooltip cuts the cell: the tooltip looks
-            # unterminated although the row goes on.
-            cut = k < last or bool(trailer.strip())
-            cells.append(self._parse_cell_expectation(raw.strip(), tok, cut))
+        cells: list[CellExpectation] = []
+        for k, text in enumerate(map(str.strip, cells_raw)):
+            if "[" in text:
+                cells.append(self._parse_cell_expectation(text, tok, k < last or marked))
+            else:
+                cells.append(_IGNORED_CELL if text == "*" else CellExpectation(False, text))
         selected = False
         color: str | None = None
-        for kind, payload in self._parse_groups(trailer, tok):
+        marks = self._parse_groups(trailer, tok) if marked else ()
+        for kind, payload in marks:
             if kind == "selected":
                 if selected:
                     self.report("duplicate [selected] mark", tok)
@@ -616,15 +631,12 @@ class _Parser:
         return RowExpectation(cells=tuple(cells), selected=selected, color=color)
 
     def _parse_cell_expectation(self, text: str, tok: Token, cut: bool) -> CellExpectation:
-        if text == "*":
-            return CellExpectation(ignored=True)
-        bracket = text.find("[")
-        if bracket < 0:
-            return CellExpectation(value=text)
+        """A stripped cell that holds a '['; its adornments start there."""
+        bracket = text.index("[")
         value = text[:bracket].rstrip()
         tooltip: str | None = None
         color: str | None = None
-        for kind, payload in self._parse_groups(text[bracket:], tok, cut):
+        for kind, payload in self._parse_groups(text, tok, cut, bracket):
             if kind == "tooltip":
                 if tooltip is not None:
                     self.report("duplicate [tooltip ...] on one cell", tok)
@@ -637,13 +649,14 @@ class _Parser:
                 self.report("[selected] marks a row, not a cell", tok)
         return CellExpectation(value=value, tooltip=tooltip, color=color)
 
-    def _parse_groups(self, text: str, tok: Token,
-                      cut: bool = False) -> list[tuple[str, str | None]]:
-        """Parse '[selected]', '[color NAME]', '[tooltip "..."]' groups.
+    def _parse_groups(self, text: str, tok: Token, cut: bool = False,
+                      start: int = 0) -> list[tuple[str, str | None]]:
+        """Parse '[selected]', '[color NAME]', '[tooltip "..."]' groups from
+        ``text[start:]``.
 
         ``cut`` says that more of the row follows ``text`` after a '|'.
         """
-        groups, err = _scan_groups(text)
+        groups, err = _scan_groups(text, start)
         if err is not None:
             if cut and err == _UNTERMINATED_TOOLTIP:
                 err = "a tooltip string cannot contain '|'"
@@ -676,63 +689,83 @@ def _split_pipe_row(raw: str) -> tuple[list[str] | None, str]:
     return parts[1:-1], parts[-1]
 
 
-# A tooltip body stops at the closing quote, an unknown escape or a lone
-# final backslash.
-_TOOLTIP_BODY = re.compile(r'(?:[^"\\]|\\[%s])*' % re.escape("".join(ESCAPES)))
+_IGNORED_CELL = CellExpectation(ignored=True)
+
+# A tooltip body runs up to the closing quote, an unknown escape or a lone
+# final backslash. It is written unrolled, as runs of plain characters
+# between known escapes, which the engine matches without a step per
+# character.
+_TOOLTIP_BODY = r'[^"\\]*(?:\\[%s][^"\\]*)*' % re.escape("".join(ESCAPES))
+_TOOLTIP_BODY_RE = re.compile(_TOOLTIP_BODY)
+# One well-formed adornment and the blanks before it. ``lastindex`` is 1 for
+# a colour, 2 for a tooltip and None for '[selected]'. A colour name is never
+# empty, so '[color' needs a space after it, as in ``_adornment_error``.
+_ADORNMENT_RE = re.compile(r'\s*\[(?:selected\]|color +(%s)\]|tooltip *"(%s)"\])'
+                           % ("|".join(COLOR_NAMES), _TOOLTIP_BODY))
+_SELECTED = ("selected", None)
 _UNTERMINATED_TOOLTIP = "unterminated tooltip string"
 
 
-def _scan_groups(text: str) -> tuple[list[tuple[str, str | None]], str | None]:
+def _scan_groups(text: str, i: int = 0) -> tuple[list[tuple[str, str | None]], str | None]:
+    """The (kind, payload) adornments of ``text[i:]``, and an error message or None.
+
+    The pattern reads adornments while they are well-formed; where it stops,
+    ``_adornment_error`` words the error, and the groups read before it are kept.
+    """
     groups: list[tuple[str, str | None]] = []
-    i = 0
     n = len(text)
+    match = _ADORNMENT_RE.match
     while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        if text[i] != "[":
-            return groups, f"unexpected text in adornment: {text[i:].strip()!r}"
+        m = match(text, i)
+        if m is None:
+            return groups, _adornment_error(text, i)
+        kind = m.lastindex
+        if kind is None:
+            groups.append(_SELECTED)
+        elif kind == 1:
+            groups.append(("color", m[1]))
+        else:
+            groups.append(("tooltip", unescape(m[2])))
+        i = m.end()
+    return groups, None
+
+
+def _adornment_error(text: str, i: int) -> str | None:
+    """What is wrong with the first adornment of ``text[i:]``, which
+    ``_ADORNMENT_RE`` does not match, or None when only blanks are left."""
+    n = len(text)
+    while i < n and text[i].isspace():
         i += 1
+    if i == n:
+        return None
+    if text[i] != "[":
+        return f"unexpected text in adornment: {text[i:].strip()!r}"
+    i += 1
+    start = i
+    while i < n and text[i].isalpha():
+        i += 1
+    word = text[start:i]
+    if word == "selected":
+        return "expected ']' after '[selected'"
+    if word == "color":
+        while i < n and text[i] == " ":
+            i += 1
         start = i
         while i < n and text[i].isalpha():
             i += 1
-        word = text[start:i]
-        if word == "selected":
-            if i >= n or text[i] != "]":
-                return groups, "expected ']' after '[selected'"
+        if text[start:i] not in COLOR_NAMES:
+            return (f"unknown color '{text[start:i]}'; "
+                    f"expected one of {', '.join(COLOR_NAMES)}")
+        return "expected ']' after color name"
+    if word == "tooltip":
+        while i < n and text[i] == " ":
             i += 1
-            groups.append(("selected", None))
-        elif word == "color":
-            while i < n and text[i] == " ":
-                i += 1
-            start = i
-            while i < n and text[i].isalpha():
-                i += 1
-            name = text[start:i]
-            if name not in COLOR_NAMES:
-                return groups, (f"unknown color '{name}'; "
-                                f"expected one of {', '.join(COLOR_NAMES)}")
-            if i >= n or text[i] != "]":
-                return groups, "expected ']' after color name"
-            i += 1
-            groups.append(("color", name))
-        elif word == "tooltip":
-            while i < n and text[i] == " ":
-                i += 1
-            if i >= n or text[i] != '"':
-                return groups, "expected a quoted string after '[tooltip'"
-            start = i + 1
-            i = _TOOLTIP_BODY.match(text, start).end()
-            if i + 1 < n and text[i] == "\\":
-                return groups, f"unknown escape \\{text[i + 1]} in tooltip string"
-            if i >= n or text[i] != '"':
-                return groups, _UNTERMINATED_TOOLTIP
-            body = unescape(text[start:i])
-            i += 1
-            if i >= n or text[i] != "]":
-                return groups, "expected ']' after tooltip string"
-            i += 1
-            groups.append(("tooltip", body))
-        else:
-            return groups, f"unknown adornment '[{word}...'"
-    return groups, None
+        if i >= n or text[i] != '"':
+            return "expected a quoted string after '[tooltip'"
+        i = _TOOLTIP_BODY_RE.match(text, i + 1).end()
+        if i + 1 < n and text[i] == "\\":
+            return f"unknown escape \\{text[i + 1]} in tooltip string"
+        if i >= n or text[i] != '"':
+            return _UNTERMINATED_TOOLTIP
+        return "expected ']' after tooltip string"
+    return f"unknown adornment '[{word}...'"

@@ -33,6 +33,7 @@ from .model import (
     WidgetCommand,
     WidgetDecl,
     XmlBody,
+    xml_attribute_name,
 )
 
 STORE_COLORS = tuple(c for c in COLOR_NAMES if c != "none")
@@ -296,7 +297,7 @@ def _render_json(body: DataTableBody) -> str:
 
 
 def _render_xml(body: DataTableBody) -> str:
-    names = [title.replace(" ", "_") for title in body.header]
+    names = [xml_attribute_name(title) for title in body.header]
     if not body.rows:
         return "<rows/>"
     rows = []

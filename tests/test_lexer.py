@@ -12,14 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vimotest.diagnostics import E_SYNTAX, SourceSpan, error
-from vimotest.lexer import ESCAPES, IDENT_PATTERN, TokenType, tokenize, unescape
+from vimotest.lexer import (ESCAPES, IDENT_PATTERN, TokenType, line_starts, position,
+                            tokenize, unescape)
 from vimotest.model import is_identifier
 from vimotest.parser import _Parser, parse_view_model
 
 
 def lex(src):
     toks, diags = tokenize(src, "f")
-    return ([(t.type.name, t.text, t.line, t.column, t.value) for t in toks],
+    starts = line_starts(src)
+    return ([(t.type.name, t.text, *position(starts, t.offset), t.value) for t in toks],
             [(d.code, d.message, d.render(), d.span.length) for d in diags])
 
 
@@ -138,6 +140,55 @@ CASES = [
                          ids=[c[0] for c in CASES])
 def test_tokens_and_diagnostics(src, tokens, diags):
     assert lex(src) == (tokens, diags)
+
+
+# Where the lexer loop used to count lines itself. A token now keeps its
+# offset, and ``position`` gives its line and column; these were recorded
+# from the lexer that counted, and ``reference_lex`` agrees with them.
+POSITION_CASES = [
+    ('crlf_line_ends', 'a\r\n  b c\r\n\r\n\td',
+     [('IDENT', 'a', 1, 1, 'a'),
+      ('IDENT', 'b', 2, 3, 'b'),
+      ('IDENT', 'c', 2, 5, 'c'),
+      ('IDENT', 'd', 4, 2, 'd'),
+      ('EOF', '', 4, 3, None)],
+     []),
+    ('triple_string_over_lines_then_token', 'text """ab\r\ncd\n  e""" z\n w',
+     [('IDENT', 'text', 1, 1, 'text'),
+      ('TRIPLE_STRING', '"""', 1, 6, 'ab\r\ncd\n  e'),
+      ('IDENT', 'z', 3, 8, 'z'),
+      ('IDENT', 'w', 4, 2, 'w'),
+      ('EOF', '', 4, 3, None)],
+     []),
+    ('malformed_string_continued_over_a_line', 'x "a\\\n  b\\q\n y',
+     [('IDENT', 'x', 1, 1, 'x'),
+      ('STRING', '"a\\\n  b\\q', 1, 3, 'a  b'),
+      ('IDENT', 'y', 3, 2, 'y'),
+      ('EOF', '', 3, 3, None)],
+     [('E001', 'unknown escape \\\n', 'f:2:1: E001: unknown escape \\\n', 2),
+      ('E001', 'unknown escape \\q', 'f:2:4: E001: unknown escape \\q', 2),
+      ('E001', 'unterminated string literal', 'f:1:3: E001: unterminated string literal', 1)]),
+    ('eof_after_trailing_blank_lines', 'a\n\n  \n\t\r\n  ',
+     [('IDENT', 'a', 1, 1, 'a'),
+      ('EOF', '', 5, 3, None)],
+     []),
+]
+
+
+@pytest.mark.parametrize("src,tokens,diags", [c[1:] for c in POSITION_CASES],
+                         ids=[c[0] for c in POSITION_CASES])
+def test_positions_on_demand(src, tokens, diags):
+    assert lex(src) == (tokens, diags)
+    assert reference_lex(src) == (tokens, diags)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab \t\r\n\u00e9", max_size=40))
+def test_position_counts_newlines_before_the_offset(text):
+    starts = line_starts(text)
+    for offset in range(len(text) + 1):
+        assert position(starts, offset) == (
+            text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
 def test_superscript_digit_is_a_diagnostic_not_a_crash():
@@ -307,7 +358,7 @@ def test_tokens_and_diagnostics_match_the_reference(body, ending):
 
 def test_advance_at_eof_stays_put():
     tokens, _ = tokenize("a b")
-    parser = _Parser(tokens, "f", [])
+    parser = _Parser(tokens, "f", [], "a b")
     assert [parser.advance().text for _ in range(2)] == ["a", "b"]
     for _ in range(3):
         tok = parser.advance()
@@ -324,7 +375,9 @@ def test_found_end_of_input_keeps_its_span():
 
 def test_blanks_after_the_last_token_are_one_match():
     # Retried from every offset, this tail would take a minute, not milliseconds.
-    toks, diags = tokenize("a" + " \t\r\n" * 5_000 + "  ", "f")
-    assert [(t.type.name, t.line, t.column) for t in toks] == [
+    src = "a" + " \t\r\n" * 5_000 + "  "
+    toks, diags = tokenize(src, "f")
+    starts = line_starts(src)
+    assert [(t.type.name, *position(starts, t.offset)) for t in toks] == [
         ("IDENT", 1, 1), ("EOF", 5_001, 3)]
     assert diags == []

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from vimotest.model import (
     WidgetKind,
     catalog_lookup,
     validate_identifier,
+    xml_attribute_name,
 )
 
 
@@ -107,3 +109,29 @@ class TestValidateIdentifier:
             assert not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", raw or " ")
         else:
             assert re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", raw)
+
+
+class TestXmlAttributeName:
+    @pytest.mark.parametrize("title,name", [
+        ("Task Name", "Task_Name"), ("D\u00e9signation", "D\u00e9signation"),
+        ("x-y.z", "x-y.z"), ("", "_"), ("1x", "_1x"), ("a&b", "a_b"), ("a:b", "a_b"),
+        ("-x", "_-x"), ("\u00b7x", "_\u00b7x"), ("a\u00d7b", "a_b"), ("a\tb", "a_b"),
+        ("\u4e2d\u6587", "\u4e2d\u6587"), ("\u0132x", "_x"), ("a\u0221", "a_"),
+        ("\uf900", "_"), ("\U00010000", "_"),
+    ])
+    def test_names(self, title, name):
+        assert xml_attribute_name(title) == name
+
+    def test_every_character_gives_a_name_that_xml_etree_reads(self):
+        # Each code point once inside a name and once at its start, the name
+        # made unique by the code point's hex: the whole BMP and a sample of
+        # the planes above it, one document per block.
+        codes = [c for c in range(0x10000) if not 0xD800 <= c <= 0xDFFF]
+        codes += range(0x10000, 0x110000, 0x3FF)
+        for block in range(0, len(codes), 0x4000):
+            names = []
+            for code in codes[block:block + 0x4000]:
+                names += (xml_attribute_name(f"c{code:x}-{chr(code)}"),
+                          xml_attribute_name(chr(code)) + f"-{code:x}")
+            root = ET.fromstring("<r %s/>" % " ".join(f'{n}="v"' for n in names))
+            assert list(root.attrib) == names

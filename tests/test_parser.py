@@ -5,7 +5,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vimotest.lexer import ESCAPES
+from vimotest.lexer import ESCAPES, tokenize
 from vimotest.model import (
     COLOR_NAMES,
     CellExpectation,
@@ -14,11 +14,13 @@ from vimotest.model import (
     DataTableBody,
     FeatureKind,
     ReferenceBody,
+    RowExpectation,
     RowsExpectation,
     TextBody,
     WidgetKind,
 )
-from vimotest.parser import _scan_groups, parse_test_suite, parse_view_model
+from vimotest.parser import (_ParseError, _Parser, _scan_groups, parse_test_suite,
+                             parse_view_model)
 from vimotest.printer import pretty_print
 
 from astgen import random_description, random_suite
@@ -201,6 +203,23 @@ class TestParseTestSuite:
         assert suite is None
         assert [(d.render(), d.span.length) for d in diags] == [
             ("d:2:1: E106: duplicate column title 'a'", 14)]
+
+    def test_titles_sharing_an_xml_attribute_name_are_e106(self):
+        src = ('testsuite S for V { scenario "D" { given { datatable t {\n'
+               "| a b | a_b | a:b | a b |\n| 1 | 2 | 3 | 4 |\n} } when { } then { } } }")
+        suite, diags = parse_test_suite(src, "d")
+        assert suite is None
+        assert [(d.render(), d.span.length) for d in diags] == [
+            ("d:2:1: E106: column titles 'a b' and 'a_b' share the XML attribute name 'a_b'", 25),
+            ("d:2:1: E106: column titles 'a b' and 'a:b' share the XML attribute name 'a_b'", 25),
+            ("d:2:1: E106: duplicate column title 'a b'", 25)]
+
+    def test_titles_that_are_not_xml_names_parse_clean(self):
+        src = ('testsuite S for V { scenario "D" { given { datatable t {\n'
+               "|  | 1x | a&b |\n| 1 | 2 | 3 |\n} } when { } then { } } }")
+        suite, diags = parse_test_suite(src, "d")
+        assert diags == []
+        assert suite.scenarios[0].given[0].body.header == ("", "1x", "a&b")
 
     def test_duplicate_ignored_title_is_e106(self):
         src = ('testsuite S for V { scenario "D" { given { } when { } then {\n'
@@ -565,6 +584,144 @@ class TestScanGroups:
     def test_groups_before_an_error_are_kept(self):
         assert _scan_groups('[selected] [tooltip "x') == (
             [("selected", None)], "unterminated tooltip string")
+
+
+# -- rows against the per-cell reader they replaced ----------------------------
+
+class ReferenceRows(_Parser):
+    """The row readers the parser used to carry: every cell went through
+    ``_parse_cell_expectation`` and every adornment run through the
+    per-character scanner."""
+
+    def parse_plain_row(self, tok):
+        cells, trailer = reference_split_pipe_row(tok.text)
+        if cells is None:
+            self.fail("malformed table row: expected '| cell | ... |'", tok)
+        if trailer.strip():
+            self.report("row marks are only allowed in expectation rows", tok)
+        return tuple(cell.strip() for cell in cells)
+
+    def parse_expect_row(self, tok, arity):
+        cells_raw, trailer = reference_split_pipe_row(tok.text)
+        if cells_raw is None:
+            self.fail("malformed table row: expected '| cell | ... |'", tok)
+        cells = []
+        last = len(cells_raw) - 1
+        for k, raw in enumerate(cells_raw):
+            cut = k < last or bool(trailer.strip())
+            cells.append(self._parse_cell_expectation(raw.strip(), tok, cut))
+        selected = False
+        color = None
+        for kind, payload in self._parse_groups(trailer, tok):
+            if kind == "selected":
+                if selected:
+                    self.report("duplicate [selected] mark", tok)
+                selected = True
+            elif kind == "color":
+                if color is not None:
+                    self.report("duplicate [color ...] mark", tok)
+                color = payload
+            else:
+                self.report("tooltips belong on cells, not rows", tok)
+        if len(cells) != arity:
+            self.report(f"row has {len(cells)} cells but the header has {arity}",
+                        tok, "E108")
+            return None
+        return RowExpectation(cells=tuple(cells), selected=selected, color=color)
+
+    def _parse_cell_expectation(self, text, tok, cut):
+        if text == "*":
+            return CellExpectation(ignored=True)
+        bracket = text.find("[")
+        if bracket < 0:
+            return CellExpectation(value=text)
+        value = text[:bracket].rstrip()
+        tooltip = None
+        color = None
+        for kind, payload in self._parse_groups(text[bracket:], tok, cut):
+            if kind == "tooltip":
+                if tooltip is not None:
+                    self.report("duplicate [tooltip ...] on one cell", tok)
+                tooltip = payload
+            elif kind == "color":
+                if color is not None:
+                    self.report("duplicate [color ...] on one cell", tok)
+                color = payload
+            else:
+                self.report("[selected] marks a row, not a cell", tok)
+        return CellExpectation(value=value, tooltip=tooltip, color=color)
+
+    def _parse_groups(self, text, tok, cut=False):
+        groups, err = reference_scan_groups(text)
+        if err is not None:
+            if cut and err == "unterminated tooltip string":
+                err = "a tooltip string cannot contain '|'"
+            self.fail(err, tok)
+        return groups
+
+
+def reference_split_pipe_row(raw):
+    parts = raw.split("|")
+    if len(parts) < 3:
+        return None, ""
+    return parts[1:-1], parts[-1]
+
+
+def read_row(parser_class, method, row, *args):
+    """Parse the row on line 3 of a source; return the result ("fail" for a
+    parse error) and the rendered diagnostics with their span lengths."""
+    src = "a\n\n   " + row + "\n"
+    tokens, _ = tokenize(src, "f")
+    parser = parser_class(tokens, "f", [], src)
+    try:
+        result = getattr(parser, method)(tokens[1], *args)
+    except _ParseError:
+        result = "fail"
+    return result, [(d.render(), d.span.length) for d in parser.diags]
+
+
+# Pieces of a cell: plain text, '*', well-formed and broken adornments, a
+# tooltip holding '|' (which cuts the cell), escapes good and bad, and
+# duplicates of each mark.
+_CELL_PIECES = st.sampled_from([
+    "", " ", "a", "Task one", "\u00e9t\u00e9", "*", "[", "]", '"',
+    '[tooltip "x"]', '[tooltip "a|b"]', '[tooltip "q\\"z\\n"]', '[tooltip "bad\\q"]',
+    '[tooltip ""]', '[tooltip "open', "[color red]", "[color  blue]", "[color purple]",
+    "[colorred]", "[selected]", "[selected", "[tooltip x]", "[size 3]"])
+_TRAILERS = st.lists(st.sampled_from([
+    "", " ", "[selected]", "[color red]", "[color gray]", '[tooltip "t"]', "junk",
+    "[selected", "[color none]"]), max_size=3).map("".join)
+_ROWS = st.builds(lambda cells, trailer: "|" + "|".join(cells) + "|" + trailer,
+                  st.lists(st.lists(_CELL_PIECES, max_size=4).map("".join),
+                           min_size=0, max_size=5),
+                  _TRAILERS)
+
+
+class TestRowsMatchTheReference:
+    @settings(max_examples=1500, deadline=None)
+    @given(_ROWS, st.integers(1, 5))
+    def test_expectation_rows(self, row, arity):
+        assert read_row(_Parser, "parse_expect_row", row, arity) == \
+            read_row(ReferenceRows, "parse_expect_row", row, arity)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_ROWS)
+    def test_plain_rows(self, row):
+        assert read_row(_Parser, "parse_plain_row", row) == \
+            read_row(ReferenceRows, "parse_plain_row", row)
+
+    def test_a_row_of_every_kind_of_cell(self):
+        row = ('| * | plain | v [tooltip "a\\"b"] [color red] | w [color blue] '
+               '[color red] | x [selected] |[selected] [color gray]')
+        result, diags = read_row(_Parser, "parse_expect_row", row, 5)
+        assert (result, diags) == read_row(ReferenceRows, "parse_expect_row", row, 5)
+        assert result == RowExpectation(cells=(
+            CellExpectation(ignored=True), CellExpectation(value="plain"),
+            CellExpectation(value="v", tooltip='a"b', color="red"),
+            CellExpectation(value="w", color="red"), CellExpectation(value="x")),
+            selected=True, color="gray")
+        assert diags == [("f:3:4: E001: duplicate [color ...] on one cell", len(row)),
+                         ("f:3:4: E001: [selected] marks a row, not a cell", len(row))]
 
 
 # -- recovery over many broken inputs ------------------------------------------
