@@ -16,6 +16,7 @@ from pathlib import Path
 from . import __version__
 from .analyzer import Project, compute_name_map, link
 from .diagnostics import E_DUPLICATE_NAME, Diagnostic, error
+from .model import check_label
 from .parser import parse_test_suite, parse_view_model
 
 # Only the front end above is imported with this module. Each subcommand
@@ -241,6 +242,8 @@ def _failure_dict(failure) -> dict:
         "columnTitle": failure.column_title,
         "expected": failure.expected,
         "actual": failure.actual,
+        "label": check_label(failure.widget, failure.feature, failure.aspect,
+                             failure.row_index, failure.column_title),
     }
 
 

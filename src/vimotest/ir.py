@@ -31,6 +31,7 @@ from .model import (
     RowsExpectation,
     ViewModelDescription,
     WidgetCommand,
+    check_label,
 )
 from .names import KEYWORDS, camel_case
 
@@ -360,14 +361,13 @@ def _literal_text(value) -> str:
 def _lower_check(check, widgets, name_map):
     exp = check.expectation
     if isinstance(exp, RowsExpectation):
-        declared = {c.title: i for i, c in enumerate(widgets[check.widget].columns)}
         selected = name_map.properties.get((check.widget, FeatureKind.SELECTED_ROW))
         return AssertRows(
             widget=check.widget,
             rows_getter=name_map.properties[(check.widget, FeatureKind.ROWS)].getter,
             selected_getter=None if selected is None else selected.getter,
-            columns=tuple(declared[title] for title in exp.header),
+            columns=widgets[check.widget].column_indexes(exp.header),
             expectation=exp)
     names = name_map.properties[(check.widget, check.feature)]
     return AssertEqual(expected=_literal_expr(exp), actual=PropertyGet(names.getter),
-                       message=f"{check.widget}.{check.feature.value}")
+                       message=check_label(check.widget, check.feature.value, "value"))

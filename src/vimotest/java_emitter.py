@@ -47,7 +47,7 @@ _SPEC = TargetSpec(
     assert_call="assertEquals", continuation="        + ", null="(Integer) null",
     index=(".get(", ")"), comment=_comment,
     # The selected-row getter returns Integer, so an expected index is boxed.
-    row_count="{}", cell="{}", row_index="Integer.valueOf({})")
+    row_count="{}", cell="{}", row_index="Integer.valueOf({})", gate=False)
 
 
 def emit_java(ir: IRUnit, name_map: NameMap, config: GenConfig) -> list[tuple[str, str]]:

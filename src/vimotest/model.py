@@ -269,6 +269,11 @@ class WidgetDecl(Record):
         """``feature in self.features()``, without building the set."""
         return feature in self.enabled_optional or feature in CATALOG[self.kind].inherent
 
+    def column_indexes(self, titles: tuple[str, ...]) -> tuple[int, ...]:
+        """The declared index of the column each title names."""
+        declared = {c.title: i for i, c in enumerate(self.columns)}
+        return tuple([declared[title] for title in titles])
+
 
 class Param(Record):
     name: str
@@ -409,6 +414,53 @@ class RowsExpectation(Record):
     rows: tuple[RowExpectation, ...] = ()
     ignored_columns: tuple[str, ...] = ()
     selected_row_check: int | str | None = None
+
+
+def _unless_none(name):
+    """An expected colour or selected row, None where it is ``none``."""
+    return None if name == "none" else name
+
+
+def row_checks(exp: RowsExpectation, columns: tuple[int, ...]):
+    """Each check of an expected table as ``(aspect, row, column, title,
+    expected)``: the row count; row by row, each non-ignored cell's value,
+    stated tooltip and colour, the row's colour and, in a table with a
+    marked row, whether the row is selected; last the ``selectedRow``
+    trailer, with no row. ``columns`` holds each header title's declared
+    column index; only cell checks have a column. An expected colour or
+    selected row of ``none`` is None."""
+    yield "rowCount", None, None, None, len(exp.rows)
+    marked = any([row.selected for row in exp.rows])
+    for i, row in enumerate(exp.rows):
+        for column, title, cell in zip(columns, exp.header, row.cells):
+            if not cell.ignored:
+                yield "value", i, column, title, cell.value
+                if cell.tooltip is not None:
+                    yield "tooltip", i, column, title, cell.tooltip
+                if cell.color is not None:
+                    yield "color", i, column, title, _unless_none(cell.color)
+        if row.color is not None:
+            yield "color", i, None, None, _unless_none(row.color)
+        if marked:
+            yield "selected", i, None, None, row.selected
+    if exp.selected_row_check is not None:
+        yield "selected", None, None, None, _unless_none(exp.selected_row_check)
+
+
+def check_label(widget: str, feature: str, aspect: str,
+                row: int | None = None, title: str | None = None) -> str:
+    """What a check is called in a generated assert and in a run failure:
+    ``Tasks: row count``, ``Tasks: selected row``, ``Tasks[0][Due Date]:
+    tooltip``, ``Tasks[1]: color``, ``AddNewTask.enabled``."""
+    if aspect == "rowCount":
+        return f"{widget}: row count"
+    if aspect == "selected":
+        return f"{widget}: selected row"
+    if row is None:
+        return f"{widget}.{feature}"
+    if title is None:
+        return f"{widget}[{row}]: {aspect}"
+    return f"{widget}[{row}][{title}]: {aspect}"
 
 
 class CheckValue(Record):

@@ -33,6 +33,7 @@ from .model import (
     WidgetCommand,
     WidgetDecl,
     XmlBody,
+    row_checks,
     xml_attribute_name,
 )
 
@@ -329,72 +330,39 @@ def _show(value) -> str:
 def evaluate_rows_check(widget: WidgetDecl, expectation,
                         rows: list[RowValue],
                         selected_row: int | None) -> list[CheckFailure]:
-    """Compare a rows expectation against actual table state.
+    """Compare a rows expectation against actual table state, check by
+    check of ``model.row_checks``.
 
     A row-count mismatch is reported as a single failure and suppresses all
     finer-grained checks. Ignored cells and columns never produce failures.
     """
-    name = widget.name
+    checks = row_checks(expectation, widget.column_indexes(expectation.header))
+    count = next(checks)[4]
+    if count != len(rows):
+        return [CheckFailure(widget=widget.name, feature="rows", aspect="rowCount",
+                             expected=str(count), actual=str(len(rows)))]
     failures: list[CheckFailure] = []
-    if len(expectation.rows) != len(rows):
-        return [CheckFailure(widget=name, feature="rows", aspect="rowCount",
-                             expected=str(len(expectation.rows)),
-                             actual=str(len(rows)))]
-    declared = {c.title: i for i, c in enumerate(widget.columns)}
-    column_of = [declared[title] for title in expectation.header]
-    any_selected_mark = any(r.selected for r in expectation.rows)
-    for i, (expected_row, actual_row) in enumerate(zip(expectation.rows, rows)):
-        for j, cell in enumerate(expected_row.cells):
-            if cell.ignored:
+    for aspect, i, column, title, expected in checks:
+        if aspect == "value":
+            cell = rows[i].cells[column]
+            actual = cell.text
+        elif aspect == "tooltip":
+            actual = cell.tooltip
+            if expected == (actual or ""):
                 continue
-            title = expectation.header[j]
-            actual_cell = actual_row.cells[column_of[j]]
-            if cell.value != actual_cell.text:
-                failures.append(CheckFailure(
-                    widget=name, feature="rows", aspect="value",
-                    expected=cell.value, actual=actual_cell.text,
-                    row_index=i, column_title=title))
-            if cell.tooltip is not None and cell.tooltip != (actual_cell.tooltip or ""):
-                failures.append(CheckFailure(
-                    widget=name, feature="rows", aspect="tooltip",
-                    expected=cell.tooltip, actual=_show(actual_cell.tooltip),
-                    row_index=i, column_title=title))
-            if cell.color is not None and not _color_matches(cell.color,
-                                                             actual_cell.color):
-                failures.append(CheckFailure(
-                    widget=name, feature="rows", aspect="color",
-                    expected=cell.color, actual=_show(actual_cell.color),
-                    row_index=i, column_title=title))
-        if expected_row.color is not None and not _color_matches(expected_row.color,
-                                                                 actual_row.color):
+        elif aspect == "color":
+            actual = (rows[i] if column is None else cell).color
+        elif i is None:  # the selectedRow trailer
+            actual, i = selected_row, expected
+        else:  # a row of a marked table
+            states = ("not selected", "selected")
+            expected, actual = states[expected], states[selected_row == i]
+        if expected != actual:
             failures.append(CheckFailure(
-                widget=name, feature="rows", aspect="color",
-                expected=expected_row.color, actual=_show(actual_row.color),
-                row_index=i))
-        if expected_row.selected and selected_row != i:
-            failures.append(CheckFailure(
-                widget=name, feature="selectedRow", aspect="selected",
-                expected="selected", actual="not selected", row_index=i))
-        elif (not expected_row.selected and any_selected_mark
-              and selected_row == i):
-            failures.append(CheckFailure(
-                widget=name, feature="selectedRow", aspect="selected",
-                expected="not selected", actual="selected", row_index=i))
-    check = expectation.selected_row_check
-    if check is not None:
-        expected_index = None if check == "none" else check
-        if selected_row != expected_index:
-            failures.append(CheckFailure(
-                widget=name, feature="selectedRow", aspect="selected",
-                expected=_show(expected_index), actual=_show(selected_row),
-                row_index=expected_index if isinstance(expected_index, int) else None))
+                widget=widget.name, feature="selectedRow" if aspect == "selected" else "rows",
+                aspect=aspect, expected=_show(expected), actual=_show(actual),
+                row_index=i, column_title=title))
     return failures
-
-
-def _color_matches(expected: str, actual: str | None) -> bool:
-    if expected == "none":
-        return actual is None
-    return expected == actual
 
 
 def _evaluate_check(check, store: WidgetStateStore) -> list[CheckFailure]:

@@ -31,6 +31,7 @@ from .ir import (
     StringLit,
 )
 from .literals import quote
+from .model import check_label, row_checks
 from .printer import align_pipe_rows, expectation_grid
 
 
@@ -51,6 +52,7 @@ class TargetSpec(NamedTuple):
     row_count: str
     cell: str
     row_index: str
+    gate: bool  # the asserts after a table's row count need it to hold
 
 
 def write_test_body(lines: list[str], unit: IRUnit, test: IRTest,
@@ -114,9 +116,9 @@ def _declare_local(lines: list[str], ind: str, stmt: DeclareLocal,
 
 
 def _assert_rows(lines: list[str], stmt: AssertRows, spec: TargetSpec) -> None:
-    """The expected table as an aligned comment, then its row count and,
-    row by row, each non-ignored cell's value, tooltip and colour, the row's
-    colour and its selection; then the selected-row check."""
+    """The expected table as an aligned comment, then one assert per check
+    of ``model.row_checks``. A failed C++ assert returns where a Java one
+    throws, so with ``spec.gate`` the later asserts need the row count."""
     ind, widget, exp = spec.indent, stmt.widget, stmt.expectation
     grid, marks = expectation_grid(exp)
     lines.append(f"{ind}// expected {widget} rows:")
@@ -124,42 +126,42 @@ def _assert_rows(lines: list[str], stmt: AssertRows, spec: TargetSpec) -> None:
     shown = align_pipe_rows([[spec.comment(cell) for cell in row] for row in grid])
     lines.extend(f"{ind}// {row}{mark}" for row, mark in zip(shown, marks))
 
-    head = f"{ind}{spec.assert_call}("
-
-    def assert_(expected: str, actual: str, message: str) -> None:
-        lines.append(f"{head}{expected}, {actual}, {quote(message)});")
-
     open_, close = spec.index
     string, index = spec.cell.format, spec.row_index.format
     rows = f"{VM_LOCAL}.{stmt.rows_getter}()"
     selected = f"{VM_LOCAL}.{stmt.selected_getter}()"
-    assert_(spec.row_count.format(len(exp.rows)), f"{rows}.size()", f"{widget}: row count")
-    for i, row in enumerate(exp.rows):
-        row_ref = f"{rows}{open_}{i}{close}"
-        for title, column, cell in zip(exp.header, stmt.columns, row.cells):
-            if cell.ignored:
-                continue
-            cell_ref = f"{row_ref}.cells{open_}{column}{close}"
-            label = f"{widget}[{i}][{title}]"
-            assert_(string(quote(cell.value)), f"{cell_ref}.text", f"{label}: value")
-            if cell.tooltip is not None:
-                assert_(string(quote(cell.tooltip)), f"{cell_ref}.tooltip",
-                        f"{label}: tooltip")
-            if cell.color is not None:
-                assert_(string(_color(cell.color)), f"{cell_ref}.color", f"{label}: color")
-        if row.color is not None:
-            assert_(string(_color(row.color)), f"{row_ref}.color", f"{widget}[{i}]: color")
-        if row.selected:
-            assert_(index(i), selected, f"{widget}: selected row")
-    check = exp.selected_row_check
-    if check is not None:
-        assert_(spec.null if check == "none" else index(check), selected,
-                f"{widget}: selected row")
-
-
-def _color(name: str) -> str:
-    """An expected colour as a string literal; no colour is ``""``."""
-    return quote("" if name == "none" else name)
+    # Quoting a label escapes its widget name and column title, each once here.
+    name = quote(widget)[1:-1]
+    titles = {title: quote(title)[1:-1] for title in exp.header}
+    checks = row_checks(exp, stmt.columns)
+    count = next(checks)[4]
+    head = f"{ind}{spec.assert_call}("
+    lines.append(f"{head}{spec.row_count.format(count)}, {rows}.size(), "
+                 f'"{check_label(name, "rows", "rowCount")}");')
+    if spec.gate:
+        gate = f"{ind}if ({rows}.size() == {count}) {{"
+        lines.append(gate)
+        head = f"{ind}    {spec.assert_call}("
+    for aspect, i, column, title, expected in checks:
+        if aspect == "selected":
+            if i is not None and not expected:
+                continue  # one selected index implies the unmarked rows
+            row = expected if i is None else i
+            actual, want = selected, spec.null if row is None else index(row)
+        else:
+            if aspect == "value":
+                cell = f"{rows}{open_}{i}{close}.cells{open_}{column}{close}"
+            owner = cell if column is not None else f"{rows}{open_}{i}{close}"
+            # A generated cell or row field is a string, and no colour is "".
+            actual = f"{owner}.{'text' if aspect == 'value' else aspect}"
+            want = string(quote(expected or ""))
+        lines.append(f"{head}{want}, {actual}, "
+                     f'"{check_label(name, "rows", aspect, i, titles.get(title))}");')
+    if spec.gate:  # close the block, or drop it if it guards nothing
+        if lines[-1] == gate:
+            lines.pop()
+        else:
+            lines.append(f"{ind}}}")
 
 
 def _expr(expr: IRExpr, spec: TargetSpec) -> str:

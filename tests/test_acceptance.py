@@ -19,7 +19,7 @@ from astgen import (
     with_random_ignores,
 )
 from conftest import CORPUS, GOLDENS
-from test_codegen import count_expected_assertions
+from test_codegen import ASSERT_MESSAGE, count_expected_assertions
 from test_runtime import reparse_json, reparse_multiline, reparse_xml
 from vimotest.analyzer import compute_name_map, resolve
 from vimotest.cli import main
@@ -116,16 +116,27 @@ def test_criterion_2_scenario_execution(corpus_linked, capsys, verdict):
 
 EXPECTED_MUTANT_FAILURES = {
     "taskmanager-buggy": {"widget": "Tasks", "aspect": "selected",
-                          "rowIndex": 2},
+                          "rowIndex": 2, "label": "Tasks: selected row"},
     "taskmanager-keepdue": {"widget": "Tasks", "aspect": "value",
-                            "rowIndex": 2, "columnTitle": "Due Date"},
+                            "rowIndex": 2, "columnTitle": "Due Date",
+                            "label": "Tasks[2][Due Date]: value"},
     "taskmanager-nocolor": {"widget": "Tasks", "aspect": "color",
-                            "rowIndex": 1},
-    "taskmanager-noappend": {"widget": "Tasks", "aspect": "rowCount"},
+                            "rowIndex": 1, "label": "Tasks[1]: color"},
+    "taskmanager-noappend": {"widget": "Tasks", "aspect": "rowCount",
+                             "label": "Tasks: row count"},
 }
 
 
-def test_criterion_3_mutation_sensitivity(capsys, verdict):
+def test_criterion_3_mutation_sensitivity(capsys, verdict, corpus_desc, corpus_linked):
+    # Each failure's label is the message of a generated assert in both targets.
+    messages = []
+    for target, emit in (("java", emit_java), ("cpp", emit_cpp)):
+        config = GenConfig(target=target)
+        name_map, _ = compute_name_map(corpus_desc, config)
+        files = emit(lower_to_ir(corpus_desc, corpus_linked, name_map, config),
+                     name_map, config)
+        messages.append({json.loads(m) for _, text in files
+                         for m in ASSERT_MESSAGE.findall(text)})
     for setup_id, expected in EXPECTED_MUTANT_FAILURES.items():
         code = main(["run", str(CORPUS), "--setup", setup_id,
                      "--format", "json"])
@@ -137,8 +148,10 @@ def test_criterion_3_mutation_sensitivity(capsys, verdict):
         (failure,) = result["failures"]
         for key, value in expected.items():
             assert failure[key] == value, (setup_id, key, failure)
+        for target in messages:
+            assert failure["label"] in target, (setup_id, failure)
     verdict(3, "each of the 4 logic mutants produces exactly one failure "
-               "naming the right widget and aspect")
+               "naming the right widget and aspect, labelled as a generated assert")
 
 
 def test_criterion_4_parser_properties(verdict):

@@ -110,10 +110,10 @@ class TestRun:
         assert scenario["durationMillis"] == scenario["durationMicros"] // 1000
 
     def test_json_report_round_trips(self, capsys):
-        _, captured = self.run_corpus(capsys, "--setup", "taskmanager",
-                                      "--format", "json")
-        report = json.loads(captured.out)
-        assert json.loads(json.dumps(report)) == report
+        for setup in ("taskmanager", "taskmanager-nocolor"):  # no failure, one failure
+            _, captured = self.run_corpus(capsys, "--setup", setup, "--format", "json")
+            report = json.loads(captured.out)
+            assert json.loads(json.dumps(report)) == report
 
     def test_mutant_report_names_widget_and_aspect(self, capsys):
         code, captured = self.run_corpus(capsys, "--setup", "taskmanager-noappend",
@@ -123,6 +123,7 @@ class TestRun:
         (scenario,) = report["suites"][0]["scenarios"]
         (failure,) = scenario["failures"]
         assert failure["widget"] == "Tasks" and failure["aspect"] == "rowCount"
+        assert failure["label"] == "Tasks: row count"
 
     def test_unknown_setup_id(self, capsys):
         code, captured = self.run_corpus(capsys, "--setup", "warehouse")

@@ -6,26 +6,44 @@ import subprocess
 
 import pytest
 
-from astgen import random_description, random_suite
+from astgen import (
+    column_title,
+    random_description,
+    random_state_pair,
+    random_suite,
+    string_value,
+    with_random_ignores,
+)
 from conftest import GOLDENS, VMDSL_PATH, VMTEST_PATH
 from test_literals import JAVA_UNICODE_ESCAPE
+from vimotest import cpp_emitter, java_emitter
 from vimotest.analyzer import compute_name_map, resolve
 from vimotest.cpp_emitter import emit_cpp
 from vimotest.genconfig import GenConfig, GenConfigError, load_genconfig, parse_genconfig
-from vimotest.ir import AssertRows, Comment, ir_to_dict, lower_to_ir
+from vimotest.ir import AssertRows, Comment, IRClass, IRTest, IRUnit, ir_to_dict, lower_to_ir
 from vimotest.java_emitter import emit_java
+from vimotest.literals import quote
 from vimotest.model import (
+    CellKind,
+    ColumnSpec,
     CommandDecl,
     CustomCommand,
+    FeatureKind,
     NameBinding,
     Param,
     ParamType,
     RowsExpectation,
     ViewModelDescription,
+    WidgetDecl,
+    WidgetKind,
+    check_label,
 )
 from vimotest.names import snake_case
 from vimotest.parser import parse_test_suite, parse_view_model
 from vimotest.printer import expectation_grid
+from vimotest.testbody import write_test_body
+from vimotest.runtime import evaluate_rows_check, run_suite
+from vimotest.taskmanager import REGISTRY
 
 
 # Goldens of the shipped corpus under a non-default config, kept with the
@@ -780,3 +798,103 @@ class TestGeneratedSourcesCompile:
             cwd=tmp_path, capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stdout + result.stderr
         assert result.stderr == ""
+
+
+# The message of each assert in a generated test file, as its source literal.
+ASSERT_MESSAGE = re.compile(r'^ *(?:assertEquals|VT_ASSERT_EQ)\(.*, ("(?:[^"\\]|\\.)*")\);$', re.M)
+
+
+def failure_label(failure) -> str:
+    return check_label(failure.widget, failure.feature, failure.aspect,
+                       failure.row_index, failure.column_title)
+
+
+class TestFailureLabels:
+    """A run failure carries the message of the generated assert that makes
+    the same check, in Java and in C++."""
+
+    def test_runtime_labels_are_generated_assert_messages(self):
+        rng = random.Random(1616)
+        unit = IRUnit(classes=(IRClass("V", abstract=False),), suite_name="S")
+        aspects = set()
+        for _ in range(150):
+            widget = WidgetDecl(
+                name="T", kind=WidgetKind.TABLE,
+                enabled_optional=frozenset({FeatureKind.SELECTED_ROW}),
+                # Titles carry quotes, backslashes and control characters.
+                columns=tuple(ColumnSpec(cell_kind=CellKind.LABEL,
+                                         title=column_title(rng, i) + string_value(rng, 3))
+                              for i in range(rng.randint(1, 5))))
+            exp, rows, selected = random_state_pair(rng, widget)
+            for expectation in (exp, with_random_ignores(rng, exp)[0]):
+                stmt = AssertRows(widget="T", rows_getter="getTRows",
+                                  selected_getter="getTSelectedRow",
+                                  columns=widget.column_indexes(expectation.header),
+                                  expectation=expectation)
+                messages = []
+                for spec in (java_emitter._SPEC, cpp_emitter._SPEC):
+                    lines: list[str] = []
+                    write_test_body(lines, unit, IRTest("t", (stmt,)), spec)
+                    messages.append(set(ASSERT_MESSAGE.findall("\n".join(lines))))
+                # A table one row short fails on its row count alone.
+                for actual in (rows, rows[:-1]):
+                    for failure in evaluate_rows_check(widget, expectation, actual, selected):
+                        aspects.add(failure.aspect)
+                        for target in messages:
+                            assert quote(failure_label(failure)) in target, failure
+        assert aspects == {"rowCount", "value", "tooltip", "color", "selected"}
+
+
+# The taskmanager-noappend logic in C++: LoadView loads the two sample rows,
+# and a click on AddNewTask appends nothing.
+NOAPPEND_IMPL = """#pragma once
+
+#include "task_list_view_model.hpp"
+
+#include <string>
+
+class TaskListViewModelImpl : public TaskListViewModel {
+public:
+    void onLoadView(const std::string&) override {
+        setTasksRows({
+            Row{{{"prioLow", "", ""}, {"Exercise", "", ""},
+                 {"2024-01-04", "4th January 2024", ""}}, ""},
+            Row{{{"prioHigh", "", ""}, {"Taxes", "", ""},
+                 {"2024-02-01", "1st February 2024", ""}}, "red"},
+        });
+        setAddNewTaskEnabled(true);
+        setDeleteTaskEnabled(true);
+    }
+    void onTasksSelectRow(int) override {}
+    void onAddNewTaskClick() override {}
+    void onDeleteTaskClick() override {}
+};
+"""
+
+
+class TestGeneratedCppRuns:
+    @pytest.mark.skipif(shutil.which("g++") is None, reason="g++ not on PATH")
+    def test_failed_row_count_skips_the_table_asserts(self, tmp_path, corpus_linked):
+        """With a row missing, the corpus test reports the row count, the one
+        failure the runtime reports too, and reads no row past the end: the
+        checked standard library would abort on that."""
+        config = GenConfig(target="cpp")
+        files, name_map, suite_name = emit_sources(
+            config, VMDSL_PATH.read_text(), VMTEST_PATH.read_text())
+        write_tree(tmp_path, files)
+        write_tree(tmp_path, cpp_companions(files, name_map, suite_name, config))
+        write_tree(tmp_path, {"task_list_view_model_impl.hpp": NOAPPEND_IMPL})
+        build = subprocess.run(
+            ["g++", "-std=c++17", "-D_GLIBCXX_ASSERTIONS", "-o", "noappend",
+             "task_list_tests_test.cpp"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert build.returncode == 0, build.stderr
+        result = subprocess.run([str(tmp_path / "noappend")], cwd=tmp_path,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.endswith("\n1 assertion(s) failed\n"), result.stderr
+        (fail,) = re.findall(r": FAIL (.*): expected 3, actual 2$", result.stderr, re.M)
+        registration = REGISTRY["taskmanager-noappend"]
+        (scenario,) = run_suite(corpus_linked, registration.logic_factory,
+                                registration.setup_factory)
+        assert [failure_label(f) for f in scenario.failures] == [fail]
