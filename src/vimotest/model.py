@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from enum import Enum, unique
+from functools import lru_cache
 
 from .diagnostics import Record, SourceSpan, span_field
 from .lexer import IDENT_PATTERN
@@ -229,11 +230,12 @@ _NAME_START_BOUNDS = _range_bounds(_XML_NAME_START)
 _NAME_CHAR_BOUNDS = sorted(_NAME_START_BOUNDS + _range_bounds(_XML_NAME_MORE))
 
 
+@lru_cache(maxsize=1024)
 def xml_attribute_name(title: str) -> str:
     """The XML attribute name of a data-table column title: every character
     that is not an XML name character, ':' and blanks included, becomes '_',
     and a name that cannot start as it is gets a '_' prefix (``""`` -> ``_``,
-    ``1x`` -> ``_1x``)."""
+    ``1x`` -> ``_1x``). Cached per title: a corpus repeats few titles."""
     name = "".join(ch if bisect_right(_NAME_CHAR_BOUNDS, ord(ch)) & 1 else "_"
                    for ch in title)
     return name if name and bisect_right(_NAME_START_BOUNDS, ord(name[0])) & 1 else "_" + name

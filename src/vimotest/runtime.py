@@ -40,6 +40,8 @@ from .model import (
 STORE_COLORS = tuple(c for c in COLOR_NAMES if c != "none")
 
 _FEATURES = {kind.value: kind for kind in FeatureKind}
+# Bound once: reading an enum member costs a class attribute lookup on each use.
+_ROWS, _SELECTED_ROW, _TEXT = FeatureKind.ROWS, FeatureKind.SELECTED_ROW, FeatureKind.TEXT
 
 
 class StoreError(Exception):
@@ -116,7 +118,11 @@ class WidgetStateStore:
     end it keeps in place (the same row object at the same position from
     either end), so an append or an insert checks one row and a delete
     none; a row that moves, or leaves and comes back, is checked again. A
-    write to an untrusted table checks every row.
+    write that keeps the stored first row first and adds a row after the
+    stored last row, or removes a single row other than the first or the
+    last, compares rows by tuple ``==``, so there a row equal to the stored
+    row at its place is kept too. A write to an untrusted table checks
+    every row.
     """
 
     def __init__(self, description: ViewModelDescription):
@@ -130,19 +136,10 @@ class WidgetStateStore:
                 self._values[(widget.name, feature)] = examples.get(
                     feature, _DEFAULT_VALUES[FEATURE_TYPE[feature]])
 
-    def _key(self, widget: str, feature: FeatureKind | str) -> tuple[str, FeatureKind]:
-        if type(feature) is str:
-            feature = _FEATURES.get(feature, feature)
-        key = (widget, feature)
-        try:
-            if key in self._values:
-                return key
-        except TypeError:
-            pass
-        return self._checked_key(widget, feature)
-
     def _checked_key(self, widget: str,
                      feature: FeatureKind | str) -> tuple[str, FeatureKind]:
+        """The key of a (widget, feature) pair that is not stored as given,
+        or the StoreError that says why it is not."""
         if isinstance(feature, str):
             try:
                 feature = FeatureKind(feature)
@@ -166,40 +163,52 @@ class WidgetStateStore:
         return (widget, feature) in self._values
 
     def get(self, widget: str, feature: FeatureKind | str):
-        value = self._values[self._key(widget, feature)]
+        if type(feature) is str:
+            feature = _FEATURES.get(feature, feature)
+        try:
+            value = self._values[widget, feature]
+        except (KeyError, TypeError):
+            value = self._values[self._checked_key(widget, feature)]
         if isinstance(value, tuple):
             return list(value)
         return value
 
     def set(self, widget: str, feature: FeatureKind | str, value) -> None:
-        key = self._key(widget, feature)
-        self._values[key] = self._validate(key[0], key[1], value)
+        if type(feature) is str:
+            feature = _FEATURES.get(feature, feature)
+        key = (widget, feature)
+        try:
+            old = self._values[key]
+        except (KeyError, TypeError):
+            key = widget, feature = self._checked_key(widget, feature)
+            old = self._values[key]
+        self._values[key] = self._validate(widget, feature, old, value)
 
     def rows(self, widget: str) -> list[RowValue]:
-        return self.get(widget, FeatureKind.ROWS)
+        return self.get(widget, _ROWS)
 
     def set_rows(self, widget: str, rows) -> None:
-        self.set(widget, FeatureKind.ROWS, rows)
+        self.set(widget, _ROWS, rows)
 
     def selected_row(self, widget: str) -> int | None:
-        return self.get(widget, FeatureKind.SELECTED_ROW)
+        return self.get(widget, _SELECTED_ROW)
 
-    def _validate(self, widget: str, feature: FeatureKind, value):
-        if feature is FeatureKind.ROWS:
-            return self._validate_rows(widget, value)
-        if feature is FeatureKind.SELECTED_ROW:
+    def _validate(self, widget: str, feature: FeatureKind, old, value):
+        if feature is _ROWS:
+            return self._validate_rows(widget, old, value)
+        if feature is _SELECTED_ROW:
             if value is None:
                 return None
             if not isinstance(value, int) or isinstance(value, bool):
                 raise StoreError(
                     f"{widget}.selectedRow takes an int or None, got {value!r}")
-            count = len(self._values[(widget, FeatureKind.ROWS)])
+            count = len(self._values[(widget, _ROWS)])
             if not 0 <= value < count:
                 raise StoreError(
                     f"{widget}.selectedRow = {value} is out of range "
                     f"for {count} row(s)")
             return value
-        if feature is FeatureKind.TEXT:
+        if feature is _TEXT:
             if not isinstance(value, str):
                 raise StoreError(f"{widget}.{feature.value} takes a string, got {value!r}")
             return value
@@ -207,34 +216,37 @@ class WidgetStateStore:
             raise StoreError(f"{widget}.{feature.value} takes a bool, got {value!r}")
         return value
 
-    def _validate_rows(self, widget: str, value) -> tuple[RowValue, ...]:
+    def _validate_rows(self, widget: str, old: tuple[RowValue, ...],
+                       value) -> tuple[RowValue, ...]:
         rows = tuple(value)
         new = rows
         if widget in self._trusted:
-            old = self._values[(widget, FeatureKind.ROWS)]
-            shared = min(len(rows), len(old))
-            start = next(compress(range(shared), map(is_not, rows, old)), shared)
-            # The kept end is sought only among the rows after the kept start.
-            rest = shared - start
-            end = len(rows) - next(
-                compress(range(rest), map(is_not, reversed(rows), reversed(old))), rest)
-            new = rows[start:end]
+            new = _entering_rows(rows, old)
         arity = len(self._widgets[widget].columns)
         trusted = True
         for row in new:
             if not isinstance(row, RowValue):
                 raise StoreError(f"{widget}.rows takes RowValue items, got {row!r}")
-            if len(row.cells) != arity:
+            cells = row.cells
+            if len(cells) != arity:
                 raise StoreError(
-                    f"{widget} row has {len(row.cells)} cells; "
+                    f"{widget} row has {len(cells)} cells; "
                     f"the table declares {arity} columns")
             _validate_color(row.color, f"{widget} row")
-            for cell in row.cells:
-                _validate_color(cell.color, f"{widget} cell")
-            if trusted and not (type(row) is RowValue and type(row.cells) is tuple
-                                and all(type(cell) is CellValue for cell in row.cells)):
+            for cell in cells:
+                if cell.color is not None:
+                    _validate_color(cell.color, f"{widget} cell")
+                if not isinstance(cell.text, str):
+                    raise StoreError(
+                        f"{widget} cell text must be a string, got {cell.text!r}")
+                if cell.tooltip is not None and not isinstance(cell.tooltip, str):
+                    raise StoreError(f"{widget} cell tooltip must be a string "
+                                     f"or None, got {cell.tooltip!r}")
+                if type(cell) is not CellValue:
+                    trusted = False
+            if type(row) is not RowValue or type(cells) is not tuple:
                 trusted = False
-        selected = self._values.get((widget, FeatureKind.SELECTED_ROW))
+        selected = self._values.get((widget, _SELECTED_ROW))
         if isinstance(selected, int) and selected >= len(rows):
             raise StoreError(
                 f"{widget}.selectedRow = {selected} would exceed the new "
@@ -244,6 +256,27 @@ class WidgetStateStore:
         else:
             self._trusted.discard(widget)
         return rows
+
+
+def _entering_rows(rows: tuple, old: tuple) -> tuple:
+    """The rows of a write to a trusted table that its stored rows ``old``
+    do not keep in place, see ``WidgetStateStore``."""
+    count = len(old)
+    if count and rows and rows[0] is old[0]:
+        if len(rows) == count + 1 and rows[-2] is old[-1] and rows[:-1] == old:
+            return rows[count:]
+        if len(rows) == count - 1 and rows[-1] is old[-1]:
+            # A single delete: every row after the first moved one moved up by one.
+            start = next(compress(range(count - 1), map(is_not, rows, old)), count - 1)
+            if rows[start:] == old[start + 1:]:
+                return ()
+    shared = min(len(rows), count)
+    start = next(compress(range(shared), map(is_not, rows, old)), shared)
+    # The kept end is sought only among the rows after the kept start.
+    rest = shared - start
+    end = len(rows) - next(
+        compress(range(rest), map(is_not, reversed(rows), reversed(old))), rest)
+    return rows[start:end]
 
 
 def _validate_color(color: str | None, what: str) -> None:
@@ -370,7 +403,7 @@ def _evaluate_check(check, store: WidgetStateStore) -> list[CheckFailure]:
         widget = store.widget(check.widget)
         rows = store.rows(check.widget)
         selected = (store.selected_row(check.widget)
-                    if store.has(check.widget, FeatureKind.SELECTED_ROW) else None)
+                    if store.has(check.widget, _SELECTED_ROW) else None)
         return evaluate_rows_check(widget, check.expectation, rows, selected)
     actual = store.get(check.widget, check.feature)
     if actual != check.expectation:

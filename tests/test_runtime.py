@@ -175,6 +175,25 @@ class TestWidgetStateStore:
         with pytest.raises(StoreError, match="bool"):
             store.set("AddNewTask", "enabled", 1)
 
+    def test_non_string_cell_text_and_tooltip_rejected(self):
+        store = WidgetStateStore(table_description())
+        with pytest.raises(StoreError) as caught:
+            store.set_rows("T", [RowValue(cells=(CellValue(text=5),
+                                                 CellValue(text=None, tooltip=7),
+                                                 CellValue()))])
+        assert str(caught.value) == "T cell text must be a string, got 5"
+        with pytest.raises(StoreError) as caught:
+            store.set_rows("T", [RowValue(cells=(CellValue(), CellValue(tooltip=7),
+                                                 CellValue()))])
+        assert str(caught.value) == "T cell tooltip must be a string or None, got 7"
+        # An append to a trusted table checks the new row's cells too.
+        row = RowValue(cells=(CellValue(text="a", tooltip="b"), CellValue(), CellValue()))
+        store.set_rows("T", [row])
+        with pytest.raises(StoreError, match="T cell text must be a string, got None"):
+            store.set_rows("T", [row, RowValue(cells=(CellValue(),) * 2
+                                               + (CellValue(text=None),))])
+        assert store.rows("T") == [row]
+
 
 # ---------------------------------------------------------------------------
 # The store's write contract against a reference that validates every row of
@@ -215,6 +234,10 @@ def reference_rows_error(table, rows, selected):
             if c.color is not None and c.color not in REFERENCE_COLORS:
                 return (f"{table} cell color must be one of {REFERENCE_COLORS}, "
                         f"got {c.color!r}")
+            if not isinstance(c.text, str):
+                return f"{table} cell text must be a string, got {c.text!r}"
+            if c.tooltip is not None and not isinstance(c.tooltip, str):
+                return f"{table} cell tooltip must be a string or None, got {c.tooltip!r}"
     if isinstance(selected, int) and selected >= len(rows):
         return (f"{table}.selectedRow = {selected} would exceed the new row "
                 f"count {len(rows)}; clear the selection first")
@@ -280,7 +303,109 @@ def mutate(row, color, resize):
         object.__setattr__(row, "color", color)
 
 
+# Mostly plain rows, so the table is trusted and the store's shortcuts run.
+EDIT_ROWS = st.sampled_from(["plain"] * 12 + [
+    "list", "subclass", "row color", "cell color", "arity", "int text", "int tooltip",
+    "foreign"])
+INDEX = st.integers(0, 40)
+EDITS = st.one_of(
+    st.tuples(st.just("append"), EDIT_ROWS),
+    st.tuples(st.just("insert"), INDEX, EDIT_ROWS),
+    st.tuples(st.just("delete"), INDEX),
+    st.tuples(st.just("delete many"), st.lists(INDEX, min_size=2, max_size=4)),
+    st.tuples(st.just("move"), INDEX, INDEX),
+    # Every row rebuilt equal (or one of them different), with a row appended or not.
+    st.tuples(st.just("rebuild"), st.one_of(st.none(), INDEX), st.booleans()),
+    # One row replaced by a new one or rebuilt equal, then maybe one of the
+    # edits the store compares by ==.
+    st.tuples(st.just("replace"), INDEX, st.one_of(st.just("equal"), EDIT_ROWS),
+              st.sampled_from(["append", "delete", None]), INDEX),
+)
+
+
+def edit_row(kind, serial):
+    """A row for table A (three columns); only the first six kinds are valid."""
+    cells = [CellValue(text=f"r{serial}c{i}", tooltip=f"t{i}" if i else None)
+             for i in range(3)]
+    if kind == "cell color":
+        cells[1] = CellValue(color="purple")
+    elif kind == "arity":
+        cells.pop()
+    elif kind == "int text":
+        cells[2] = CellValue(text=serial)
+    elif kind == "int tooltip":
+        cells[0] = CellValue(tooltip=serial)
+    elif kind == "foreign":
+        return ("not", "a", "row")
+    if kind == "list":
+        return RowValue(cells=cells)
+    if kind == "subclass":
+        return PaintedRow(cells=tuple(cells))
+    return RowValue(cells=tuple(cells), color="purple" if kind == "row color" else "red")
+
+
+def rebuilt(row, different=False):
+    """A new row object equal to ``row``, or differing in its first cell's text."""
+    cells = [CellValue(text=c.text, tooltip=c.tooltip, color=c.color) for c in row.cells]
+    if different:
+        cells[0] = CellValue(text=cells[0].text + "'")
+    return type(row)(cells=type(row.cells)(cells), color=row.color)
+
+
+def apply_edit(edit, rows, new_row):
+    rows = list(rows)
+    kind = edit[0]
+    at = lambda i, extra=0: i % (len(rows) + extra) if rows or extra else 0
+    if kind == "append":
+        rows.append(new_row(edit[1]))
+    elif kind == "insert":
+        rows.insert(at(edit[1], 1), new_row(edit[2]))
+    elif kind == "delete" and rows:
+        del rows[at(edit[1])]
+    elif kind == "delete many" and rows:
+        for i in sorted({at(i) for i in edit[1]}, reverse=True):
+            del rows[i]
+    elif kind == "move" and rows:
+        rows.insert(at(edit[2]), rows.pop(at(edit[1])))
+    elif kind == "rebuild":
+        rows = [rebuilt(r, edit[1] is not None and i == at(edit[1]))
+                for i, r in enumerate(rows)]
+        if edit[2]:
+            rows.append(new_row("plain"))
+    elif kind == "replace" and rows:
+        i = at(edit[1])
+        rows[i] = rebuilt(rows[i]) if edit[2] == "equal" else new_row(edit[2])
+        if edit[3] == "append":
+            rows.append(new_row("plain"))
+        elif edit[3] == "delete":
+            del rows[at(edit[4])]
+    return rows
+
+
 class TestStoreWriteContract:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12), st.lists(EDITS, min_size=5, max_size=30))
+    @example(6, [("replace", 2, "cell color", "delete", 4)])
+    @example(6, [("replace", 2, "equal", "append", 0), ("replace", 3, "equal", "delete", 1)])
+    def test_edit_sequences_match_a_full_validator(self, loaded, edits):
+        serials = iter(range(10**6))
+        new_row = lambda kind: edit_row(kind, next(serials))
+        store = WidgetStateStore(two_table_description())
+        rows = [new_row("plain") for _ in range(loaded)]
+        store.set_rows("A", rows)
+        for edit in edits:
+            written = apply_edit(edit, rows, new_row)
+            expected = reference_rows_error("A", written, None)
+            try:
+                store.set_rows("A", written)
+                actual = None
+            except StoreError as exc:
+                actual = str(exc)
+            assert actual == expected, edit
+            if expected is None:
+                rows = written
+            assert [id(r) for r in store.rows("A")] == [id(r) for r in rows]
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(ROW_SPECS, min_size=1, max_size=4),
            st.lists(STORE_OPS, min_size=20, max_size=50))
@@ -474,6 +599,41 @@ class TestStoreWriteWork:
         assert self.write_count(checked, store, rows + [listed]) == 101
         assert self.write_count(checked, store, rows) == 100
         assert self.write_count(checked, store, rows) == 0
+
+    @pytest.mark.parametrize("edit, count", [
+        # Rebuilt row by row: no row object is kept, so every row is checked.
+        pytest.param(lambda rows, new: [rebuilt(r) for r in rows], 100,
+                     id="rebuilt-equal"),
+        pytest.param(lambda rows, new: [rebuilt(r) for r in rows] + [new], 101,
+                     id="rebuilt-equal-plus-one"),
+        pytest.param(lambda rows, new: [rebuilt(r, different=True) for r in rows], 100,
+                     id="rebuilt-different"),
+        pytest.param(lambda rows, new: [rebuilt(rows[0])] + rows[1:] + [new], 101,
+                     id="first-rebuilt-plus-one"),
+        pytest.param(lambda rows, new: [new] + rows[1:] + [new], 101,
+                     id="first-replaced-plus-one"),
+        pytest.param(lambda rows, new: rows[:40] + rows[41:] + [new], 60,
+                     id="delete-plus-one"),
+        pytest.param(lambda rows, new: rows[:50] + [rebuilt(rows[50], different=True)]
+                     + rows[51:] + [new], 51, id="middle-changed-plus-one"),
+        # An append or a single delete that keeps the first and last rows
+        # compares by ==, so a row rebuilt equal at its place is kept.
+        pytest.param(lambda rows, new: rows[:50] + [rebuilt(rows[50])] + rows[51:] + [new],
+                     1, id="middle-rebuilt-plus-one"),
+        pytest.param(lambda rows, new: rows[:10] + rows[11:50] + [rebuilt(rows[50])]
+                     + rows[51:], 0, id="delete-then-middle-rebuilt"),
+        # Every other write keeps only the same row objects.
+        pytest.param(lambda rows, new: rows[:50] + [rebuilt(rows[50])] + rows[51:], 1,
+                     id="middle-rebuilt"),
+        pytest.param(lambda rows, new: rows[:10] + [rebuilt(rows[10])] + rows[11:50]
+                     + rows[51:], 40, id="middle-rebuilt-then-delete"),
+        pytest.param(lambda rows, new: rows[:-1] + [rebuilt(rows[-1]), new], 2,
+                     id="last-rebuilt-plus-one"),
+    ])
+    def test_rows_checked_by_one_write(self, checked, table, edit, count):
+        store, rows = table
+        new = RowValue(cells=(CellValue(), CellValue()))
+        assert self.write_count(checked, store, edit(rows, new)) == count
 
     def test_rejected_write_keeps_the_trust_of_the_stored_rows(self, checked, table):
         store, rows = table
