@@ -32,6 +32,7 @@ from .model import (
     ArgContextRef,
     ArgLiteral,
     BOOL_FEATURES,
+    FEATURE_NAME,
     FEATURE_TYPE,
     PARAM_TYPE,
     CheckValue,
@@ -56,6 +57,9 @@ from .model import (
     is_identifier,
 )
 from .names import KEYWORDS, camel_case, pascal_case, snake_case
+
+# Bound once: reading an enum member costs a class attribute lookup on each use.
+_TEXT = FeatureKind.TEXT
 
 # ---------------------------------------------------------------------------
 # Linked suite
@@ -485,7 +489,7 @@ def _resolve_checks(scenario, widgets, diags) -> tuple[CheckValue, ...]:
         elif check.feature in BOOL_FEATURES and not isinstance(check.expectation, bool):
             diags.append(error(E_TYPE_MISMATCH,
                                f"'{check.feature.value}' expects a bool", check.span))
-        elif check.feature is FeatureKind.TEXT and not isinstance(check.expectation, str):
+        elif check.feature is _TEXT and not isinstance(check.expectation, str):
             diags.append(error(E_TYPE_MISMATCH, "'text' expects a string", check.span))
         out.append(check)
     return tuple(out)
@@ -630,10 +634,10 @@ _ANY_KEYWORD = KEYWORDS["java"] | KEYWORDS["cpp"]
 # the joined name moves no word boundary across the joint, because every feature
 # word starts with a capital and a lowercase letter; the getter and setter are
 # therefore the widget's pascal-cased camel name plus the same tail.
-_FEATURE_TAIL = {f: pascal_case(f.value) for f in FeatureKind}
+_FEATURE_TAIL = {f: pascal_case(name) for f, name in FEATURE_NAME.items()}
 _GETTER_PREFIX = {f: "is" if f in BOOL_FEATURES else "get" for f in FeatureKind}
 # A widget's properties are listed alphabetically by feature word.
-_FEATURE_ORDER = {f: rank for rank, f in enumerate(sorted(FeatureKind, key=lambda f: f.value))}
+_FEATURE_ORDER = {f: rank for rank, f in enumerate(sorted(FeatureKind, key=FEATURE_NAME.get))}
 
 
 def sanitize_test_name(description: str) -> str:
@@ -662,7 +666,7 @@ def compute_name_map(
         if binding.subject == "typeName":
             type_name, type_span = binding.bound_name, binding.span
         elif binding.subject == "fileName":
-            file_name = binding.bound_name
+            file_name, file_span = binding.bound_name, binding.span
             file_name_bound = True
         else:  # an override of an unknown widget or feature is never looked up
             overrides[(binding.subject, binding.widget, binding.feature)] = \
@@ -690,6 +694,12 @@ def compute_name_map(
     _report_collisions(desc, properties, commands, diags)
     if config is not None:
         _report_keywords(desc, type_name, type_span, config.target, diags)
+        if config.target == "java" and file_name_bound and file_name != type_name:
+            diags.append(error(
+                E_DUPLICATE_NAME,
+                f"fileName '{file_name}' differs from the type name '{type_name}', "
+                "but javac needs a public class in the file named after it",
+                file_span))
     if diags:
         return None, diags
     return NameMap(type_name=type_name, file_name=file_name,

@@ -39,7 +39,7 @@ _SPEC = TargetSpec(
     assert_call="VT_ASSERT_EQ", continuation="    ", null="std::optional<int>()",
     index=("[", "]"), comment=comment_text,
     # Compare like with like: size_t counts, string cells, optional indexes.
-    row_count="std::size_t({})", cell="std::string({})", row_index="std::optional<int>({})",
+    row_count="std::size_t({})", string=("std::string(", ")"), row_index="std::optional<int>({})",
     gate=True)
 
 ASSERT_HEADER_NAME = "vimotest_assert.hpp"

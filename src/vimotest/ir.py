@@ -20,6 +20,7 @@ from .literals import quote
 from .model import (
     COMMAND_EFFECT,
     COMMAND_PARAM,
+    FEATURE_NAME,
     FEATURE_RANK,
     FEATURE_TYPE,
     PARAM_TYPE,
@@ -34,6 +35,9 @@ from .model import (
     check_label,
 )
 from .names import KEYWORDS, camel_case
+
+# Bound once: reading an enum member costs a class attribute lookup on each use.
+_ROWS, _SELECTED_ROW = FeatureKind.ROWS, FeatureKind.SELECTED_ROW
 
 _WIDGET_COMMAND_PARAM_NAME = {
     ParamType.BOOL: "checked",
@@ -361,13 +365,13 @@ def _literal_text(value) -> str:
 def _lower_check(check, widgets, name_map):
     exp = check.expectation
     if isinstance(exp, RowsExpectation):
-        selected = name_map.properties.get((check.widget, FeatureKind.SELECTED_ROW))
+        selected = name_map.properties.get((check.widget, _SELECTED_ROW))
         return AssertRows(
             widget=check.widget,
-            rows_getter=name_map.properties[(check.widget, FeatureKind.ROWS)].getter,
+            rows_getter=name_map.properties[(check.widget, _ROWS)].getter,
             selected_getter=None if selected is None else selected.getter,
             columns=widgets[check.widget].column_indexes(exp.header),
             expectation=exp)
     names = name_map.properties[(check.widget, check.feature)]
     return AssertEqual(expected=_literal_expr(exp), actual=PropertyGet(names.getter),
-                       message=check_label(check.widget, check.feature.value, "value"))
+                       message=check_label(check.widget, FEATURE_NAME[check.feature], "value"))

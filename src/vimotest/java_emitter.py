@@ -37,7 +37,7 @@ _UNICODE_ESCAPE = re.compile(r"(\\+)(?=u)")
 
 def _comment(text: str) -> str:
     text = comment_text(text)
-    return _UNICODE_ESCAPE.sub(r"\1\1", text) if "\\" in text else text
+    return _UNICODE_ESCAPE.sub(r"\1\1", text) if "\\u" in text else text
 
 
 _SPEC = TargetSpec(
@@ -47,7 +47,7 @@ _SPEC = TargetSpec(
     assert_call="assertEquals", continuation="        + ", null="(Integer) null",
     index=(".get(", ")"), comment=_comment,
     # The selected-row getter returns Integer, so an expected index is boxed.
-    row_count="{}", cell="{}", row_index="Integer.valueOf({})", gate=False)
+    row_count="{}", string=("", ""), row_index="Integer.valueOf({})", gate=False)
 
 
 def emit_java(ir: IRUnit, name_map: NameMap, config: GenConfig) -> list[tuple[str, str]]:
@@ -55,8 +55,9 @@ def emit_java(ir: IRUnit, name_map: NameMap, config: GenConfig) -> list[tuple[st
     prefix = config.java_package.replace(".", "/") + "/" if config.java_package else ""
     files: list[tuple[str, str]] = []
     view_model = ir.view_model
-    vm_file = name_map.file_name if name_map.file_name_bound else view_model.name
-    files.append((f"{prefix}{vm_file}.java",
+    # javac needs a public class in the file named after it, so a fileName
+    # binding other than the type name is a diagnostic of compute_name_map.
+    files.append((f"{prefix}{view_model.name}.java",
                   _class_file(view_model, config, view_model=None)))
     controller = ir.controller
     if controller is not None:

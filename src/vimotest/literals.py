@@ -3,9 +3,19 @@
 
 def quote(value: str) -> str:
     """A double-quoted literal: backslash, quote, newline, tab and carriage
-    return are escaped, every other character passes through."""
-    return '"' + value.replace("\\", "\\\\").replace('"', '\\"').replace(
-        "\n", "\\n").replace("\t", "\\t").replace("\r", "\\r") + '"'
+    return are escaped, every other character passes through. Each escape
+    runs only on a value that holds its character."""
+    if "\\" in value:
+        value = value.replace("\\", "\\\\")
+    if '"' in value:
+        value = value.replace('"', '\\"')
+    if "\n" in value:
+        value = value.replace("\n", "\\n")
+    if "\t" in value:
+        value = value.replace("\t", "\\t")
+    if "\r" in value:
+        value = value.replace("\r", "\\r")
+    return f'"{value}"'
 
 
 def comment_text(text: str) -> str:

@@ -86,6 +86,8 @@ FEATURE_TYPE: dict[FeatureKind, str] = {
     FeatureKind.ENABLED: "bool", FeatureKind.VISIBLE: "bool", FeatureKind.TEXT: "string",
     FeatureKind.CHECKED: "bool", FeatureKind.ROWS: "rowList", FeatureKind.SELECTED_ROW: "optIndex",
 }
+# A feature's DSL word: on Python 3.11 a dict read costs less than ``member.value``.
+FEATURE_NAME: dict[FeatureKind, str] = {f: f.value for f in FeatureKind}
 PARAM_TYPE: dict[ParamType, str] = {
     ParamType.STRING: "string", ParamType.BOOL: "bool", ParamType.INT: "int",
     ParamType.CONTEXT: "string",
@@ -460,9 +462,18 @@ def check_label(widget: str, feature: str, aspect: str,
         return f"{widget}: selected row"
     if row is None:
         return f"{widget}.{feature}"
-    if title is None:
-        return f"{widget}[{row}]: {aspect}"
-    return f"{widget}[{row}][{title}]: {aspect}"
+    return row_label(widget, row) + aspect_label(aspect, title)
+
+
+def row_label(widget: str, row: int) -> str:
+    """The head of a row or cell check's label: ``Tasks[1]``."""
+    return f"{widget}[{row}]"
+
+
+def aspect_label(aspect: str, title: str | None = None) -> str:
+    """The rest of a row or cell check's label: ``: color`` for a row,
+    ``[Due Date]: tooltip`` for a cell."""
+    return f": {aspect}" if title is None else f"[{title}]: {aspect}"
 
 
 class CheckValue(Record):

@@ -8,6 +8,7 @@ yields a structurally equal AST.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import zip_longest
 
 from .model import (
     ArgContextRef,
@@ -256,19 +257,20 @@ def expectation_grid(
     grid = [exp.header]
     marks = [""]
     for row in exp.rows:
-        grid.append(tuple(expectation_cell_text(c) for c in row.cells))
-        parts = []
+        grid.append(tuple(map(expectation_cell_text, row.cells)))
+        color = row.color
         if row.selected:
-            parts.append("[selected]")
-        if row.color is not None:
-            parts.append(f"[color {row.color}]")
-        marks.append((" " + " ".join(parts)) if parts else "")
+            marks.append(" [selected]" if color is None else f" [selected] [color {color}]")
+        else:
+            marks.append("" if color is None else f" [color {color}]")
     return tuple(grid), tuple(marks)
 
 
 def expectation_cell_text(cell: CellExpectation) -> str:
     if cell.ignored:
         return "*"
+    if cell.tooltip is None and cell.color is None:
+        return cell.value
     parts = [cell.value] if cell.value else []
     if cell.tooltip is not None:
         parts.append(f"[tooltip {_escape(cell.tooltip)}]")
@@ -278,14 +280,8 @@ def expectation_cell_text(cell: CellExpectation) -> str:
 
 
 def align_pipe_rows(grid: Sequence[Sequence[str]]) -> list[str]:
-    """Render a cell grid as pipe rows with uniform column widths."""
-    columns = max(len(row) for row in grid)
-    widths = [0] * columns
-    for row in grid:
-        for j, cell in enumerate(row):
-            widths[j] = max(widths[j], len(cell))
-    lines = []
-    for row in grid:
-        padded = [cell.ljust(widths[j]) for j, cell in enumerate(row)]
-        lines.append("| " + " | ".join(padded) + " |")
-    return lines
+    """Render a cell grid as pipe rows with uniform column widths; a column
+    is as wide as its widest cell, and a row shorter than the longest one
+    ends early."""
+    widths = [max(map(len, column)) for column in zip_longest(*grid, fillvalue="")]
+    return ["| " + " | ".join(map(str.ljust, row, widths)) + " |" for row in grid]

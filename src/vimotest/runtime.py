@@ -23,6 +23,7 @@ from .model import (
     COLOR_NAMES,
     RowsExpectation,
     COMMAND_EFFECT,
+    FEATURE_NAME,
     FEATURE_TYPE,
     ContextBody,
     DataTableBody,
@@ -39,7 +40,7 @@ from .model import (
 
 STORE_COLORS = tuple(c for c in COLOR_NAMES if c != "none")
 
-_FEATURES = {kind.value: kind for kind in FeatureKind}
+_FEATURES = {name: kind for kind, name in FEATURE_NAME.items()}
 # Bound once: reading an enum member costs a class attribute lookup on each use.
 _ROWS, _SELECTED_ROW, _TEXT = FeatureKind.ROWS, FeatureKind.SELECTED_ROW, FeatureKind.TEXT
 
@@ -218,7 +219,10 @@ class WidgetStateStore:
 
     def _validate_rows(self, widget: str, old: tuple[RowValue, ...],
                        value) -> tuple[RowValue, ...]:
-        rows = tuple(value)
+        try:
+            rows = tuple(value)
+        except TypeError:
+            raise StoreError(f"{widget}.rows takes RowValue items, got {value!r}") from None
         new = rows
         if widget in self._trusted:
             new = _entering_rows(rows, old)
@@ -228,12 +232,22 @@ class WidgetStateStore:
             if not isinstance(row, RowValue):
                 raise StoreError(f"{widget}.rows takes RowValue items, got {row!r}")
             cells = row.cells
+            if type(row) is not RowValue or type(cells) is not tuple:
+                trusted = False
+                if not isinstance(cells, (tuple, list)):
+                    raise StoreError(
+                        f"{widget} row cells must be a tuple or list of CellValue, got {cells!r}")
             if len(cells) != arity:
                 raise StoreError(
                     f"{widget} row has {len(cells)} cells; "
                     f"the table declares {arity} columns")
             _validate_color(row.color, f"{widget} row")
             for cell in cells:
+                if type(cell) is not CellValue:
+                    if not isinstance(cell, CellValue):
+                        raise StoreError(
+                            f"{widget} row cells must be CellValue items, got {cell!r}")
+                    trusted = False
                 if cell.color is not None:
                     _validate_color(cell.color, f"{widget} cell")
                 if not isinstance(cell.text, str):
@@ -242,10 +256,6 @@ class WidgetStateStore:
                 if cell.tooltip is not None and not isinstance(cell.tooltip, str):
                     raise StoreError(f"{widget} cell tooltip must be a string "
                                      f"or None, got {cell.tooltip!r}")
-                if type(cell) is not CellValue:
-                    trusted = False
-            if type(row) is not RowValue or type(cells) is not tuple:
-                trusted = False
         selected = self._values.get((widget, _SELECTED_ROW))
         if isinstance(selected, int) and selected >= len(rows):
             raise StoreError(
@@ -343,8 +353,16 @@ def _render_xml(body: DataTableBody) -> str:
 
 
 def _xml_escape(value: str) -> str:
-    return (value.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
+    # Each escape runs only on a value that holds its character.
+    if "&" in value:
+        value = value.replace("&", "&amp;")
+    if "<" in value:
+        value = value.replace("<", "&lt;")
+    if ">" in value:
+        value = value.replace(">", "&gt;")
+    if '"' in value:
+        value = value.replace('"', "&quot;")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,14 @@
 One walker turns an ``IRTest`` into source lines. What differs between
 Java and C++ is data in a ``TargetSpec``; the walker never asks which
 target it serves.
+
+An expected table can hold thousands of checks, so its text is built at
+the coarsest level it varies at: the comment grid is escaped once per
+table, each column's cell reference and label tail once per table, each
+row's reference and label head once per row. Each check adds only its
+expected value to the text of its row and column. The labels are
+``model.check_label``'s, composed from its parts ``row_label`` and
+``aspect_label``.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .ir import (
     StringLit,
 )
 from .literals import quote
-from .model import check_label, row_checks
+from .model import aspect_label, check_label, row_checks, row_label
 from .printer import align_pipe_rows, expectation_grid
 
 
@@ -50,7 +58,7 @@ class TargetSpec(NamedTuple):
     # An expected table value spelled in the type of what it is compared
     # with: a row count, a quoted cell or row string, a selected row index.
     row_count: str
-    cell: str
+    string: tuple[str, str]  # around a quoted cell or row string
     row_index: str
     gate: bool  # the asserts after a table's row count need it to hold
 
@@ -115,6 +123,10 @@ def _declare_local(lines: list[str], ind: str, stmt: DeclareLocal,
         lines.append(f"{ind}{spec.types[stmt.ir_type]} {stmt.name} = {_expr(init, spec)};")
 
 
+# Each aspect a cell check asserts, and the generated cell field it reads.
+_CELL_FIELDS = (("value", "text"), ("tooltip", "tooltip"), ("color", "color"))
+
+
 def _assert_rows(lines: list[str], stmt: AssertRows, spec: TargetSpec) -> None:
     """The expected table as an aligned comment, then one assert per check
     of ``model.row_checks``. A failed C++ assert returns where a Java one
@@ -123,16 +135,18 @@ def _assert_rows(lines: list[str], stmt: AssertRows, spec: TargetSpec) -> None:
     grid, marks = expectation_grid(exp)
     lines.append(f"{ind}// expected {widget} rows:")
     # Escape before aligning, so a cell the escape widens keeps its column.
-    shown = align_pipe_rows([[spec.comment(cell) for cell in row] for row in grid])
-    lines.extend(f"{ind}// {row}{mark}" for row, mark in zip(shown, marks))
+    # The escape changes a cell only if it changes the whole table's text.
+    comment = spec.comment
+    text = "\n".join(map("\n".join, grid))
+    if comment(text) != text:
+        grid = [[comment(cell) for cell in row] for row in grid]
+    lines.extend(f"{ind}// {row}{mark}" for row, mark in zip(align_pipe_rows(grid), marks))
 
     open_, close = spec.index
-    string, index = spec.cell.format, spec.row_index.format
+    string_open, string_close = spec.string
     rows = f"{VM_LOCAL}.{stmt.rows_getter}()"
-    selected = f"{VM_LOCAL}.{stmt.selected_getter}()"
-    # Quoting a label escapes its widget name and column title, each once here.
+    # Quoting a label escapes its widget name and column titles, each once here.
     name = quote(widget)[1:-1]
-    titles = {title: quote(title)[1:-1] for title in exp.header}
     checks = row_checks(exp, stmt.columns)
     count = next(checks)[4]
     head = f"{ind}{spec.assert_call}("
@@ -142,21 +156,32 @@ def _assert_rows(lines: list[str], stmt: AssertRows, spec: TargetSpec) -> None:
         gate = f"{ind}if ({rows}.size() == {count}) {{"
         lines.append(gate)
         head = f"{ind}    {spec.assert_call}("
-    for aspect, i, column, title, expected in checks:
+    selected = (f"{VM_LOCAL}.{stmt.selected_getter}(), "
+                f'"{check_label(name, "rows", "selected")}");')
+    # Per column title and aspect, what follows the row in the actual value
+    # and in the label; the row's own colour has no title.
+    tails = {None: {"color": ('.color, "', aspect_label("color") + '");')}}
+    for column, title in zip(stmt.columns, exp.header):
+        cell, escaped = f".cells{open_}{column}{close}.", quote(title)[1:-1]
+        tails[title] = {aspect: (f'{cell}{field}, "', aspect_label(aspect, escaped) + '");')
+                        for aspect, field in _CELL_FIELDS}
+    string_head = f"{head}{string_open}"
+    current = None
+    for aspect, i, _, title, expected in checks:
         if aspect == "selected":
             if i is not None and not expected:
                 continue  # one selected index implies the unmarked rows
             row = expected if i is None else i
-            actual, want = selected, spec.null if row is None else index(row)
-        else:
-            if aspect == "value":
-                cell = f"{rows}{open_}{i}{close}.cells{open_}{column}{close}"
-            owner = cell if column is not None else f"{rows}{open_}{i}{close}"
-            # A generated cell or row field is a string, and no colour is "".
-            actual = f"{owner}.{'text' if aspect == 'value' else aspect}"
-            want = string(quote(expected or ""))
-        lines.append(f"{head}{want}, {actual}, "
-                     f'"{check_label(name, "rows", aspect, i, titles.get(title))}");')
+            lines.append(f"{head}{spec.null if row is None else spec.row_index.format(row)}, "
+                         f"{selected}")
+            continue
+        if i != current:
+            current = i
+            actual = f"{string_close}, {rows}{open_}{i}{close}"
+            label = row_label(name, i)
+        actual_tail, label_tail = tails[title][aspect]
+        # A generated cell or row field is a string, and no colour is "".
+        lines.append(f"{string_head}{quote(expected or '')}{actual}{actual_tail}{label}{label_tail}")
     if spec.gate:  # close the block, or drop it if it guards nothing
         if lines[-1] == gate:
             lines.pop()

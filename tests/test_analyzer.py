@@ -303,6 +303,32 @@ class TestNameMap:
         assert overridden.properties == base.properties
         assert overridden.commands == base.commands
 
+    def test_java_file_name_must_be_the_type_name(self, corpus_desc):
+        def bound(*pairs):
+            return ViewModelDescription(
+                name=corpus_desc.name, widgets=corpus_desc.widgets,
+                commands=corpus_desc.commands,
+                bindings=tuple(NameBinding(subject=s, bound_name=n) for s, n in pairs))
+
+        java, cpp = GenConfig(target="java"), GenConfig(target="cpp")
+        name_map, diags = compute_name_map(bound(("fileName", "tasks")), java)
+        assert name_map is None and [d.code for d in diags] == [E_DUPLICATE_NAME]
+        assert diags[0].message == (
+            "fileName 'tasks' differs from the type name 'TaskListViewModel', "
+            "but javac needs a public class in the file named after it")
+        # The type name counts after its binding, in either order.
+        for pairs in ((("fileName", "Tasks"), ("typeName", "Tasks")),
+                      (("typeName", "Tasks"), ("fileName", "Tasks"))):
+            name_map, diags = compute_name_map(bound(*pairs), java)
+            assert not diags and name_map.file_name == name_map.type_name == "Tasks"
+        name_map, diags = compute_name_map(bound(("typeName", "Tasks"), ("fileName", "tasks")),
+                                           java)
+        assert "the type name 'Tasks'" in diags[0].message
+        # C++ and a map without a target take any file name.
+        for config in (cpp, None):
+            name_map, diags = compute_name_map(bound(("fileName", "tasks")), config)
+            assert not diags and name_map.file_name == "tasks"
+
     def test_getter_binding_is_local(self, corpus_desc):
         bound = ViewModelDescription(
             name=corpus_desc.name, widgets=corpus_desc.widgets,

@@ -353,15 +353,39 @@ class TestLinkStage:
         for path, name, widget in ((first, "A", "X"), (second, "B", "Y")):
             path.write_text(f'viewmodel {name} bind {{ fileName = "shared" }} '
                             f"{{ widgets {{ button {widget} }} commands {{ }} }}\n")
-        config = write_config(tmp_path, target="java")
+        config = write_config(tmp_path, target="cpp")
         out = tmp_path / "out"
         assert main(["check", str(first), str(second)]) == 0
         assert main(["gen", str(first), str(second), "--config", config,
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"{second}:1:1: E106: generated file 'shared.java' of ViewModel 'B' "
+            f"{second}:1:1: E106: generated file 'shared.hpp' of ViewModel 'B' "
             f"differs from the one of ViewModel 'A' at {first}:1:1\n")
         assert not out.exists()
+
+    def test_gen_rejects_a_java_file_name_other_than_the_type_name(self, tmp_path, capsys):
+        """javac wants a public class in the file named after it, so Java
+        takes a fileName binding only when it is the type name."""
+        desc = tmp_path / "mike.vmdsl"
+        for bound, code in (("bound_file_1", 2), ("Mike", 0)):
+            desc.write_text(f'viewmodel Mike bind {{ fileName = "{bound}" }} '
+                            "{ widgets { button Go } commands { } }\n")
+            out = tmp_path / f"out_{bound}"
+            assert main(["gen", str(desc), "--config", write_config(tmp_path, target="java"),
+                         "--out", str(out)]) == code
+            captured = capsys.readouterr()
+            if code:
+                assert captured.err == (
+                    f"{desc}:1:23: E106: fileName 'bound_file_1' differs from the type "
+                    "name 'Mike', but javac needs a public class in the file named after it\n")
+                assert not out.exists()
+            else:
+                assert captured.err == ""
+                assert sorted(p.name for p in out.iterdir()) == ["Mike.java"]
+        # C++ names its files freely.
+        assert main(["gen", str(desc), "--config", write_config(tmp_path, target="cpp"),
+                     "--out", str(tmp_path / "out_cpp")]) == 0
+        assert (tmp_path / "out_cpp" / "Mike.hpp").exists()
 
     def test_gen_rejects_a_keyword_parameter_name(self, tmp_path, capsys):
         desc = tmp_path / "keyword.vmdsl"

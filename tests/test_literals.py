@@ -9,6 +9,19 @@ from vimotest.java_emitter import _comment as java_comment
 from vimotest.literals import comment_text, quote
 
 
+# Any Unicode text, with the characters some escape rewrites (and a NUL)
+# and backslash runs before 'u' mixed in.
+HAZARDS = st.sampled_from(["\\", '"', "\n", "\t", "\r", "\0", "&", "<", ">",
+                           "\\u", "\\\\u", "\\\\\\u"])
+HAZARD_TEXT = st.lists(st.one_of(st.text(), HAZARDS)).map("".join)
+
+
+def replace_chain_quote(value: str) -> str:
+    """``quote`` as one chain of replaces, run on every value."""
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"').replace(
+        "\n", "\\n").replace("\t", "\\t").replace("\r", "\\r") + '"'
+
+
 def reference_quote(value: str) -> str:
     """The per-character escaper both emitters used to carry."""
     out = []
@@ -62,6 +75,10 @@ class TestQuote:
     def test_matches_the_per_character_escaper(self, value):
         assert quote(value) == reference_quote(value)
 
+    @given(HAZARD_TEXT)
+    def test_matches_the_replace_chain(self, value):
+        assert quote(value) == replace_chain_quote(value)
+
     @given(st.text())
     def test_decodes_back_to_the_input(self, value):
         assert decode(quote(value)) == value
@@ -106,6 +123,12 @@ class TestCommentText:
         # Halving the runs before 'u' gives the text back, CR spelled out.
         undone = re.sub(r"(\\+)(?=u)", lambda m: m.group(1)[:len(m.group(1)) // 2], out)
         assert undone == text.replace("\r", "\\r")
+
+    @given(HAZARD_TEXT)
+    def test_java_comment_matches_the_pattern_run_on_every_text(self, text):
+        """The comment skips the pattern on a text with no backslash before
+        a 'u'; run on every text, it gives the same."""
+        assert java_comment(text) == re.sub(r"(\\+)(?=u)", r"\1\1", comment_text(text))
 
     @given(st.text(alphabet="\\u\rx\"é "))
     def test_cpp_comment_changes_only_carriage_returns(self, text):

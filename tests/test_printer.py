@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from astgen import random_description, random_suite
+from test_literals import HAZARD_TEXT
 from vimotest.parser import parse_test_suite, parse_view_model
-from vimotest.printer import pretty_print
+from vimotest.printer import align_pipe_rows, pretty_print
 
 
 def reparse(ast):
@@ -114,3 +117,28 @@ class TestIdempotence:
         once = pretty_print(suite)
         again, _ = parse_test_suite(once)
         assert pretty_print(again) == once
+
+
+def enumerate_align_pipe_rows(grid):
+    """``align_pipe_rows`` with widths and padding indexed cell by cell."""
+    columns = max(len(row) for row in grid)
+    widths = [0] * columns
+    for row in grid:
+        for j, cell in enumerate(row):
+            widths[j] = max(widths[j], len(cell))
+    lines = []
+    for row in grid:
+        padded = [cell.ljust(widths[j]) for j, cell in enumerate(row)]
+        lines.append("| " + " | ".join(padded) + " |")
+    return lines
+
+
+class TestAlignPipeRows:
+    @given(st.lists(st.lists(HAZARD_TEXT, max_size=5), min_size=1, max_size=6))
+    def test_matches_the_cell_by_cell_version(self, grid):
+        """Ragged grids and empty rows included."""
+        assert align_pipe_rows(grid) == enumerate_align_pipe_rows(grid)
+
+    def test_columns_take_the_widest_cell(self):
+        assert align_pipe_rows([("a", "bbb"), ("cc", ""), ("d",)]) == [
+            "| a  | bbb |", "| cc |     |", "| d  |"]

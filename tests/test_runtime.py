@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from astgen import random_grid
+from test_literals import HAZARD_TEXT
 from vimotest import runtime
 from vimotest.analyzer import resolve
 from vimotest.model import (
@@ -61,6 +62,14 @@ class TestRenderContext:
         body = DataTableBody(header=("A B",), rows=(('x < "y" & z',),))
         rendered = render_context(body, "xml")
         assert rendered == '<rows><row A_B="x &lt; &quot;y&quot; &amp; z"/></rows>'
+
+    @given(HAZARD_TEXT)
+    def test_xml_escape_matches_the_replace_chain(self, value):
+        """The escape, which skips a value with nothing to escape, against
+        one chain of replaces run on every value."""
+        assert runtime._xml_escape(value) == (
+            value.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;"))
 
     def test_titles_that_are_not_xml_names_become_xml_names(self):
         body = DataTableBody(header=("", "1x", "a&b", "a:b c"), rows=(("1", "2", "3", "4"),))
@@ -194,6 +203,27 @@ class TestWidgetStateStore:
                                                + (CellValue(text=None),))])
         assert store.rows("T") == [row]
 
+    def test_rows_and_cells_of_the_wrong_type_rejected(self):
+        """Each wrong type is a StoreError, never an AttributeError or a
+        TypeError from reading it."""
+        store = WidgetStateStore(table_description())
+        for rows, message in (
+                ([RowValue(cells=("a", "b", "c"))],
+                 "T row cells must be CellValue items, got 'a'"),
+                ([RowValue(cells=[CellValue(), CellValue(), None])],
+                 "T row cells must be CellValue items, got None"),
+                ([RowValue(cells=5)], "T row cells must be a tuple or list of CellValue, got 5"),
+                (5, "T.rows takes RowValue items, got 5")):
+            with pytest.raises(StoreError) as caught:
+                store.set_rows("T", rows)
+            assert str(caught.value) == message
+        # An append to a trusted table checks the new row's cell types too.
+        row = RowValue(cells=(CellValue(),) * 3)
+        store.set_rows("T", [row])
+        with pytest.raises(StoreError, match="T row cells must be CellValue items, got 'c'"):
+            store.set_rows("T", [row, RowValue(cells=(CellValue(), CellValue(), "c"))])
+        assert store.rows("T") == [row]
+
 
 # ---------------------------------------------------------------------------
 # The store's write contract against a reference that validates every row of
@@ -224,6 +254,8 @@ def reference_rows_error(table, rows, selected):
     for row in rows:
         if not isinstance(row, RowValue):
             return f"{table}.rows takes RowValue items, got {row!r}"
+        if not isinstance(row.cells, (tuple, list)):
+            return f"{table} row cells must be a tuple or list of CellValue, got {row.cells!r}"
         if len(row.cells) != arity:
             return (f"{table} row has {len(row.cells)} cells; "
                     f"the table declares {arity} columns")
@@ -231,6 +263,8 @@ def reference_rows_error(table, rows, selected):
             return (f"{table} row color must be one of {REFERENCE_COLORS}, "
                     f"got {row.color!r}")
         for c in row.cells:
+            if not isinstance(c, CellValue):
+                return f"{table} row cells must be CellValue items, got {c!r}"
             if c.color is not None and c.color not in REFERENCE_COLORS:
                 return (f"{table} cell color must be one of {REFERENCE_COLORS}, "
                         f"got {c.color!r}")
@@ -306,7 +340,7 @@ def mutate(row, color, resize):
 # Mostly plain rows, so the table is trusted and the store's shortcuts run.
 EDIT_ROWS = st.sampled_from(["plain"] * 12 + [
     "list", "subclass", "row color", "cell color", "arity", "int text", "int tooltip",
-    "foreign"])
+    "foreign", "str cell", "int cells"])
 INDEX = st.integers(0, 40)
 EDITS = st.one_of(
     st.tuples(st.just("append"), EDIT_ROWS),
@@ -335,8 +369,12 @@ def edit_row(kind, serial):
         cells[2] = CellValue(text=serial)
     elif kind == "int tooltip":
         cells[0] = CellValue(tooltip=serial)
+    elif kind == "str cell":
+        cells[1] = f"r{serial}c1"
     elif kind == "foreign":
         return ("not", "a", "row")
+    elif kind == "int cells":
+        return RowValue(cells=serial)
     if kind == "list":
         return RowValue(cells=cells)
     if kind == "subclass":
