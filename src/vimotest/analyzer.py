@@ -171,6 +171,20 @@ def _is_instance(value, expected: type) -> bool:
     return isinstance(value, expected) and (expected is bool or not isinstance(value, bool))
 
 
+# Both targets write an int literal as an ``int``: javac rejects a wider one
+# and g++ truncates it.
+INT_MIN, INT_MAX = -2**31, 2**31 - 1
+
+
+def _out_of_int_range(value: int, what: str, span, diags: list[Diagnostic]) -> bool:
+    """Report E105 and return True when ``value`` does not fit a 32-bit int."""
+    if INT_MIN <= value <= INT_MAX:
+        return False
+    diags.append(error(E_TYPE_MISMATCH, f"{what} does not fit a 32-bit int "
+                                        f"({INT_MIN} to {INT_MAX}): {value}", span))
+    return True
+
+
 def _validate_command(command: CommandDecl, widgets: dict[str, WidgetDecl],
                       diags: list[Diagnostic]) -> None:
     form = command.form
@@ -401,6 +415,9 @@ def _resolve_widget_action(action: WidgetAction, widgets, widget_commands,
             f"got {action.arg!r}",
             action.span))
         return None
+    if expected is ParamType.INT and _out_of_int_range(
+            action.arg, f"{action.kind.value} argument", action.span, diags):
+        return None
     return LinkedAction(decl=decl, args=(action.arg,))
 
 
@@ -447,6 +464,9 @@ def _resolve_custom_action(action: CustomAction, commands, registry,
                 f"parameter '{param.name}' of '{action.name}' takes "
                 f"{param.type.value}, got {arg.value!r}",
                 action.span))
+            continue
+        if param.type is ParamType.INT and _out_of_int_range(
+                arg.value, f"argument '{param.name}' of '{action.name}'", action.span, diags):
             continue
         resolved.append(arg.value)
     return LinkedAction(decl=decl, args=tuple(resolved))
@@ -540,6 +560,8 @@ def _check_rows_expectation(check: CheckValue, widget: WidgetDecl,
                 f"expectation row has {len(row.cells)} cells but the header "
                 f"has {len(exp.header)}",
                 check.span))
+    if isinstance(exp.selected_row_check, int):
+        _out_of_int_range(exp.selected_row_check, "selectedRow index", check.span, diags)
     asserts_selection = (exp.selected_row_check is not None
                          or any(r.selected for r in exp.rows))
     if asserts_selection and not widget.has_feature(FeatureKind.SELECTED_ROW):
@@ -622,7 +644,6 @@ class CommandNames(Record):
 class NameMap(Record):
     type_name: str
     file_name: str
-    file_name_bound: bool
     properties: dict  # (widget, feature) -> PropertyNames
     commands: dict  # command name -> CommandNames
 
@@ -702,8 +723,7 @@ def compute_name_map(
                 file_span))
     if diags:
         return None, diags
-    return NameMap(type_name=type_name, file_name=file_name,
-                   file_name_bound=file_name_bound, properties=properties,
+    return NameMap(type_name=type_name, file_name=file_name, properties=properties,
                    commands=commands), diags
 
 

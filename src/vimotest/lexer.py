@@ -12,6 +12,11 @@ its match, and the match's last group names the token. A one-character group
 catches anything else, and an empty alternative at the end of input takes
 the blanks after the last token.
 
+A token is a plain ``(type, text, offset, value)`` tuple: the loop builds
+each one as a tuple display, with no constructor call, and the parser reads
+it by unpacking or by index. The value is the unescaped string, the int or
+the raw pipe-row text, None for punctuation and EOF.
+
 A token keeps only its start offset. ``line_starts`` and ``position`` turn an
 offset into a 1-based (line, column) on demand, where lines end at ``\\n``:
 the parser does so for each span it builds, the tokenizer for each of its own
@@ -23,7 +28,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from enum import Enum, auto
-from typing import NamedTuple
 
 from .diagnostics import Diagnostic, E_SYNTAX, SourceSpan, error
 
@@ -49,13 +53,6 @@ class TokenType(Enum):
     DOT = auto()
     EQUALS = auto()
     EOF = auto()
-
-
-class Token(NamedTuple):
-    type: TokenType
-    text: str
-    offset: int  # of the first character; see ``position``
-    value: object = None  # unescaped string / int / raw pipe-row text
 
 
 _PUNCT = {
@@ -114,12 +111,11 @@ def position(starts: list[int], offset: int) -> tuple[int, int]:
     return line, offset - starts[line - 1] + 1
 
 
-def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
-    toks: list[Token] = []
+def tokenize(text: str, file: str = "<input>") -> tuple[list[tuple], list[Diagnostic]]:
+    toks: list[tuple] = []
     # (offset, message, length) of each diagnostic, placed when the scan ends.
     found: list[tuple[int, str, int]] = []
     append = toks.append
-    new = tuple.__new__
     ident, string, pipe, integer = (TokenType.IDENT, TokenType.STRING,
                                     TokenType.PIPE_ROW, TokenType.INT)
     n = len(text)
@@ -131,27 +127,27 @@ def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagno
             kind = m.lastindex
             if kind == _G_IDENT:
                 word = m[_G_IDENT]
-                append(new(Token, (ident, word, m.start(_G_IDENT), word)))
+                append((ident, word, m.start(_G_IDENT), word))
             elif kind == _G_PUNCT:
                 ch = m[_G_PUNCT]
-                append(new(Token, (_PUNCT[ch], ch, m.start(_G_PUNCT), None)))
+                append((_PUNCT[ch], ch, m.start(_G_PUNCT), None))
             elif kind == _G_STRING:
                 start, end = m.span(_G_STRING)
                 body = unescape(text[start + 1:end - 1])
-                append(new(Token, (string, m[_G_STRING], start, body)))
+                append((string, m[_G_STRING], start, body))
             elif kind == _G_PIPE:
                 raw = m[_G_PIPE].rstrip()
-                append(new(Token, (pipe, raw, m.start(_G_PIPE), raw)))
+                append((pipe, raw, m.start(_G_PIPE), raw))
             elif kind == _G_INT:
                 digits = m[_G_INT]
-                append(new(Token, (integer, digits, m.start(_G_INT), int(digits))))
+                append((integer, digits, m.start(_G_INT), int(digits)))
             elif kind == _G_TRIPLE:
                 start, end = m.span(_G_TRIPLE)
                 close = text.find('"""', end)
                 if close < 0:
                     found.append((start, "unterminated triple-quoted string", 3))
                     close = n
-                append(Token(TokenType.TRIPLE_STRING, '"""', start, text[end:close]))
+                append((TokenType.TRIPLE_STRING, '"""', start, text[end:close]))
                 pos = min(close + 3, n)
                 break
             elif kind == _G_OTHER:
@@ -164,7 +160,7 @@ def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagno
             # else a comment, or the blanks at the end of input
         else:
             break
-    append(Token(TokenType.EOF, "", n))
+    append((TokenType.EOF, "", n, None))
     diags: list[Diagnostic] = []
     if found:
         starts = line_starts(text)
@@ -174,7 +170,7 @@ def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagno
 
 
 def _malformed_string(text: str, pos: int,
-                      found: list[tuple[int, str, int]]) -> tuple[Token, int]:
+                      found: list[tuple[int, str, int]]) -> tuple[tuple, int]:
     """Scan a string the master pattern rejected: a bad escape or no closing quote.
 
     Unknown escapes are dropped from the value and reported where the
@@ -203,4 +199,4 @@ def _malformed_string(text: str, pos: int,
             i += 1
         found.append((pos, "unterminated string literal", 1))
         break
-    return Token(TokenType.STRING, text[pos:i], pos, "".join(parts)), i
+    return (TokenType.STRING, text[pos:i], pos, "".join(parts)), i

@@ -20,7 +20,7 @@ from .diagnostics import (
     SourceSpan,
     error,
 )
-from .lexer import ESCAPES, Token, TokenType, line_starts, position, tokenize, unescape
+from .lexer import ESCAPES, TokenType, line_starts, position, tokenize, unescape
 from .model import (
     Action,
     ArgContextRef,
@@ -124,7 +124,7 @@ def _parse(text: str | bytes, file: str, entry: Callable[[_Parser], T],
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str, diagnostics: list[Diagnostic],
+    def __init__(self, tokens: list[tuple], file: str, diagnostics: list[Diagnostic],
                  text: str):
         self.toks = tokens  # always ends in the one EOF token
         self.last = len(tokens) - 1
@@ -135,14 +135,16 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
     #
+    # A token is the lexer's ``(type, text, offset, value)`` tuple. A method
+    # that reads several of its fields unpacks it; one field is read by index.
     # Only an IDENT token's text is an identifier (a string keeps its quotes),
     # so a keyword test compares the text alone. A helper that matched a
     # token steps with ``self.i += 1``: a matched token is never the EOF.
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.toks[self.i]
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         """Return the current token and move past it, but never past EOF."""
         i = self.i
         if i < self.last:
@@ -150,33 +152,34 @@ class _Parser:
         return self.toks[i]
 
     def at(self, ttype: TokenType) -> bool:
-        return self.toks[self.i].type is ttype
+        return self.toks[self.i][0] is ttype
 
     def at_word(self, word: str) -> bool:
-        return self.toks[self.i].text == word
+        return self.toks[self.i][1] == word
 
-    def span_of(self, tok: Token) -> SourceSpan:
-        line, column = position(self.starts, tok.offset)
-        return _new(SourceSpan, (self.file, line, column, len(tok.text) or 1))
+    def span_of(self, tok: tuple) -> SourceSpan:
+        _, text, offset, _ = tok
+        line, column = position(self.starts, offset)
+        return _new(SourceSpan, (self.file, line, column, len(text) or 1))
 
-    def report(self, message: str, tok: Token | None = None, code: str = E_SYNTAX) -> None:
+    def report(self, message: str, tok: tuple | None = None, code: str = E_SYNTAX) -> None:
         tok = tok or self.peek()
         self.diags.append(error(code, message, self.span_of(tok)))
 
-    def fail(self, message: str, tok: Token | None = None, code: str = E_SYNTAX) -> NoReturn:
+    def fail(self, message: str, tok: tuple | None = None, code: str = E_SYNTAX) -> NoReturn:
         self.report(message, tok, code)
         raise _ParseError()
 
-    def expect(self, ttype: TokenType, what: str) -> Token:
+    def expect(self, ttype: TokenType, what: str) -> tuple:
         tok = self.toks[self.i]
-        if tok.type is not ttype:
+        if tok[0] is not ttype:
             self.fail(f"expected {what}, found {self._describe(tok)}")
         self.i += 1
         return tok
 
-    def expect_word(self, word: str) -> Token:
+    def expect_word(self, word: str) -> tuple:
         tok = self.toks[self.i]
-        if tok.text != word:
+        if tok[1] != word:
             self.fail(f"expected '{word}', found {self._describe(tok)}")
         self.i += 1
         return tok
@@ -184,33 +187,34 @@ class _Parser:
     def expect_one_of(self, words: dict[str, T], what: str) -> T:
         """Consume one of ``words`` and return what it maps to."""
         tok = self.toks[self.i]
-        value = words.get(tok.text)
+        value = words.get(tok[1])
         if value is None:
             self.fail(f"expected {what}, found {self._describe(tok)}")
         self.i += 1
         return value
 
     @staticmethod
-    def _describe(tok: Token) -> str:
-        if tok.type is _EOF:
+    def _describe(tok: tuple) -> str:
+        ttype, text, _, _ = tok
+        if ttype is _EOF:
             return "end of input"
-        if tok.type is _PIPE:
+        if ttype is _PIPE:
             return "table row"
-        return f"'{tok.text}'"
+        return f"'{text}'"
 
     def sync(self, stop_words: Container[str]) -> None:
         """Skip tokens until a declaration start word, '}', or EOF at depth 0."""
         depth = 0
         while not self.at(_EOF):
-            tok = self.peek()
+            ttype, text, _, _ = self.peek()
             if depth == 0:
-                if tok.type is _RBRACE:
+                if ttype is _RBRACE:
                     return
-                if tok.type is _IDENT and tok.text in stop_words:
+                if ttype is _IDENT and text in stop_words:
                     return
-            if tok.type is _LBRACE:
+            if ttype is _LBRACE:
                 depth += 1
-            elif tok.type is _RBRACE:
+            elif ttype is _RBRACE:
                 depth -= 1
                 if depth < 0:
                     return
@@ -218,7 +222,7 @@ class _Parser:
 
     # -- the shared list, block and duplicate rules ---------------------------
 
-    def first(self, seen: set, key, tok: Token, message: str) -> bool:
+    def first(self, seen: set, key, tok: tuple, message: str) -> bool:
         """True for the first ``key``; a repeat is reported at ``tok`` as
         E106 with ``message.format(key)``."""
         if key in seen:
@@ -238,7 +242,7 @@ class _Parser:
         out = []
         seen: set = set()
         toks = self.toks
-        while (ttype := toks[self.i].type) is not _RBRACE and ttype is not _EOF:
+        while (ttype := toks[self.i][0]) is not _RBRACE and ttype is not _EOF:
             try:
                 item = parse_one()
             except _ParseError:
@@ -268,7 +272,7 @@ class _Parser:
             item = parse_one()
             if item is not None:
                 out.append(item)
-            if toks[self.i].type is not _COMMA:
+            if toks[self.i][0] is not _COMMA:
                 return tuple(out)
             self.i += 1
 
@@ -279,10 +283,11 @@ class _Parser:
 
     def parse_literal(self):
         tok = self.peek()
-        if tok.type is _STRING or tok.type is _INT:
+        ttype, text, _, value = tok
+        if ttype is _STRING or ttype is _INT:
             self.i += 1
-            return tok.value
-        if tok.text in _BOOL_WORDS:
+            return value
+        if text in _BOOL_WORDS:
             return self.parse_bool()
         self.fail(f"expected a literal, found {self._describe(tok)}")
 
@@ -300,17 +305,17 @@ class _Parser:
                 self.parse_widget_decl, _WIDGET_KIND_WORDS, "duplicate widget name '{}'")),
             self.block("commands", lambda: self.items(
                 self.parse_command_decl, _COMMAND_WORDS, "duplicate command name '{}'"))))
-        return ViewModelDescription(name=name.text, widgets=widgets, commands=commands,
+        return ViewModelDescription(name=name[1], widgets=widgets, commands=commands,
                                     bindings=bindings, span=self.span_of(head))
 
-    def parse_binding(self) -> tuple[NameBinding, str, Token]:
+    def parse_binding(self) -> tuple[NameBinding, str, tuple]:
         tok = self.peek()
         widget = feature = None
-        if tok.text in ("typeName", "fileName"):
-            subject = self.advance().text
+        if tok[1] in ("typeName", "fileName"):
+            subject = self.advance()[1]
         elif self.at_word("property"):
             self.advance()
-            widget = self.expect(_IDENT, "widget name").text
+            widget = self.expect(_IDENT, "widget name")[1]
             self.expect(_DOT, "'.'")
             feature = self.parse_feature_word()
             if self.at_word("name"):
@@ -327,11 +332,11 @@ class _Parser:
         self._check_bound_name(subject, value)
         # The key names what is bound, as the duplicate message shows it.
         key = subject if widget is None else f"{subject} of {widget}.{feature.value}"
-        return NameBinding(subject=subject, bound_name=value.value, widget=widget,
+        return NameBinding(subject=subject, bound_name=value[3], widget=widget,
                            feature=feature, span=self.span_of(tok)), key, tok
 
-    def _check_bound_name(self, subject: str, value: Token) -> None:
-        name = value.value
+    def _check_bound_name(self, subject: str, value: tuple) -> None:
+        name = value[3]
         if subject == "fileName":
             bad = not name or "/" in name or "\\" in name or name in (".", "..")
             if bad:
@@ -342,7 +347,7 @@ class _Parser:
     def parse_feature_word(self) -> FeatureKind:
         return self.expect_one_of(_FEATURE_WORDS, "a feature name")
 
-    def parse_widget_decl(self) -> tuple[WidgetDecl, str, Token]:
+    def parse_widget_decl(self) -> tuple[WidgetDecl, str, tuple]:
         tok = self.peek()
         kind = self.expect_one_of(_WIDGET_KIND_WORDS, "a widget declaration")
         name = self.expect(_IDENT, "widget name")
@@ -359,10 +364,10 @@ class _Parser:
             self.i += 1
             seen: set[FeatureKind] = set()
             toks = self.toks
-            while (item := toks[self.i]).type is not _RBRACE and item.type is not _EOF:
-                if item.text == "supports":
+            while (item := toks[self.i])[0] is not _RBRACE and item[0] is not _EOF:
+                if item[1] == "supports":
                     supports.update(self.parse_supports())
-                elif item.text == "example":
+                elif item[1] == "example":
                     self.i += 1
                     ftok = toks[self.i]
                     feature = self.parse_feature_word()
@@ -375,9 +380,8 @@ class _Parser:
                     self.fail("expected 'supports' or 'example' in widget body")
             self.expect(_RBRACE, "'}'")
         examples.sort(key=lambda kv: FEATURE_RANK[kv[0]])
-        return WidgetDecl(name=name.text, kind=kind, enabled_optional=frozenset(supports),
-                          columns=columns, examples=tuple(examples),
-                          span=self.span_of(tok)), name.text, name
+        return WidgetDecl(name[1], kind, frozenset(supports), columns, tuple(examples),
+                          self.span_of(tok)), name[1], name
 
     def parse_supports(self) -> tuple[FeatureKind, ...]:
         self.expect_word("supports")
@@ -390,47 +394,48 @@ class _Parser:
             tok = self.peek()
             kind = self.expect_one_of(_CELL_KIND_WORDS, "a column declaration")
             title = self.expect(_STRING, "column title")
-            trimmed = title.value.strip()
+            trimmed = title[3].strip()
             if self.first(seen, trimmed, title, "duplicate column title '{}'"):
-                columns.append(ColumnSpec(cell_kind=kind, title=trimmed,
-                                          span=self.span_of(tok)))
+                columns.append(ColumnSpec(kind, trimmed, self.span_of(tok)))
         if not columns:
             self.fail("a table needs at least one column")
         return tuple(columns)
 
-    def parse_command_decl(self) -> tuple[CommandDecl, str, Token]:
+    def parse_command_decl(self) -> tuple[CommandDecl, str, tuple]:
         tok = self.peek()
-        kind = _ACTION_WORDS.get(tok.text)
+        word = tok[1]
+        kind = _ACTION_WORDS.get(word)
         if kind is not None:
             self.i += 1
             self.expect_word("on")
             target = self.expect(_IDENT, "widget name")
-            name = camel_case(target.text, kind.value)
-            return CommandDecl(name=name, form=WidgetCommand(kind=kind, target=target.text),
-                               span=self.span_of(tok)), name, target
-        if tok.text != "command":
+            widget = target[1]
+            name = camel_case(widget, kind.value)
+            return CommandDecl(name, WidgetCommand(kind, widget),
+                               self.span_of(tok)), name, target
+        if word != "command":
             self.fail(f"expected a command declaration, found {self._describe(tok)}")
         self.i += 1
         name = self.expect(_IDENT, "command name")
-        if name.text in _ACTION_WORDS:
-            self.report(f"custom commands must not be named '{name.text}'", name)
+        command = name[1]
+        if command in _ACTION_WORDS:
+            self.report(f"custom commands must not be named '{command}'", name)
         self.expect(_LPAREN, "'('")
         seen: set[str] = set()
         params = () if self.at(_RPAREN) else self.comma_list(
             lambda: self.parse_param(seen))
         self.expect(_RPAREN, "')'")
-        return CommandDecl(name=name.text, form=CustomCommand(params=params),
-                           span=self.span_of(tok)), name.text, name
+        return CommandDecl(command, CustomCommand(params), self.span_of(tok)), command, name
 
     def parse_param(self, seen: set[str]) -> Param | None:
         pname = self.expect(_IDENT, "parameter name")
         self.expect(_COLON, "':'")
-        ptype = _PARAM_TYPE_WORDS.get(self.peek().text)
+        ptype = _PARAM_TYPE_WORDS.get(self.peek()[1])
         if ptype is None:
             self.fail("expected a parameter type (string, bool, int, or context)")
         self.i += 1
-        if self.first(seen, pname.text, pname, "duplicate parameter name '{}'"):
-            return Param(name=pname.text, type=ptype)
+        if self.first(seen, pname[1], pname, "duplicate parameter name '{}'"):
+            return Param(name=pname[1], type=ptype)
         return None
 
     # -- test suite file ----------------------------------------------------
@@ -442,10 +447,10 @@ class _Parser:
         target = self.expect(_IDENT, "ViewModel name")
         scenarios = self.block(None, lambda: self.items(
             self.parse_scenario, _SCENARIO_WORDS, "duplicate scenario description {!r}"))
-        return TestSuite(name=name.text, target_view_model=target.text,
+        return TestSuite(name=name[1], target_view_model=target[1],
                          scenarios=scenarios, span=self.span_of(head))
 
-    def parse_scenario(self) -> tuple[TestScenario, str, Token]:
+    def parse_scenario(self) -> tuple[TestScenario, str, tuple]:
         head = self.expect_word("scenario")
         desc = self.expect(_STRING, "scenario description")
         given, when, then = self.block(None, lambda: (
@@ -453,13 +458,13 @@ class _Parser:
             self.block("when", lambda: self.items(self.parse_action, _ACTION_WORDS)),
             self.block("then", lambda: tuple(chain.from_iterable(
                 self.items(self.parse_check, _WIDGET_KIND_WORDS))))))
-        return TestScenario(description=desc.value, given=given, when=when,
-                            then=then, span=self.span_of(head)), desc.value, desc
+        return TestScenario(description=desc[3], given=given, when=when,
+                            then=then, span=self.span_of(head)), desc[3], desc
 
     def parse_context(self) -> ContextDefinition:
         tok = self.peek()
         parse_body = self.expect_one_of(_CONTEXT_BODIES, "a context definition")
-        name = self.expect(_IDENT, "context name").text
+        name = self.expect(_IDENT, "context name")[1]
         return ContextDefinition(name=name, body=parse_body(self, name),
                                  span=self.span_of(tok))
 
@@ -479,7 +484,7 @@ class _Parser:
                             f"attribute name '{name}'", header_tok, E_DUPLICATE_NAME)
         rows: list[tuple[str, ...]] = []
         toks = self.toks
-        while (tok := toks[self.i]).type is _PIPE:
+        while (tok := toks[self.i])[0] is _PIPE:
             self.i += 1
             cells = self.parse_plain_row(tok)
             if len(cells) != len(header):
@@ -490,8 +495,8 @@ class _Parser:
             rows.append(cells)
         return header, tuple(rows)
 
-    def parse_plain_row(self, tok: Token) -> tuple[str, ...]:
-        cells, trailer = _split_pipe_row(tok.text)
+    def parse_plain_row(self, tok: tuple) -> tuple[str, ...]:
+        cells, trailer = _split_pipe_row(tok[1])
         if cells is None:
             self.fail("malformed table row: expected '| cell | ... |'", tok)
         if trailer.strip():
@@ -500,45 +505,41 @@ class _Parser:
 
     def parse_action(self) -> Action:
         tok = self.peek()
-        kind = _ACTION_WORDS.get(tok.text)
+        kind = _ACTION_WORDS.get(tok[1])
         if kind is not None:
             self.i += 1
-            widget = self.expect(_IDENT, "widget name")
+            widget = self.expect(_IDENT, "widget name")[1]
             read_arg = _ACTION_ARGS.get(kind)
             arg = None if read_arg is None else read_arg(self)
-            return WidgetAction(kind=kind, widget=widget.text, arg=arg,
-                                span=self.span_of(tok))
+            return WidgetAction(kind, widget, arg, self.span_of(tok))
         name = self.expect(_IDENT, "a command action")
         self.expect(_LPAREN, "'(' after command name")
         args = () if self.at(_RPAREN) else self.comma_list(self.parse_argument)
         self.expect(_RPAREN, "')'")
-        return CustomAction(name=name.text, args=args, span=self.span_of(tok))
+        return CustomAction(name=name[1], args=args, span=self.span_of(tok))
 
     def parse_argument(self) -> Argument:
-        tok = self.peek()
-        if tok.type is _IDENT and tok.text not in _BOOL_WORDS:
+        ttype, text, _, _ = self.peek()
+        if ttype is _IDENT and text not in _BOOL_WORDS:
             self.i += 1
-            return ArgContextRef(name=tok.text)
+            return ArgContextRef(name=text)
         return ArgLiteral(value=self.parse_literal())
 
     def parse_check(self) -> list[CheckValue]:
-        tok = self.peek()
         if self.at_word("table"):
             return [self.parse_rows_check()]
         kind = self.expect_one_of(_WIDGET_KIND_WORDS, "a check")
-        widget = self.expect(_IDENT, "widget name")
+        widget = self.expect(_IDENT, "widget name")[1]
         checks: list[CheckValue] = []
         toks = self.toks
-        while (ftok := toks[self.i]).text in _SCALAR_CHECK_FEATURES:
+        while (ftok := toks[self.i])[1] in _SCALAR_CHECK_FEATURES:
             self.i += 1
-            feature = _SCALAR_CHECK_FEATURES[ftok.text]
+            feature = _SCALAR_CHECK_FEATURES[ftok[1]]
             if FEATURE_TYPE[feature] == "string":
-                value = self.expect(_STRING, "string").value
+                value = self.expect(_STRING, "string")[3]
             else:
                 value = self.parse_bool()
-            checks.append(CheckValue(widget=widget.text, widget_kind=kind,
-                                     feature=feature, expectation=value,
-                                     span=self.span_of(ftok)))
+            checks.append(CheckValue(widget, kind, feature, value, self.span_of(ftok)))
         if not checks:
             self.fail("expected at least one feature check "
                       "(enabled, visible, checked, or text)")
@@ -561,18 +562,17 @@ class _Parser:
                 self.advance()
                 selected_check = "none"
             else:
-                selected_check = self.expect(_INT, "row index or 'none'").value
+                selected_check = self.expect(_INT, "row index or 'none'")[3]
         self.expect(_RBRACE, "'}'")
         expectation = RowsExpectation(header=header, rows=rows, ignored_columns=ignored,
                                       selected_row_check=selected_check)
-        return CheckValue(widget=widget.text, widget_kind=WidgetKind.TABLE,
-                          feature=FeatureKind.ROWS, expectation=expectation,
-                          span=self.span_of(head))
+        return CheckValue(widget[1], WidgetKind.TABLE, FeatureKind.ROWS, expectation,
+                          self.span_of(head))
 
     def parse_ignored_title(self, seen: set[str]) -> str | None:
         title = self.expect(_STRING, "column title")
-        if self.first(seen, title.value, title, "duplicate ignored column '{}'"):
-            return title.value
+        if self.first(seen, title[3], title, "duplicate ignored column '{}'"):
+            return title[3]
         return None
 
     def parse_expect_table(self) -> tuple[tuple[str, ...], tuple[RowExpectation, ...]]:
@@ -580,7 +580,7 @@ class _Parser:
         rows: list[RowExpectation] = []
         selected_seen = False
         toks = self.toks
-        while (tok := toks[self.i]).type is _PIPE:
+        while (tok := toks[self.i])[0] is _PIPE:
             self.i += 1
             try:
                 row = self.parse_expect_row(tok, len(header))
@@ -591,13 +591,13 @@ class _Parser:
             if row.selected:
                 if selected_seen:
                     self.report("only one row may carry the [selected] mark", tok)
-                    row = RowExpectation(cells=row.cells, selected=False, color=row.color)
+                    row = RowExpectation(row.cells, False, row.color)
                 selected_seen = True
             rows.append(row)
         return header, tuple(rows)
 
-    def parse_expect_row(self, tok: Token, arity: int) -> RowExpectation | None:
-        cells_raw, trailer = _split_pipe_row(tok.text)
+    def parse_expect_row(self, tok: tuple, arity: int) -> RowExpectation | None:
+        cells_raw, trailer = _split_pipe_row(tok[1])
         if cells_raw is None:
             self.fail("malformed table row: expected '| cell | ... |'", tok)
         # A '|' inside a tooltip cuts the cell: the tooltip looks
@@ -628,9 +628,9 @@ class _Parser:
             self.report(f"row has {len(cells)} cells but the header has {arity}",
                         tok, E_RAGGED_TABLE)
             return None
-        return RowExpectation(cells=tuple(cells), selected=selected, color=color)
+        return RowExpectation(tuple(cells), selected, color)
 
-    def _parse_cell_expectation(self, text: str, tok: Token, cut: bool) -> CellExpectation:
+    def _parse_cell_expectation(self, text: str, tok: tuple, cut: bool) -> CellExpectation:
         """A stripped cell that holds a '['; its adornments start there."""
         bracket = text.index("[")
         value = text[:bracket].rstrip()
@@ -647,9 +647,9 @@ class _Parser:
                 color = payload
             else:
                 self.report("[selected] marks a row, not a cell", tok)
-        return CellExpectation(value=value, tooltip=tooltip, color=color)
+        return CellExpectation(False, value, tooltip, color)
 
-    def _parse_groups(self, text: str, tok: Token, cut: bool = False,
+    def _parse_groups(self, text: str, tok: tuple, cut: bool = False,
                       start: int = 0) -> list[tuple[str, str | None]]:
         """Parse '[selected]', '[color NAME]', '[tooltip "..."]' groups from
         ``text[start:]``.
@@ -667,17 +667,17 @@ class _Parser:
 # The argument a widget action reads after its widget; a click reads none.
 _ACTION_ARGS = {
     CommandKind.CHECK: _Parser.parse_bool,
-    CommandKind.FILL_TEXT: lambda p: p.expect(_STRING, "string").value,
-    CommandKind.SELECT_ROW: lambda p: p.expect(_INT, "row index").value,
+    CommandKind.FILL_TEXT: lambda p: p.expect(_STRING, "string")[3],
+    CommandKind.SELECT_ROW: lambda p: p.expect(_INT, "row index")[3],
 }
 
 _CONTEXT_BODIES = {
     "datatable": lambda p, name: DataTableBody(*p.block(None, p.parse_plain_table)),
     "text": lambda p, name: TextBody(
-        text=p.expect(_TRIPLE, "triple-quoted string").value),
+        text=p.expect(_TRIPLE, "triple-quoted string")[3]),
     "xml": lambda p, name: XmlBody(
-        text=p.expect(_TRIPLE, "triple-quoted string").value),
-    "file": lambda p, name: FileBody(path=p.expect(_STRING, "file path").value),
+        text=p.expect(_TRIPLE, "triple-quoted string")[3]),
+    "file": lambda p, name: FileBody(path=p.expect(_STRING, "file path")[3]),
     "use": lambda p, name: ReferenceBody(target=name),
 }
 

@@ -112,13 +112,12 @@ def _declare_local(lines: list[str], ind: str, stmt: DeclareLocal,
                    spec: TargetSpec) -> None:
     init = stmt.init
     if isinstance(init, StringLit) and init.multiline:
-        parts = init.value.split("\n")
-        head = quote(parts[0] + "\n")
-        lines.append(f"{ind}{spec.types['string']} {stmt.name} = {head}")
-        for part in parts[1:-1]:
-            chunk = quote(part + "\n")
-            lines.append(f"{ind}{spec.continuation}{chunk}")
-        lines.append(f"{ind}{spec.continuation}{quote(parts[-1])};")
+        # Each line but the last is its own literal, its closing quote
+        # moved past a literal ``\n``.
+        head, *middle, last = init.value.split("\n")
+        lines.append(f"{ind}{spec.types['string']} {stmt.name} = {quote(head)[:-1]}\\n\"")
+        lines.extend([f"{ind}{spec.continuation}{quote(part)[:-1]}\\n\"" for part in middle])
+        lines.append(f"{ind}{spec.continuation}{quote(last)};")
     else:
         lines.append(f"{ind}{spec.types[stmt.ir_type]} {stmt.name} = {_expr(init, spec)};")
 

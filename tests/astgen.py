@@ -362,6 +362,54 @@ def random_state_pair(rng: random.Random, widget: WidgetDecl):
     return exp, rows, selected
 
 
+# The two ends of the 32-bit int range and one value past each. Both targets
+# write an int literal as an ``int``, so one past the range is an E105.
+EDGE_INTS = (-2**31 - 1, -2**31, 2**31 - 1, 2**31)
+
+
+def with_edge_ints(rng: random.Random, suite: TestSuite) -> tuple[TestSuite, int]:
+    """``suite`` with about half of its int literals (selectRow arguments, int
+    command arguments, selectedRow indexes) replaced by one of ``EDGE_INTS``,
+    and the number of replacements outside the 32-bit range. The generators
+    above keep to small ints, so their random streams stay as they were."""
+    past = 0
+
+    def pick(value: int) -> int:
+        nonlocal past
+        if rng.random() < 0.5:
+            return value
+        value = rng.choice(EDGE_INTS)
+        past += not -2**31 <= value < 2**31
+        return value
+
+    def action(a):
+        if isinstance(a, WidgetAction) and type(a.arg) is int:
+            return WidgetAction(kind=a.kind, widget=a.widget, arg=pick(a.arg))
+        if isinstance(a, CustomAction):
+            return CustomAction(name=a.name, args=tuple(
+                ArgLiteral(value=pick(arg.value))
+                if isinstance(arg, ArgLiteral) and type(arg.value) is int else arg
+                for arg in a.args))
+        return a
+
+    def check(c):
+        exp = c.expectation
+        if isinstance(exp, RowsExpectation) and type(exp.selected_row_check) is int:
+            exp = RowsExpectation(header=exp.header, rows=exp.rows,
+                                  ignored_columns=exp.ignored_columns,
+                                  selected_row_check=pick(exp.selected_row_check))
+            return CheckValue(widget=c.widget, widget_kind=c.widget_kind,
+                              feature=c.feature, expectation=exp)
+        return c
+
+    scenarios = tuple(TestScenario(description=s.description, given=s.given,
+                                   when=tuple(map(action, s.when)),
+                                   then=tuple(map(check, s.then)))
+                      for s in suite.scenarios)
+    return TestSuite(name=suite.name, target_view_model=suite.target_view_model,
+                     scenarios=scenarios), past
+
+
 def failure_keys(failures):
     return [(f.aspect, f.row_index, f.column_title, f.expected, f.actual)
             for f in failures]

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astgen import random_description, random_suite
+from astgen import random_description, random_suite, with_edge_ints
 from vimotest.analyzer import (
+    INT_MAX,
+    INT_MIN,
     CommandNames,
     NameMap,
     PropertyNames,
@@ -37,8 +39,10 @@ from vimotest.model import (
 )
 from vimotest.names import camel_case, pascal_case, snake_case
 from vimotest.parser import parse_test_suite, parse_view_model
+from vimotest.printer import pretty_print
 
 from conftest import VMDSL_PATH
+from test_codegen import BOUNDS_VMDSL, bounds_vmtest
 
 
 def codes(diags):
@@ -173,6 +177,56 @@ class TestResolve:
             for scenario in linked.scenarios:
                 for check in scenario.checks:
                     assert check.feature in widgets[check.widget].features()
+
+
+class TestIntRange:
+    """An int literal that reaches generated code fits a 32-bit int, or it
+    is an E105: javac rejects a wider literal and g++ truncates it."""
+
+    @staticmethod
+    def resolve_bounds(*values):
+        desc, _ = parse_view_model(BOUNDS_VMDSL)
+        suite, diags = parse_test_suite(bounds_vmtest(*values), "b.vmtest")
+        assert suite is not None, [d.render() for d in diags]
+        return resolve(suite, desc)
+
+    def test_both_bounds_resolve(self):
+        linked, diags = self.resolve_bounds((INT_MIN, INT_MAX, INT_MIN),
+                                            (INT_MAX, INT_MIN, INT_MAX))
+        assert linked is not None and diags == []
+        assert [a.args for s in linked.scenarios for a in s.actions] == [
+            (INT_MIN,), (INT_MAX,), (INT_MAX,), (INT_MIN,)]
+
+    def test_a_literal_past_either_bound_is_e105(self):
+        linked, diags = self.resolve_bounds((99999999999999999999, 3000000000, 4000000000),
+                                            (INT_MIN - 1, INT_MIN - 1, INT_MIN - 1))
+        assert linked is None
+        span = "does not fit a 32-bit int (-2147483648 to 2147483647)"
+        assert [d.render() for d in diags] == [
+            f"b.vmtest:6:7: E105: argument 'n' of 'Load' {span}: 99999999999999999999",
+            f"b.vmtest:7:7: E105: selectRow argument {span}: 3000000000",
+            f"b.vmtest:10:7: E105: selectedRow index {span}: 4000000000",
+            f"b.vmtest:22:7: E105: argument 'n' of 'Load' {span}: -2147483649",
+            f"b.vmtest:23:7: E105: selectRow argument {span}: -2147483649",
+            f"b.vmtest:26:7: E105: selectedRow index {span}: -2147483649",
+        ]
+
+    def test_generated_edge_ints_are_e105_only_past_the_range(self):
+        rng = random.Random(3131)
+        replaced = rejected = 0
+        for _ in range(150):
+            desc = random_description(rng)
+            plain = random_suite(rng, desc)
+            suite, past = with_edge_ints(rng, plain)
+            # Through the printer and parser, as a user would write it.
+            suite, diags = parse_test_suite(pretty_print(suite))
+            assert suite is not None, [d.render() for d in diags]
+            linked, diags = resolve(suite, desc)
+            assert codes(diags) == ["E105"] * past
+            assert (linked is None) == (past > 0)
+            replaced += suite != plain
+            rejected += past > 0
+        assert 0 < rejected < replaced
 
 
 class TestValidateDescription:
@@ -386,14 +440,12 @@ def name_map_oracle(desc, config=None):
     diags = []
     overrides = {}
     type_name, type_span = desc.name, desc.span
-    file_name_bound = False
     file_name = snake_case(desc.name)
     for binding in desc.bindings:
         if binding.subject == "typeName":
             type_name, type_span = binding.bound_name, binding.span
         elif binding.subject == "fileName":
             file_name = binding.bound_name
-            file_name_bound = True
         else:
             overrides[(binding.subject, binding.widget, binding.feature)] = binding.bound_name
     properties = {}
@@ -428,8 +480,8 @@ def name_map_oracle(desc, config=None):
     check("command method", ((name, c.method) for name, c in commands.items()))
     if diags:
         return None, diags
-    return NameMap(type_name=type_name, file_name=file_name, file_name_bound=file_name_bound,
-                   properties=properties, commands=commands), diags
+    return NameMap(type_name=type_name, file_name=file_name, properties=properties,
+                   commands=commands), diags
 
 
 # Identifiers from lowercase, uppercase and mixed runs, digit runs and

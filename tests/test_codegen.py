@@ -622,11 +622,44 @@ KEYWORD_VMTEST = (
     '  scenario "class" {\n    given {\n    }\n    when {\n      click Go\n    }\n'
     "    then {\n      button Go enabled true\n    }\n  }\n}\n")
 
+# Every kind of int literal that reaches generated code: a selectRow
+# argument, an int command argument and a selectedRow index.
+BOUNDS_VMDSL = """viewmodel BoundsViewModel {
+  widgets {
+    table Tasks {
+      columns {
+        label "Name"
+      }
+      supports selectedRow
+    }
+  }
+  commands {
+    selectRow on Tasks
+    command Load(n: int)
+  }
+}
+"""
+
+
+def bounds_vmtest(*values: tuple[int, int, int]) -> str:
+    """One scenario per (Load argument, selectRow argument, selectedRow index)."""
+    return "testsuite BoundsTests for BoundsViewModel {\n" + "".join(
+        f'  scenario "case {k}" {{\n    given {{\n    }}\n'
+        f"    when {{\n      Load({load})\n      selectRow Tasks {select}\n    }}\n"
+        f"    then {{\n      table Tasks {{\n        rows {{\n          | Name |\n"
+        f"        }}\n        selectedRow {selected}\n      }}\n    }}\n  }}\n"
+        for k, (load, select, selected) in enumerate(values)) + "}\n"
+
+
+# The two ends of the 32-bit range in each place; javac and g++ take both.
+BOUNDS_VMTEST = bounds_vmtest((-2**31, 2**31 - 1, -2**31), (2**31 - 1, -2**31, 2**31 - 1))
+
 SOURCES = ((VMDSL_PATH.read_text(), VMTEST_PATH.read_text()),
            (HOSTILE_VMDSL, HOSTILE_VMTEST),
            (CLASH_VMDSL, CLASH_VMTEST),
            (KEYWORD_VMDSL, KEYWORD_VMTEST),
-           (ROWS_VMDSL, ROWS_VMTEST))
+           (ROWS_VMDSL, ROWS_VMTEST),
+           (BOUNDS_VMDSL, BOUNDS_VMTEST))
 
 # Per target: the default config and the non-default one of its goldens.
 COMPILE_CONFIGS = {target: (GenConfig(target=target), option_config(f"{target}_options"))

@@ -2,9 +2,11 @@ import hashlib
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vimotest.diagnostics import Record
 from vimotest.lexer import ESCAPES, tokenize
 from vimotest.model import (
     COLOR_NAMES,
@@ -24,7 +26,8 @@ from vimotest.parser import (_ParseError, _Parser, _scan_groups, parse_test_suit
 from vimotest.printer import pretty_print
 
 from astgen import random_description, random_suite
-from conftest import VMDSL_PATH, VMTEST_PATH
+from conftest import GOLDENS, VMDSL_PATH, VMTEST_PATH
+from test_lexer import CASES as LEXER_CASES
 
 
 def codes(diags):
@@ -594,7 +597,7 @@ class ReferenceRows(_Parser):
     per-character scanner."""
 
     def parse_plain_row(self, tok):
-        cells, trailer = reference_split_pipe_row(tok.text)
+        cells, trailer = reference_split_pipe_row(tok[1])
         if cells is None:
             self.fail("malformed table row: expected '| cell | ... |'", tok)
         if trailer.strip():
@@ -602,7 +605,7 @@ class ReferenceRows(_Parser):
         return tuple(cell.strip() for cell in cells)
 
     def parse_expect_row(self, tok, arity):
-        cells_raw, trailer = reference_split_pipe_row(tok.text)
+        cells_raw, trailer = reference_split_pipe_row(tok[1])
         if cells_raw is None:
             self.fail("malformed table row: expected '| cell | ... |'", tok)
         cells = []
@@ -838,3 +841,59 @@ def test_every_ast_node_keeps_its_span():
         assert ast is not None, [d.render() for d in diags]
         walk_spans(ast, spans)
     assert hashlib.sha256(repr(spans).encode()).hexdigest() == SPAN_DIGEST, len(spans)
+
+
+# -- the whole parsed AST, spans and diagnostics included ------------------------
+
+# SHA-256 of each group of sources as parsed: every field of every node,
+# spans included, and every diagnostic with its span. These pin the front
+# end's output apart from how it builds its tokens and nodes.
+AST_DIGESTS = {
+    "taskmanager": "6a4dac55dd5c164efc64a29583bd78964486b7ffa429168bc44501fede4b29c5",
+    "goldens": "5f0419c32073432b3887581ebf3f01cde0f2be0705a76199651c6d73086635fa",
+    "astgen": "cc565865e4ead6b0d0a6dc7d08b80fa399903c8c6dd0f6ffbea126c57f468b87",
+    "lexer_cases": "f7c509a5468603be76906afe54cc073f6272a6dc03ad48442de2dbbb2b51277e",
+}
+
+
+def render_node(node) -> str:
+    """A node as text with all its fields; a frozenset's members sorted,
+    since an enum's hash follows the string hash seed."""
+    if isinstance(node, Record):
+        shown = ", ".join(f"{f}={render_node(getattr(node, f))}" for f in node._fields)
+        return f"{type(node).__name__}({shown})"
+    if type(node) is tuple:
+        return "(" + "".join(render_node(item) + ", " for item in node) + ")"
+    if isinstance(node, frozenset):
+        return "frozenset(" + ", ".join(sorted(map(render_node, node))) + ")"
+    return repr(node)
+
+
+def ast_digest_sources(group: str):
+    if group == "astgen":
+        rng = random.Random(1919)
+        for k in range(20):
+            desc = random_description(rng)
+            yield parse_view_model, f"astgen{k}.vmdsl", pretty_print(desc)
+            yield parse_test_suite, f"astgen{k}.vmtest", pretty_print(random_suite(rng, desc))
+    elif group == "lexer_cases":
+        for case_id, src, _, _ in LEXER_CASES:
+            yield parse_view_model, f"{case_id}.vmdsl", src
+            yield parse_test_suite, f"{case_id}.vmtest", src
+    else:
+        paths = ([VMDSL_PATH, VMTEST_PATH] if group == "taskmanager"
+                 else sorted((GOLDENS / "rows").glob("rows.vm*")))
+        for path in paths:
+            parse = parse_view_model if path.suffix == ".vmdsl" else parse_test_suite
+            yield parse, path.name, path.read_text()
+
+
+@pytest.mark.parametrize("group", sorted(AST_DIGESTS))
+def test_parsed_asts_are_unchanged(group):
+    parts = []
+    for parse, name, text in ast_digest_sources(group):
+        ast, diags = parse(text, name)
+        parts.append(f"{name}\n{render_node(ast)}")
+        parts.extend(render_node(d) for d in diags)
+    digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+    assert digest == AST_DIGESTS[group], len(parts)
