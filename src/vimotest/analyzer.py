@@ -185,6 +185,18 @@ def _out_of_int_range(value: int, what: str, span, diags: list[Diagnostic]) -> b
     return True
 
 
+def _bad_row_index(value: int, what: str, span, diags: list[Diagnostic]) -> bool:
+    """Report E105 and return True when ``value`` cannot be a row index: a
+    generated one is a 32-bit int, and no table row has a negative one."""
+    if _out_of_int_range(value, what, span, diags):
+        return True
+    if value >= 0:
+        return False
+    diags.append(error(E_TYPE_MISMATCH, f"{what} is a row index and cannot be "
+                                        f"negative: {value}", span))
+    return True
+
+
 def _validate_command(command: CommandDecl, widgets: dict[str, WidgetDecl],
                       diags: list[Diagnostic]) -> None:
     form = command.form
@@ -324,6 +336,8 @@ def resolve(
         if isinstance(c.form, WidgetCommand)
     }
     registry = build_context_registry(suite, diags)
+    # Equal widget actions of the suite share the LinkedAction of the first.
+    widget_actions: dict[tuple, LinkedAction] = {}
 
     linked: list[LinkedScenario] = []
     descriptions_seen: set[str] = set()
@@ -348,7 +362,7 @@ def resolve(
 
         contexts = _resolve_contexts(scenario, registry, diags)
         actions = _resolve_actions(scenario, widgets, commands, widget_commands,
-                                   registry, diags)
+                                   registry, widget_actions, diags)
         checks = _resolve_checks(scenario, widgets, diags)
         linked.append(LinkedScenario(scenario=scenario, test_name=test_name,
                                      contexts=contexts, actions=actions,
@@ -375,11 +389,21 @@ def _resolve_contexts(scenario, registry, diags) -> tuple[ResolvedContext, ...]:
 
 
 def _resolve_actions(scenario, widgets, commands, widget_commands, registry,
-                     diags) -> tuple[LinkedAction, ...]:
+                     widget_actions, diags) -> tuple[LinkedAction, ...]:
+    """The linked ``scenario.when``, in its order. ``widget_actions`` maps
+    ``(kind, widget, type(arg), arg)`` to the LinkedAction of a widget action
+    that linked; the type keeps ``1`` and ``True`` apart. An action that
+    fails is resolved again at each occurrence, so each reports at its span."""
     out: list[LinkedAction] = []
     for action in scenario.when:
         if isinstance(action, WidgetAction):
-            linked = _resolve_widget_action(action, widgets, widget_commands, diags)
+            arg = action.arg
+            key = (action.kind, action.widget, type(arg), arg)
+            linked = widget_actions.get(key)
+            if linked is None:
+                linked = _resolve_widget_action(action, widgets, widget_commands, diags)
+                if linked is not None:
+                    widget_actions[key] = linked
         else:
             linked = _resolve_custom_action(action, commands, registry, diags)
         if linked is not None:
@@ -415,7 +439,7 @@ def _resolve_widget_action(action: WidgetAction, widgets, widget_commands,
             f"got {action.arg!r}",
             action.span))
         return None
-    if expected is ParamType.INT and _out_of_int_range(
+    if expected is ParamType.INT and _bad_row_index(
             action.arg, f"{action.kind.value} argument", action.span, diags):
         return None
     return LinkedAction(decl=decl, args=(action.arg,))
@@ -561,7 +585,7 @@ def _check_rows_expectation(check: CheckValue, widget: WidgetDecl,
                 f"has {len(exp.header)}",
                 check.span))
     if isinstance(exp.selected_row_check, int):
-        _out_of_int_range(exp.selected_row_check, "selectedRow index", check.span, diags)
+        _bad_row_index(exp.selected_row_check, "selectedRow index", check.span, diags)
     asserts_selection = (exp.selected_row_check is not None
                          or any(r.selected for r in exp.rows))
     if asserts_selection and not widget.has_feature(FeatureKind.SELECTED_ROW):

@@ -229,9 +229,10 @@ def _test_file(ir: IRUnit, name_map: NameMap, config: GenConfig) -> str:
     lines.append("#include <string>")
     lines.append("")
     spec = _SPEC._replace(scope=f"{config.cpp_namespace}::") if config.cpp_namespace else _SPEC
+    written: dict[int, str] = {}
     for test in ir.tests:
         lines.append(f"static void test_{test.name}() {{")
-        write_test_body(lines, ir, test, spec)
+        write_test_body(lines, ir, test, spec, written)
         lines.append("}")
         lines.append("")
     lines.append("int main() {")

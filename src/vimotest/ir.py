@@ -225,8 +225,13 @@ def lower_to_ir(
     if linked is not None:
         suite_name = linked.suite.name
         widgets = {w.name: w for w in reversed(desc.widgets)}  # the first of a name wins
+        # Statements lowered once and shared by every equal step of the unit:
+        # by the id of a LinkedAction that claims no local, and by the
+        # (widget, feature, type, value) of a scalar check.
+        actions: dict[int, list[IRStatement]] = {}
+        checks: dict[tuple, AssertEqual] = {}
         tests = tuple(_lower_scenario(s, widgets, name_map, config, fixture,
-                                      classes[-1].name)
+                                      classes[-1].name, actions, checks)
                       for s in linked.scenarios)
     return IRUnit(classes=classes, tests=tests, suite_name=suite_name)
 
@@ -294,7 +299,7 @@ def _declare_context(context, config, locals_, statements) -> tuple[str, str]:
 
 
 def _lower_scenario(linked_scenario, widgets, name_map, config, fixture,
-                    command_home) -> IRTest:
+                    command_home, actions, checks) -> IRTest:
     statements: list[IRStatement] = []
     locals_ = _LocalNames(fixture, config.target)
     context_locals: dict[str, str] = {}
@@ -307,21 +312,36 @@ def _lower_scenario(linked_scenario, widgets, name_map, config, fixture,
                                     delivery=delivery))
 
     for action in linked_scenario.actions:
-        statements.extend(_lower_action(action, name_map, config, locals_,
-                                        context_locals, command_home))
+        lowered = actions.get(id(action))
+        if lowered is None:
+            lowered = _lower_action(action, name_map, config, locals_,
+                                    context_locals, command_home, actions)
+        statements.extend(lowered)
 
     for check in linked_scenario.checks:
-        statements.append(_lower_check(check, widgets, name_map))
+        exp = check.expectation
+        if isinstance(exp, RowsExpectation):
+            statements.append(_lower_rows_check(check, widgets, name_map))
+            continue
+        key = (check.widget, check.feature, type(exp), exp)
+        lowered_check = checks.get(key)
+        if lowered_check is None:
+            lowered_check = checks[key] = _lower_check(check, name_map)
+        statements.append(lowered_check)
 
     return IRTest(name=linked_scenario.test_name, statements=tuple(statements))
 
 
 def _lower_action(action, name_map, config, locals_, context_locals,
-                  command_home):
+                  command_home, actions):
+    """The statements of one action. They go into ``actions`` under the
+    action's id unless they claim a local, which differs per scenario."""
     statements: list[IRStatement] = []
     args: list[IRExpr] = []
+    shared = True
     for arg in action.args:
         if isinstance(arg, ResolvedContext):
+            shared = False
             local = context_locals.get(arg.name)
             if local is None:
                 local, _ = _declare_context(arg, config, locals_, statements)
@@ -339,12 +359,15 @@ def _lower_action(action, name_map, config, locals_, context_locals,
                 f"the view applies {setter}({_literal_text(action.args[0])}) "
                 f"before the command runs"))
     elif config.parameter_object and form.params:
+        shared = False
         local = locals_.claim(camel_case(names.param_object))
         statements.append(DeclareParams(
             name=local, owner=command_home, type_name=names.param_object,
             fields=tuple(zip((p.name for p in form.params), args))))
         args = [LocalRef(local)]
     statements.append(InvokeCommand(method=names.method, args=tuple(args)))
+    if shared:
+        actions[id(action)] = statements
     return statements
 
 
@@ -362,16 +385,19 @@ def _literal_text(value) -> str:
     return repr(value) if not isinstance(value, str) else quote(value)
 
 
-def _lower_check(check, widgets, name_map):
+def _lower_rows_check(check, widgets, name_map) -> AssertRows:
     exp = check.expectation
-    if isinstance(exp, RowsExpectation):
-        selected = name_map.properties.get((check.widget, _SELECTED_ROW))
-        return AssertRows(
-            widget=check.widget,
-            rows_getter=name_map.properties[(check.widget, _ROWS)].getter,
-            selected_getter=None if selected is None else selected.getter,
-            columns=widgets[check.widget].column_indexes(exp.header),
-            expectation=exp)
+    selected = name_map.properties.get((check.widget, _SELECTED_ROW))
+    return AssertRows(
+        widget=check.widget,
+        rows_getter=name_map.properties[(check.widget, _ROWS)].getter,
+        selected_getter=None if selected is None else selected.getter,
+        columns=widgets[check.widget].column_indexes(exp.header),
+        expectation=exp)
+
+
+def _lower_check(check, name_map) -> AssertEqual:
     names = name_map.properties[(check.widget, check.feature)]
-    return AssertEqual(expected=_literal_expr(exp), actual=PropertyGet(names.getter),
+    return AssertEqual(expected=_literal_expr(check.expectation),
+                       actual=PropertyGet(names.getter),
                        message=check_label(check.widget, FEATURE_NAME[check.feature], "value"))

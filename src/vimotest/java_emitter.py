@@ -147,11 +147,12 @@ def _test_file(ir: IRUnit, config: GenConfig) -> str:
     lines.append("import static org.junit.jupiter.api.Assertions.assertEquals;")
     lines.append("")
     lines.append(f"class {ir.suite_name}Test {{")
+    written: dict[int, str] = {}
     for test in ir.tests:
         lines.append("")
         lines.append("    @Test")
         lines.append(f"    void {test.name}() {{")
-        write_test_body(lines, ir, test, _SPEC)
+        write_test_body(lines, ir, test, _SPEC, written)
         lines.append("    }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -132,6 +132,8 @@ class _Parser:
         self.diags = diagnostics
         self.starts = line_starts(text)  # the offset where each line starts
         self.i = 0
+        # The (selected, color) of each row trailer text read without a diagnostic.
+        self.trailers: dict[str, tuple[bool, str | None]] = {}
 
     # -- token plumbing ----------------------------------------------------
     #
@@ -610,10 +612,23 @@ class _Parser:
                 cells.append(self._parse_cell_expectation(text, tok, k < last or marked))
             else:
                 cells.append(_IGNORED_CELL if text == "*" else CellExpectation(False, text))
+        marks = self.trailers.get(trailer)
+        if marks is None:
+            marks = self._parse_row_marks(trailer, tok)
+        if len(cells) != arity:
+            self.report(f"row has {len(cells)} cells but the header has {arity}",
+                        tok, E_RAGGED_TABLE)
+            return None
+        return RowExpectation(tuple(cells), *marks)
+
+    def _parse_row_marks(self, trailer: str, tok: tuple) -> tuple[bool, str | None]:
+        """The marks after a row's closing pipe: whether the row is selected,
+        and its colour. Kept in ``self.trailers`` when reading them reports
+        nothing."""
+        reported = len(self.diags)
         selected = False
         color: str | None = None
-        marks = self._parse_groups(trailer, tok) if marked else ()
-        for kind, payload in marks:
+        for kind, payload in self._parse_groups(trailer, tok):
             if kind == "selected":
                 if selected:
                     self.report("duplicate [selected] mark", tok)
@@ -624,11 +639,9 @@ class _Parser:
                 color = payload
             else:
                 self.report("tooltips belong on cells, not rows", tok)
-        if len(cells) != arity:
-            self.report(f"row has {len(cells)} cells but the header has {arity}",
-                        tok, E_RAGGED_TABLE)
-            return None
-        return RowExpectation(tuple(cells), selected, color)
+        if len(self.diags) == reported:
+            self.trailers[trailer] = selected, color
+        return selected, color
 
     def _parse_cell_expectation(self, text: str, tok: tuple, cut: bool) -> CellExpectation:
         """A stripped cell that holds a '['; its adornments start there."""

@@ -64,7 +64,12 @@ class TargetSpec(NamedTuple):
 
 
 def write_test_body(lines: list[str], unit: IRUnit, test: IRTest,
-                    spec: TargetSpec) -> None:
+                    spec: TargetSpec, written: dict[int, str]) -> None:
+    """Append the lines of ``test``. ``written`` maps the id of an
+    ``InvokeCommand``, ``Comment`` or ``AssertEqual`` statement to its line;
+    lowering shares one such statement among the equal steps of a unit, so
+    the caller passes one dict per unit and spec, for as long as the unit
+    lives."""
     ind, assert_call = spec.indent, spec.assert_call
     lines.append(_new(spec, _instance_type(spec, unit.view_model), VM_LOCAL))
     target = VM_LOCAL
@@ -74,15 +79,24 @@ def write_test_body(lines: list[str], unit: IRUnit, test: IRTest,
         target = CONTROLLER_LOCAL
     lines.append(_new(spec, f"{spec.scope}{unit.suite_name}Setup", SETUP_LOCAL, VM_LOCAL))
     for stmt in test.statements:
+        line = written.get(id(stmt))
+        if line is not None:
+            lines.append(line)
+            continue
         kind = type(stmt)
         if kind is AssertEqual:
-            lines.append(f"{ind}{assert_call}({_expr(stmt.expected, spec)}, "
-                         f"{_expr(stmt.actual, spec)}, {quote(stmt.message)});")
-        elif kind is AssertRows:
-            _assert_rows(lines, stmt, spec)
+            line = (f"{ind}{assert_call}({_expr(stmt.expected, spec)}, "
+                    f"{_expr(stmt.actual, spec)}, {quote(stmt.message)});")
         elif kind is InvokeCommand:
             args = ", ".join([_expr(a, spec) for a in stmt.args])
-            lines.append(f"{ind}{target}.{stmt.method}({args});")
+            line = f"{ind}{target}.{stmt.method}({args});"
+        elif kind is Comment:
+            line = f"{ind}// {spec.comment(stmt.text)}"
+        if line is not None:
+            written[id(stmt)] = line
+            lines.append(line)
+        elif kind is AssertRows:
+            _assert_rows(lines, stmt, spec)
         elif kind is DeclareLocal:
             _declare_local(lines, ind, stmt, spec)
         elif kind is CallSetup:
@@ -93,8 +107,6 @@ def write_test_body(lines: list[str], unit: IRUnit, test: IRTest,
                               stmt.name))
             for field, arg in stmt.fields:
                 lines.append(f"{ind}{stmt.name}.{field} = {_expr(arg, spec)};")
-        elif kind is Comment:
-            lines.append(f"{ind}// {spec.comment(stmt.text)}")
 
 
 def _instance_type(spec: TargetSpec, cls: IRClass) -> str:

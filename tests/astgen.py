@@ -365,26 +365,30 @@ def random_state_pair(rng: random.Random, widget: WidgetDecl):
 # The two ends of the 32-bit int range and one value past each. Both targets
 # write an int literal as an ``int``, so one past the range is an E105.
 EDGE_INTS = (-2**31 - 1, -2**31, 2**31 - 1, 2**31)
+# A row index also has the ends of the row range, 0 and -1: no row has a
+# negative index, so below 0 is an E105 too.
+ROW_EDGE_INTS = EDGE_INTS + (-1, 0)
 
 
 def with_edge_ints(rng: random.Random, suite: TestSuite) -> tuple[TestSuite, int]:
-    """``suite`` with about half of its int literals (selectRow arguments, int
-    command arguments, selectedRow indexes) replaced by one of ``EDGE_INTS``,
-    and the number of replacements outside the 32-bit range. The generators
-    above keep to small ints, so their random streams stay as they were."""
+    """``suite`` with about half of its int literals replaced: a row index (a
+    selectRow argument or a selectedRow index) by one of ``ROW_EDGE_INTS``,
+    an int command argument by one of ``EDGE_INTS``; and the number of
+    replacements that are an E105. The generators above keep to small ints,
+    so their random streams stay as they were."""
     past = 0
 
-    def pick(value: int) -> int:
+    def pick(value: int, row: bool = False) -> int:
         nonlocal past
         if rng.random() < 0.5:
             return value
-        value = rng.choice(EDGE_INTS)
-        past += not -2**31 <= value < 2**31
+        value = rng.choice(ROW_EDGE_INTS if row else EDGE_INTS)
+        past += not (0 if row else -2**31) <= value < 2**31
         return value
 
     def action(a):
         if isinstance(a, WidgetAction) and type(a.arg) is int:
-            return WidgetAction(kind=a.kind, widget=a.widget, arg=pick(a.arg))
+            return WidgetAction(kind=a.kind, widget=a.widget, arg=pick(a.arg, row=True))
         if isinstance(a, CustomAction):
             return CustomAction(name=a.name, args=tuple(
                 ArgLiteral(value=pick(arg.value))
@@ -397,7 +401,7 @@ def with_edge_ints(rng: random.Random, suite: TestSuite) -> tuple[TestSuite, int
         if isinstance(exp, RowsExpectation) and type(exp.selected_row_check) is int:
             exp = RowsExpectation(header=exp.header, rows=exp.rows,
                                   ignored_columns=exp.ignored_columns,
-                                  selected_row_check=pick(exp.selected_row_check))
+                                  selected_row_check=pick(exp.selected_row_check, row=True))
             return CheckValue(widget=c.widget, widget_kind=c.widget_kind,
                               feature=c.feature, expectation=exp)
         return c

@@ -25,6 +25,7 @@ from vimotest.diagnostics import E_DUPLICATE_NAME, error
 from vimotest.genconfig import GenConfig
 from vimotest.model import (
     BOOL_FEATURES,
+    CommandKind,
     ContextDefinition,
     DataTableBody,
     FeatureKind,
@@ -33,6 +34,7 @@ from vimotest.model import (
     TestScenario,
     TestSuite,
     ViewModelDescription,
+    WidgetAction,
     WidgetDecl,
     WidgetKind,
     catalog_lookup,
@@ -191,11 +193,34 @@ class TestIntRange:
         return resolve(suite, desc)
 
     def test_both_bounds_resolve(self):
-        linked, diags = self.resolve_bounds((INT_MIN, INT_MAX, INT_MIN),
-                                            (INT_MAX, INT_MIN, INT_MAX))
+        """A command argument takes either end of the 32-bit range; a row
+        index takes 0 to its maximum."""
+        linked, diags = self.resolve_bounds((INT_MIN, INT_MAX, 0), (INT_MAX, 0, INT_MAX))
         assert linked is not None and diags == []
         assert [a.args for s in linked.scenarios for a in s.actions] == [
-            (INT_MIN,), (INT_MAX,), (INT_MAX,), (INT_MIN,)]
+            (INT_MIN,), (INT_MAX,), (INT_MAX,), (0,)]
+
+    def test_a_negative_row_index_is_e105(self):
+        """No table row has a negative index; an int command argument may be
+        negative."""
+        linked, diags = self.resolve_bounds((-1, -1, -1), (INT_MIN, INT_MIN, INT_MIN))
+        assert linked is None
+        negative = "is a row index and cannot be negative"
+        assert [d.render() for d in diags] == [
+            f"b.vmtest:7:7: E105: selectRow argument {negative}: -1",
+            f"b.vmtest:10:7: E105: selectedRow index {negative}: -1",
+            f"b.vmtest:23:7: E105: selectRow argument {negative}: -2147483648",
+            f"b.vmtest:26:7: E105: selectedRow index {negative}: -2147483648",
+        ]
+
+    def test_negative_row_indexes_in_the_corpus_suite(self, corpus_desc):
+        """Each occurrence of a bad row index reports at its own span."""
+        linked, diags = resolve_source(
+            corpus_desc, "given { } when {\n selectRow Tasks -1\n selectRow Tasks -1\n } "
+            "then { table Tasks { rows { | Priority | Task Name | Due Date |\n } "
+            "selectedRow -1 } }")
+        assert linked is None
+        assert [(d.code, d.span.line) for d in diags] == [("E105", 2), ("E105", 3), ("E105", 4)]
 
     def test_a_literal_past_either_bound_is_e105(self):
         linked, diags = self.resolve_bounds((99999999999999999999, 3000000000, 4000000000),
@@ -227,6 +252,61 @@ class TestIntRange:
             replaced += suite != plain
             rejected += past > 0
         assert 0 < rejected < replaced
+
+
+class TestSharedWidgetActions:
+    """Equal widget actions of a suite share one LinkedAction; sharing must
+    not change what ``resolve`` reports or where."""
+
+    def test_a_failing_action_reports_at_each_occurrence(self, corpus_desc):
+        linked, diags = resolve_source(
+            corpus_desc, "given { } when {\n click Nope\n click Nope\n"
+                         " click AddNewTask\n click Nope\n } then { }")
+        assert linked is None
+        assert [(d.code, d.span.line, d.span.column) for d in diags] == [
+            ("E101", 2, 2), ("E101", 3, 2), ("E101", 5, 2)]
+
+    def test_an_int_then_a_bool_argument(self, corpus_desc):
+        """``1`` and ``True`` are equal in Python; the second is still E105.
+        The parser takes only an int, so the suite is built directly."""
+        when = (WidgetAction(CommandKind.SELECT_ROW, "Tasks", 1),
+                WidgetAction(CommandKind.SELECT_ROW, "Tasks", True))
+        suite = TestSuite(name="S", target_view_model="TaskListViewModel",
+                          scenarios=(TestScenario(description="case", when=when),))
+        linked, diags = resolve(suite, corpus_desc)
+        assert linked is None
+        assert [(d.code, d.message) for d in diags] == [
+            ("E105", "selectRow expects a int argument, got True")]
+
+    def test_equal_actions_share_one_linked_action(self, corpus_desc):
+        suite, _ = parse_test_suite(
+            'testsuite S for TaskListViewModel {\n'
+            ' scenario "a" { given { } when { selectRow Tasks 1 click AddNewTask } then { } }\n'
+            ' scenario "b" { given { } when { click AddNewTask selectRow Tasks 1'
+            ' selectRow Tasks 2 } then { } } }')
+        linked, diags = resolve(suite, corpus_desc)
+        assert diags == []
+        (select1, add), (add2, select1b, select2) = (s.actions for s in linked.scenarios)
+        assert add2 is add and select1b is select1 and select2 is not select1
+        assert (select1.args, select2.args) == ((1,), (2,))
+
+    def test_each_step_links_to_its_action(self):
+        """``actions[k]`` is the link of ``scenario.when[k]``."""
+        rng = random.Random(2020)
+        for _ in range(60):
+            desc = random_description(rng)
+            linked, diags = resolve(random_suite(rng, desc), desc)
+            assert linked is not None, [d.render() for d in diags]
+            for scenario in linked.scenarios:
+                when = scenario.scenario.when
+                assert len(scenario.actions) == len(when)
+                for action, step in zip(scenario.actions, when):
+                    form = action.decl.form
+                    if isinstance(step, WidgetAction):
+                        assert (form.kind, form.target) == (step.kind, step.widget)
+                        assert action.args == (() if step.arg is None else (step.arg,))
+                    else:
+                        assert action.decl.name == step.name
 
 
 class TestValidateDescription:

@@ -140,6 +140,21 @@ class TestRun:
                                          "--suite", "TaskListTests")
         assert code == 0
 
+    def test_a_negative_row_index_is_a_diagnostic_not_a_run_error(self, tmp_path, capsys):
+        suite = tmp_path / "neg.vmtest"
+        suite.write_text(VMTEST_PATH.read_text()
+                         .replace("click AddNewTask", "selectRow Tasks -1")
+                         .replace("        }\n      }\n      button AddNewTask",
+                                  "        }\n        selectedRow -1\n      }\n"
+                                  "      button AddNewTask"))
+        for argv in (["check"], ["run", "--setup", "taskmanager"]):
+            assert main([*argv, str(VMDSL_PATH), str(suite)]) == 2
+            assert capsys.readouterr().err == (
+                f"{suite}:13:7: E105: selectRow argument is a row index and cannot be "
+                f"negative: -1\n"
+                f"{suite}:16:7: E105: selectedRow index is a row index and cannot be "
+                f"negative: -1\n")
+
 
 HELP_TEXT = {
     (): """\

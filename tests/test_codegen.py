@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -18,11 +19,21 @@ from astgen import (
 from conftest import GOLDENS, VMDSL_PATH, VMTEST_PATH
 from test_literals import JAVA_UNICODE_ESCAPE
 from vimotest import cpp_emitter, java_emitter
-from vimotest.analyzer import compute_name_map, resolve
+from vimotest.analyzer import LinkedScenario, LinkedSuite, compute_name_map, resolve
 from vimotest.cpp_emitter import emit_cpp
 from vimotest.diagnostics import E_DUPLICATE_NAME
 from vimotest.genconfig import GenConfig, GenConfigError, load_genconfig, parse_genconfig
-from vimotest.ir import AssertRows, Comment, IRClass, IRTest, IRUnit, ir_to_dict, lower_to_ir
+from vimotest.ir import (
+    AssertRows,
+    Comment,
+    DeclareParams,
+    IRClass,
+    IRTest,
+    IRUnit,
+    InvokeCommand,
+    ir_to_dict,
+    lower_to_ir,
+)
 from vimotest.java_emitter import emit_java
 from vimotest.literals import quote
 from vimotest.model import (
@@ -651,8 +662,9 @@ def bounds_vmtest(*values: tuple[int, int, int]) -> str:
         for k, (load, select, selected) in enumerate(values)) + "}\n"
 
 
-# The two ends of the 32-bit range in each place; javac and g++ take both.
-BOUNDS_VMTEST = bounds_vmtest((-2**31, 2**31 - 1, -2**31), (2**31 - 1, -2**31, 2**31 - 1))
+# The two ends of the range of each place: a 32-bit int for the command
+# argument, 0 to the 32-bit maximum for a row index. javac and g++ take them.
+BOUNDS_VMTEST = bounds_vmtest((-2**31, 2**31 - 1, 0), (2**31 - 1, 0, 2**31 - 1))
 
 SOURCES = ((VMDSL_PATH.read_text(), VMTEST_PATH.read_text()),
            (HOSTILE_VMDSL, HOSTILE_VMTEST),
@@ -890,7 +902,7 @@ class TestFailureLabels:
                 messages = []
                 for spec in (java_emitter._SPEC, cpp_emitter._SPEC):
                     lines: list[str] = []
-                    write_test_body(lines, unit, IRTest("t", (stmt,)), spec)
+                    write_test_body(lines, unit, IRTest("t", (stmt,)), spec, {})
                     messages.append(set(ASSERT_MESSAGE.findall("\n".join(lines))))
                 # A table one row short fails on its row count alone.
                 for actual in (rows, rows[:-1]):
@@ -930,9 +942,10 @@ class TestFailureLabels:
                 if name_map is None:
                     continue
                 unit = lower_to_ir(desc, linked, name_map, config)
+                written: dict[int, str] = {}
                 for test, expected in zip(unit.tests, labels, strict=True):
                     lines: list[str] = []
-                    write_test_body(lines, unit, test, spec)
+                    write_test_body(lines, unit, test, spec, written)
                     assert ASSERT_MESSAGE.findall("\n".join(lines)) == list(map(quote, expected))
         assert tables >= 20
 
@@ -1043,3 +1056,47 @@ class TestEmitDigests:
         target, _, options = name.partition("_")
         config = COMPILE_CONFIGS[target][1 if options else 0]
         assert emitted_digest(config, projects) == EMIT_DIGESTS[name]
+
+
+class TestSharedSteps:
+    """Lowering shares the statements of equal steps of a unit, and each
+    test file the lines of those statements. A copy of every LinkedAction,
+    which no such sharing can find, lowers and emits alike."""
+
+    @staticmethod
+    def with_actions(linked, each):
+        """``linked`` with the actions of its first scenario appended to those
+        of each scenario, all through ``each``."""
+        first = linked.scenarios[0].actions if linked.scenarios else ()
+        return LinkedSuite(suite=linked.suite, description=linked.description, scenarios=tuple(
+            LinkedScenario(scenario=s.scenario, test_name=s.test_name, contexts=s.contexts,
+                           actions=tuple(map(each, s.actions + first)), checks=s.checks)
+            for s in linked.scenarios))
+
+    def test_copied_actions_lower_and_emit_alike(self):
+        rng = random.Random(2121)
+        configs = (*COMPILE_CONFIGS["java"], *COMPILE_CONFIGS["cpp"])
+        shared = params = 0
+        for _ in range(30):
+            desc = random_description(rng)
+            linked, diags = resolve(random_suite(rng, desc), desc)
+            assert linked is not None, [d.render() for d in diags]
+            # The same objects within a scenario and across scenarios, so
+            # custom commands with parameters and contexts repeat too.
+            twice = self.with_actions(linked, lambda action: action)
+            copied = self.with_actions(linked, copy.copy)
+            for config in configs:
+                name_map = generated_name_map(desc, config)
+                if name_map is None:
+                    continue
+                emit = emit_java if config.target == "java" else emit_cpp
+                unit, unit_of_copies = (lower_to_ir(desc, l, name_map, config)
+                                        for l in (twice, copied))
+                assert ir_to_dict(unit) == ir_to_dict(unit_of_copies)
+                assert emit(unit, name_map, config) == emit(unit_of_copies, name_map, config)
+                invokes = [st for test in unit.tests for st in test.statements
+                           if type(st) is InvokeCommand]
+                shared += len(invokes) - len(set(map(id, invokes)))
+                params += sum(type(st) is DeclareParams
+                              for test in unit.tests for st in test.statements)
+        assert shared > 100 and params > 10, (shared, params)

@@ -700,12 +700,49 @@ _ROWS = st.builds(lambda cells, trailer: "|" + "|".join(cells) + "|" + trailer,
                   _TRAILERS)
 
 
+def read_rows(parser_class, rows, arity):
+    """Parse each of ``rows``, one a line, with one parser; return the results
+    ("fail" for a parse error) and the rendered diagnostics."""
+    src = "\n".join(rows) + "\n"
+    tokens, _ = tokenize(src, "f")
+    assert len(tokens) == len(rows) + 1
+    parser = parser_class(tokens, "f", [], src)
+    results = []
+    for tok in tokens[:-1]:
+        try:
+            results.append(parser.parse_expect_row(tok, arity))
+        except _ParseError:
+            results.append("fail")
+    return results, [d.render() for d in parser.diags]
+
+
 class TestRowsMatchTheReference:
     @settings(max_examples=1500, deadline=None)
     @given(_ROWS, st.integers(1, 5))
     def test_expectation_rows(self, row, arity):
         assert read_row(_Parser, "parse_expect_row", row, arity) == \
             read_row(ReferenceRows, "parse_expect_row", row, arity)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ROWS, min_size=1, max_size=3).flatmap(
+        lambda rows: st.lists(st.sampled_from(rows), min_size=2, max_size=8)),
+        st.integers(1, 5))
+    def test_repeated_rows_read_by_one_parser(self, rows, arity):
+        """A parser reads a trailer it has read cleanly before from memory;
+        each row still gets what the reference gives it."""
+        assert read_rows(_Parser, rows, arity) == read_rows(ReferenceRows, rows, arity)
+
+    def test_a_repeated_dirty_trailer_reports_on_every_row(self):
+        rows = ["| a | [selected] [selected]", "| b | [color red]", "| c | [selected] [selected]",
+                "| d | [color red]", "| e | [tooltip \"t\"]", "| f | [tooltip \"t\"]"]
+        results, diags = read_rows(_Parser, rows, 1)
+        assert [(r.selected, r.color) for r in results] == [
+            (True, None), (False, "red"), (True, None), (False, "red"),
+            (False, None), (False, None)]
+        assert diags == ["f:1:1: E001: duplicate [selected] mark",
+                         "f:3:1: E001: duplicate [selected] mark",
+                         "f:5:1: E001: tooltips belong on cells, not rows",
+                         "f:6:1: E001: tooltips belong on cells, not rows"]
 
     @settings(max_examples=500, deadline=None)
     @given(_ROWS)
