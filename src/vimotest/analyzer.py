@@ -435,8 +435,8 @@ def _resolve_widget_action(action: WidgetAction, widgets, widget_commands,
     if not _is_instance(action.arg, _LITERAL_TYPES[PARAM_TYPE[expected]]):
         diags.append(error(
             E_TYPE_MISMATCH,
-            f"{action.kind.value} expects a {expected.value} argument, "
-            f"got {action.arg!r}",
+            f"{action.kind.value} expects {'an' if expected.value[0] in 'aeiou' else 'a'} "
+            f"{expected.value} argument, got {action.arg!r}",
             action.span))
         return None
     if expected is ParamType.INT and _bad_row_index(

@@ -296,38 +296,158 @@ def _cmd_gen(args) -> int:
         from .java_emitter import emit_java as emit
     else:
         from .cpp_emitter import emit_cpp as emit
-    emitted: dict[str, tuple] = {}  # path -> (text, first writer, its span)
-    for desc in project.descriptions:
-        name_map, d = compute_name_map(desc, config)
-        diags.extend(d)
-        if name_map is None:
-            continue
-        for suite in [s for s in project.suites if s.description is desc] or [None]:
-            node = desc if suite is None else suite.suite
-            writer = f"{'ViewModel' if suite is None else 'suite'} '{node.name}'"
-            for rel, text in emit(lower_to_ir(desc, suite, name_map, config), name_map, config):
-                first_text, first, at = emitted.setdefault(rel, (text, writer, node.span))
-                if first_text != text:
-                    diags.append(error(E_DUPLICATE_NAME, f"generated file '{rel}' of {writer} "
-                                       f"differs from the one of {first} at {at}", node.span))
-    _print_diags(diags)
-    if diags:
-        return EXIT_DIAGNOSTICS
-
-    out_dir = Path(args.out)
-    if not args.force:
-        clashes = [str(out_dir / rel) for rel in emitted if (out_dir / rel).exists()]
-        if clashes:
-            raise _UsageError(
-                "refusing to overwrite existing files (use --force): "
-                + ", ".join(sorted(clashes)))
-    for rel in sorted(emitted):
-        target = out_dir / rel
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(emitted[rel][0], encoding="utf-8", newline="\n")
-        except OSError as exc:
-            raise _UsageError(f"cannot write {exc.filename}: {exc.strerror}") from exc
-        print(str(target))
+    output = _Output(Path(args.out), args.force)
+    try:
+        for desc in project.descriptions:
+            name_map, d = compute_name_map(desc, config)
+            diags.extend(d)
+            if name_map is None:
+                continue
+            for suite in [s for s in project.suites if s.description is desc] or [None]:
+                node = desc if suite is None else suite.suite
+                writer = f"{'ViewModel' if suite is None else 'suite'} '{node.name}'"
+                owner = (writer, node.span)
+                for rel, text in emit(lower_to_ir(desc, suite, name_map, config),
+                                      name_map, config):
+                    first = output.write(rel, text, owner)
+                    if first is not None:
+                        diags.append(error(
+                            E_DUPLICATE_NAME, f"generated file '{rel}' of {writer} "
+                            f"differs from the one of {first[0]} at {first[1]}", node.span))
+        _print_diags(diags)
+        if diags:
+            return EXIT_DIAGNOSTICS
+        output.commit()
+    finally:
+        output.discard()
+    for rel in sorted(output.first):
+        print(str(output.out_dir / rel))
     return EXIT_OK
 
+
+class _Output:
+    """The files of one ``gen`` call, written as they are generated.
+
+    A new file is created exclusively, which also finds a clash with an
+    existing one. With ``force``, an existing file is written to a temporary
+    beside it, which ``commit`` renames over it. Until ``commit`` succeeds,
+    ``discard`` removes every file, temporary and directory the call made,
+    so on any error the output directory ends as it began. No text of a
+    path generated once stays in memory.
+    """
+
+    def __init__(self, out_dir: Path, force: bool) -> None:
+        self.out_dir = out_dir
+        self.force = force
+        self.first: dict[str, tuple] = {}  # relative path -> (first writer, its span)
+        # Relative path -> its first text, for a path generated again (read
+        # back once) or not written.
+        self.texts: dict[str, str] = {}
+        self.temps: dict[str, str] = {}  # relative path -> temporary beside its target
+        self.made: list[tuple] = []  # (os.unlink or os.rmdir, path), in the order made
+        self.dirs: set[Path] = set()  # directories known to exist
+        self.clashes: list[str] = []
+        self.errors: dict[str, str] = {}  # relative path -> write error
+
+    def write(self, rel: str, text: str, owner: tuple) -> tuple | None:
+        """Write ``rel``, or compare it with its first text if it was
+        generated before. Returns the first owner if the texts differ."""
+        first = self.first.get(rel)
+        if first is None:
+            self.first[rel] = owner
+            if not self._create(rel, text):
+                self.texts[rel] = text
+            return None
+        first_text = self.texts.get(rel)
+        if first_text is None:
+            path = self.temps.get(rel) or self.out_dir / rel
+            with open(path, "rb") as file:
+                first_text = self.texts[rel] = file.read().decode("utf-8")
+        return None if first_text == text else first
+
+    def _create(self, rel: str, text: str) -> bool:
+        """Write a new file, or a temporary beside an existing one under
+        ``force``; record a clash or write error and return False if not."""
+        target = self.out_dir / rel
+        try:
+            self._make_dir(target.parent)
+        except OSError as exc:
+            self.errors[rel] = f"cannot write {exc.filename}: {exc.strerror}"
+            return False
+        data = text.encode("utf-8")
+        try:
+            try:
+                file = open(target, "xb")
+            except FileExistsError:
+                if not self.force:
+                    self.clashes.append(str(target))
+                    return False
+                self.temps[rel] = self._write_beside(target, data)
+                return True
+            self.made.append((os.unlink, str(target)))
+            with file:
+                file.write(data)
+        except OSError as exc:
+            self.errors[rel] = f"cannot write {target}: {exc.strerror}"
+            return False
+        return True
+
+    def _write_beside(self, target: Path, data: bytes) -> str:
+        """Write ``data`` to a new temporary beside the existing file
+        ``target``, for ``commit`` to rename over it; return its path."""
+        import errno
+        import stat
+        import tempfile
+
+        mode = os.stat(target).st_mode
+        if stat.S_ISDIR(mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fd, temp = tempfile.mkstemp(prefix=f".{target.name}.", dir=target.parent)
+        self.made.append((os.unlink, temp))
+        with open(fd, "wb") as file:
+            os.fchmod(fd, stat.S_IMODE(mode))  # keep the target's permissions
+            file.write(data)
+        return temp
+
+    def _make_dir(self, path: Path, parents: bool = True) -> None:
+        """``path.mkdir(parents=True, exist_ok=True)``, recording what it makes."""
+        if path in self.dirs:
+            return
+        try:
+            os.mkdir(path)
+        except FileNotFoundError:
+            if not parents or path.parent == path:
+                raise
+            self._make_dir(path.parent)
+            self._make_dir(path, parents=False)
+            return
+        except OSError:
+            if not path.is_dir():
+                raise
+        else:
+            self.made.append((os.rmdir, path))
+        self.dirs.add(path)
+
+    def commit(self) -> None:
+        """Report clashes, else write errors, else put the temporaries in place."""
+        if self.clashes:
+            raise _UsageError("refusing to overwrite existing files (use --force): "
+                              + ", ".join(sorted(self.clashes)))
+        if self.errors:
+            raise _UsageError(self.errors[min(self.errors)])
+        # Every file is written by now; only a rename could still fail, and
+        # it cannot undo the renames before it.
+        for rel, temp in self.temps.items():
+            try:
+                os.replace(temp, self.out_dir / rel)
+            except OSError as exc:
+                raise _UsageError(f"cannot write {self.out_dir / rel}: {exc.strerror}") from exc
+        self.made.clear()
+
+    def discard(self) -> None:
+        """Remove what the call made, newest first, unless it was committed."""
+        for remove, path in reversed(self.made):
+            try:
+                remove(path)
+            except OSError:
+                pass

@@ -276,7 +276,7 @@ class TestSharedWidgetActions:
         linked, diags = resolve(suite, corpus_desc)
         assert linked is None
         assert [(d.code, d.message) for d in diags] == [
-            ("E105", "selectRow expects a int argument, got True")]
+            ("E105", "selectRow expects an int argument, got True")]
 
     def test_equal_actions_share_one_linked_action(self, corpus_desc):
         suite, _ = parse_test_suite(

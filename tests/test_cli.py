@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -322,6 +323,18 @@ def renamed_suite(tmp_path, name):
     return path
 
 
+def colliding_descriptions(tmp_path):
+    """Two descriptions whose C++ class files are both 'shared.hpp', and the
+    E106 line that gen prints for them."""
+    first, second = tmp_path / "a.vmdsl", tmp_path / "b.vmdsl"
+    for path, name, widget in ((first, "A", "X"), (second, "B", "Y")):
+        path.write_text(f'viewmodel {name} bind {{ fileName = "shared" }} '
+                        f"{{ widgets {{ button {widget} }} commands {{ }} }}\n")
+    return first, second, (
+        f"{second}:1:1: E106: generated file 'shared.hpp' of ViewModel 'B' "
+        f"differs from the one of ViewModel 'A' at {first}:1:1\n")
+
+
 class TestLinkStage:
     """Every description is validated once, whether or not a suite targets
     it, and a second declaration of one name is an error."""
@@ -364,18 +377,13 @@ class TestLinkStage:
         assert captured.err == "" and captured.out.count("PASS") == 1
 
     def test_gen_path_collision_is_e106(self, tmp_path, capsys):
-        first, second = tmp_path / "a.vmdsl", tmp_path / "b.vmdsl"
-        for path, name, widget in ((first, "A", "X"), (second, "B", "Y")):
-            path.write_text(f'viewmodel {name} bind {{ fileName = "shared" }} '
-                            f"{{ widgets {{ button {widget} }} commands {{ }} }}\n")
+        first, second, line = colliding_descriptions(tmp_path)
         config = write_config(tmp_path, target="cpp")
         out = tmp_path / "out"
         assert main(["check", str(first), str(second)]) == 0
         assert main(["gen", str(first), str(second), "--config", config,
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"{second}:1:1: E106: generated file 'shared.hpp' of ViewModel 'B' "
-            f"differs from the one of ViewModel 'A' at {first}:1:1\n")
+        assert capsys.readouterr().err == line
         assert not out.exists()
 
     def test_gen_rejects_a_java_file_name_other_than_the_type_name(self, tmp_path, capsys):
@@ -414,6 +422,157 @@ class TestLinkStage:
             assert capsys.readouterr().err == (
                 f"{desc}:21:5: E001: parameter 'class' of command 'LoadView' "
                 f"is a {target} keyword\n")
+
+
+def snapshot(root):
+    """Every path below ``root``, with its inode and, for a file, its bytes."""
+    return {path.relative_to(root).as_posix():
+            (path.lstat().st_ino, path.read_bytes() if path.is_file() else None)
+            for path in root.rglob("*")}
+
+
+class TestGenAllOrNothing:
+    """gen writes each file as it is generated, yet on any diagnostic, clash
+    or write error it leaves the output directory as it found it."""
+
+    def test_diagnostic_under_force_changes_nothing(self, tmp_path, capsys):
+        first, second, line = colliding_descriptions(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "shared.hpp").write_text("old\n")
+        (out / "notes.txt").write_text("kept\n")
+        before = snapshot(out)
+        # The first description's shared.hpp and vimotest_assert.hpp are
+        # written before the second one's shared.hpp differs.
+        assert main(["gen", str(first), str(second), "--config",
+                     write_config(tmp_path, target="cpp"), "--out", str(out),
+                     "--force"]) == 2
+        assert capsys.readouterr() == ("", line)
+        assert snapshot(out) == before
+
+    def test_diagnostic_after_written_files_removes_made_directories(self, tmp_path, capsys):
+        good = tmp_path / "good.vmdsl"
+        good.write_text(VMDSL_PATH.read_text())
+        bad = tmp_path / "bad.vmdsl"
+        bad.write_text('viewmodel Mike bind { fileName = "bound_file_1" } '
+                       "{ widgets { button Go } commands { } }\n")
+        config = write_config(tmp_path, target="java", javaPackage="org.demo")
+        out = tmp_path / "out"
+        assert main(["gen", str(good), str(bad), "--config", config,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_clash_lists_every_clash_and_writes_nothing(self, tmp_path, capsys):
+        config = write_config(tmp_path, target="cpp")
+        out = tmp_path / "out"
+        assert main(["gen", str(CORPUS), "--config", config, "--out", str(out)]) == 0
+        capsys.readouterr()
+        (out / "task_list_tests_test.cpp").unlink()
+        (out / "vimotest_assert.hpp").write_text("edited\n")
+        before = snapshot(out)
+        assert main(["gen", str(CORPUS), "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", (
+            "error: refusing to overwrite existing files (use --force): "
+            f"{out / 'task_list_view_model.hpp'}, {out / 'vimotest_assert.hpp'}\n"))
+        assert snapshot(out) == before
+
+    def test_diagnostic_outranks_a_clash(self, tmp_path, capsys):
+        first, second, line = colliding_descriptions(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "shared.hpp").write_text("old\n")
+        before = snapshot(out)
+        assert main(["gen", str(first), str(second), "--config",
+                     write_config(tmp_path, target="cpp"), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", line)
+        assert snapshot(out) == before
+
+    def test_clash_outranks_a_write_error(self, tmp_path, capsys):
+        name = "V" + "x" * 300  # too long for a file name
+        (tmp_path / "v.vmdsl").write_text(
+            f"viewmodel {name} {{ widgets {{ button Go }} commands {{ }} }}\n")
+        (tmp_path / "s.vmtest").write_text(f"testsuite S for {name} {{ }}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "STest.java").write_text("old\n")
+        before = snapshot(out)
+        config = write_config(tmp_path, target="java")
+        args = ["gen", str(tmp_path / "v.vmdsl"), str(tmp_path / "s.vmtest"),
+                "--config", config, "--out", str(out)]
+        assert main(args) == 3
+        assert capsys.readouterr() == ("", (
+            "error: refusing to overwrite existing files (use --force): "
+            f"{out / 'STest.java'}\n"))
+        assert main([*args, "--force"]) == 3
+        assert capsys.readouterr() == ("", (
+            f"error: cannot write {out / (name + '.java')}: File name too long\n"))
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("blocked, existing", [
+        # The second file in sorted order, after the first was written.
+        ("TaskListViewModel.java", None),
+        # The file generated second, after the first was due for a rename.
+        ("TaskListTestsTest.java", "TaskListViewModel.java"),
+    ])
+    def test_write_error_leaves_no_new_file(self, blocked, existing, tmp_path, capsys):
+        """A directory sits where an output goes."""
+        config = write_config(tmp_path, target="java")
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        if existing:
+            (out / existing).write_text("old\n")
+        before = snapshot(out)
+        assert main(["gen", str(CORPUS), "--config", config, "--out", str(out),
+                     "--force"]) == 3
+        assert capsys.readouterr() == ("", f"error: cannot write {out / blocked}: Is a directory\n")
+        assert snapshot(out) == before
+
+    def test_force_replaces_existing_files(self, tmp_path, capsys):
+        config = write_config(tmp_path, target="cpp")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "vimotest_assert.hpp").write_text("old\n")
+        (out / "vimotest_assert.hpp").chmod(0o640)
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["gen", str(CORPUS), "--config", config, "--out", str(out),
+                     "--force"]) == 0
+        assert (out / "vimotest_assert.hpp").stat().st_mode & 0o777 == 0o640
+        names = ["task_list_tests_test.cpp", "task_list_view_model.hpp", "vimotest_assert.hpp"]
+        assert capsys.readouterr() == ("".join(f"{out / n}\n" for n in names), "")
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", *names]
+        for name in names:
+            assert (out / name).read_bytes() == (GOLDENS / "cpp" / name).read_bytes()
+
+
+class TestGenMemory:
+    COPIES = 80
+
+    def test_gen_holds_one_suite_output_not_all(self, tmp_path, capsys):
+        """gen over many suites needs memory for about one suite's output:
+        its traced peak exceeds that of check on the same files by less than
+        half the bytes it writes."""
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "rows.vmdsl").write_bytes((GOLDENS / "rows" / "rows.vmdsl").read_bytes())
+        suite = (GOLDENS / "rows" / "rows.vmtest").read_text()
+        for k in range(self.COPIES):
+            (src / f"s{k}.vmtest").write_text(
+                suite.replace("testsuite OrderBoardTests", f"testsuite OrderBoardTests{k}"))
+        config = write_config(tmp_path, target="java")
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert main(["check", str(src)]) == 0
+            check_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert main(["gen", str(src), "--config", config, "--out", str(out)]) == 0
+            gen_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = sum(path.stat().st_size for path in out.iterdir())
+        assert len(capsys.readouterr().out.splitlines()) == self.COPIES + 1
+        assert gen_peak - check_peak < written / 2, (gen_peak, check_peak, written)
 
 
 class TestEntryPoint:
