@@ -9,6 +9,7 @@ JSON output stays machine-consumable.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -121,27 +122,41 @@ def _collect_files(paths: list[str]) -> tuple[list[Path], list[Path]]:
     return list(dict.fromkeys(descriptions)), list(dict.fromkeys(suites))
 
 
-def _load_project(paths: list[str]) -> tuple[Project, list[Diagnostic]]:
-    """Parse every file, then link the sources that parsed."""
-    desc_paths, suite_paths = _collect_files(paths)
-    diags: list[Diagnostic] = []
+def _parse_each(parse, files: list[Path], diags: list[Diagnostic]) -> list:
+    asts = []
+    for path in files:
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
+        ast, d = parse(data, str(path))
+        diags.extend(d)
+        if ast is not None:
+            asts.append(ast)
+    return asts
 
-    def parse_each(parse, files: list[Path]) -> list:
-        asts = []
-        for path in files:
-            try:
-                data = path.read_bytes()
-            except OSError as exc:
-                raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
-            ast, d = parse(data, str(path))
-            diags.extend(d)
-            if ast is not None:
-                asts.append(ast)
-        return asts
 
-    project, d = link(parse_each(parse_view_model, desc_paths),
-                      parse_each(parse_test_suite, suite_paths))
-    diags.extend(d)
+class _Sources:
+    """The input files of one call: its descriptions, parsed once, and its
+    suite files, which ``load`` parses and links."""
+
+    def __init__(self, paths: list[str]) -> None:
+        desc_paths, self.suite_paths = _collect_files(paths)
+        self.diags: list[Diagnostic] = []
+        self.descriptions = _parse_each(parse_view_model, desc_paths, self.diags)
+
+    def load(self, suite_paths: list[Path]) -> tuple[Project, list[Diagnostic]]:
+        """Parse ``suite_paths``, then link them against every description."""
+        diags = list(self.diags)
+        project, d = link(self.descriptions,
+                          _parse_each(parse_test_suite, suite_paths, diags))
+        diags.extend(d)
+        return project, diags
+
+
+def _load_project(sources: _Sources) -> tuple[Project, list[Diagnostic]]:
+    """Parse and link every suite file: the serial path."""
+    project, diags = sources.load(sources.suite_paths)
     if project.orphans and not diags:
         raise _UsageError("; ".join(
             f"{suite.span.file}: no ViewModel description named "
@@ -156,12 +171,124 @@ def _print_diags(diags: list[Diagnostic]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Two processes
+# ---------------------------------------------------------------------------
+
+# Less suite text than this stays in one process. A split call pays mostly
+# in page faults: after the fork, each process's first write to a page of
+# the heap they share faults, in this process until it exits. `check`, the
+# command with the least work per suite, earns that back at about 150 KB of
+# suite text (measured in CHANGES.md); this is twice that.
+SPLIT_MIN_BYTES = 300_000
+
+
+class _Serial(Exception):
+    """A split call found an error: rerun it serially, the one path whose
+    error output is the reference."""
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _cut(paths: list[Path]) -> int:
+    """The number of suite files, from the first, that hold about half the
+    suite bytes; 0 to keep the call in one process."""
+    import threading
+
+    if (len(paths) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2
+            or threading.active_count() > 1):
+        return 0
+    try:
+        ends = list(itertools.accumulate(path.stat().st_size for path in paths))
+    except OSError:  # the serial path reports it
+        return 0
+    if ends[-1] < SPLIT_MIN_BYTES:
+        return 0
+    return min(range(1, len(paths)), key=lambda k: abs(2 * ends[k - 1] - ends[-1]))
+
+
+def _clean_half(sources: _Sources, paths: list[Path]) -> Project:
+    project, diags = sources.load(paths)
+    if diags or project.orphans:
+        raise _Serial
+    return project
+
+
+def _in_two(sources: _Sources, work, take) -> bool:
+    """Handle a large enough call's suite files in two processes.
+
+    This process parses and links the first half of the files against every
+    description, a forked worker the second half. Each then calls
+    ``work(project, put)``, which puts picklable results in suite order.
+    Here ``put`` is ``take``; the worker's ``put`` pickles to an unlinked
+    file, from which ``take`` gets the worker's results once this process's
+    are done. Returns True when done. Returns False, with the worker reaped,
+    where the call stays in one process or must rerun serially: on a
+    diagnostic or orphan in either half, a suite name in both halves, a
+    failed worker, or ``_Serial`` from ``work`` or ``take``.
+    """
+    cut = 0 if sources.diags else _cut(sources.suite_paths)
+    if not cut:
+        return False
+    import pickle
+    import tempfile
+
+    try:
+        spool = tempfile.TemporaryFile()
+    except OSError:
+        return False
+    with spool:
+        try:
+            pid = os.fork()
+        except OSError:
+            return False
+        if pid == 0:
+            code = 1
+            try:  # never print, never return: this is the worker
+                project = _clean_half(sources, sources.suite_paths[cut:])
+                pickle.dump([linked.suite.name for linked in project.suites], spool)
+                work(project, lambda result: pickle.dump(result, spool))
+                spool.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            project = _clean_half(sources, sources.suite_paths[:cut])
+            names = {linked.suite.name for linked in project.suites}
+            work(project, take)
+            del project  # the worker's results need the room
+            _, status = os.waitpid(pid, 0)
+            pid = 0
+            if status:
+                return False
+            end = spool.seek(0, os.SEEK_END)
+            spool.seek(0)
+            if not names.isdisjoint(pickle.load(spool)):
+                return False
+            while spool.tell() < end:
+                take(pickle.load(spool))
+            return True
+        except _Serial:
+            return False
+        finally:
+            if pid:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+# ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
 
 
 def _cmd_check(args) -> int:
-    _, diags = _load_project(args.paths)
+    sources = _Sources(args.paths)
+    if _in_two(sources, lambda project, put: None, None):
+        return EXIT_OK
+    _, diags = _load_project(sources)
     _print_diags(diags)
     return EXIT_DIAGNOSTICS if diags else EXIT_OK
 
@@ -192,22 +319,25 @@ def _cmd_run(args) -> int:
         raise _UsageError(
             f"unknown setup id '{args.setup}'; registered: "
             f"{', '.join(sorted(REGISTRY))}")
-    project, diags = _load_project(args.paths)
-    _print_diags(diags)
-    if diags:
-        return EXIT_DIAGNOSTICS
-    linked = project.suites
-    if args.suite is not None:
-        linked = [l for l in linked if l.suite.name == args.suite]
-        if not linked:
-            raise _UsageError(f"no suite named '{args.suite}'")
-    report_suites = []
-    all_passed = True
-    for suite in linked:
-        results = run_suite(suite, registration.logic_factory,
-                            registration.setup_factory, RunConfig())
-        report_suites.append((suite.suite.name, results))
-        all_passed &= all(r.status == "passed" for r in results)
+    sources = _Sources(args.paths)
+
+    def run_each(project: Project, put) -> None:
+        for suite in project.suites:
+            if args.suite is None or suite.suite.name == args.suite:
+                put((suite.suite.name, run_suite(suite, registration.logic_factory,
+                                                 registration.setup_factory, RunConfig())))
+
+    report_suites: list = []
+    if not _in_two(sources, run_each, report_suites.append):
+        report_suites.clear()
+        project, diags = _load_project(sources)
+        _print_diags(diags)
+        if diags:
+            return EXIT_DIAGNOSTICS
+        run_each(project, report_suites.append)
+    if args.suite is not None and not report_suites:
+        raise _UsageError(f"no suite named '{args.suite}'")
+    all_passed = all(r.status == "passed" for _, results in report_suites for r in results)
     if args.format == "json":
         print(json.dumps(_report_dict(report_suites), indent=2))
     else:
@@ -285,44 +415,87 @@ def _cmd_gen(args) -> int:
     except GenConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    project, diags = _load_project(args.paths)
-    _print_diags(diags)
-    if diags:
-        return EXIT_DIAGNOSTICS
-
-    from .ir import lower_to_ir
-
+    sources = _Sources(args.paths)
     if config.target == "java":
         from .java_emitter import emit_java as emit
     else:
         from .cpp_emitter import emit_cpp as emit
     output = _Output(Path(args.out), args.force)
     try:
-        for desc in project.descriptions:
-            name_map, d = compute_name_map(desc, config)
-            diags.extend(d)
-            if name_map is None:
-                continue
-            for suite in [s for s in project.suites if s.description is desc] or [None]:
-                node = desc if suite is None else suite.suite
-                writer = f"{'ViewModel' if suite is None else 'suite'} '{node.name}'"
-                owner = (writer, node.span)
-                for rel, text in emit(lower_to_ir(desc, suite, name_map, config),
-                                      name_map, config):
-                    first = output.write(rel, text, owner)
-                    if first is not None:
-                        diags.append(error(
-                            E_DUPLICATE_NAME, f"generated file '{rel}' of {writer} "
-                            f"differs from the one of {first[0]} at {first[1]}", node.span))
-        _print_diags(diags)
-        if diags:
-            return EXIT_DIAGNOSTICS
+        if not _gen_in_two(sources, output, config, emit):
+            output.discard()
+            output = _Output(Path(args.out), args.force)
+            project, diags = _load_project(sources)
+            del sources  # generation needs none of its paths
+            _print_diags(diags)
+            if diags:
+                return EXIT_DIAGNOSTICS
+            _gen_units(project.descriptions, project.suites, config, emit, diags,
+                       lambda unit: _write_unit(output, unit, diags))
+            _print_diags(diags)
+            if diags:
+                return EXIT_DIAGNOSTICS
         output.commit()
     finally:
         output.discard()
     for rel in sorted(output.first):
         print(str(output.out_dir / rel))
     return EXIT_OK
+
+
+def _gen_units(descriptions, suites, config, emit, diags: list[Diagnostic], put) -> None:
+    """Put each generation unit as (ViewModel name, owner, files): one per
+    suite of ``suites`` that targets one of ``descriptions``, and one for
+    each of those descriptions that none of them targets."""
+    from .ir import lower_to_ir
+
+    for desc in descriptions:
+        name_map, d = compute_name_map(desc, config)
+        diags.extend(d)
+        if name_map is None:
+            continue
+        for suite in [s for s in suites if s.description is desc] or [None]:
+            node = desc if suite is None else suite.suite
+            owner = (f"{'ViewModel' if suite is None else 'suite'} '{node.name}'", node.span)
+            put((desc.name, owner, emit(lower_to_ir(desc, suite, name_map, config),
+                                        name_map, config)))
+
+
+def _write_unit(output: _Output, unit: tuple, diags: list[Diagnostic]) -> None:
+    _, owner, files = unit
+    for rel, text in files:
+        first = output.write(rel, text, owner)
+        if first is not None:
+            diags.append(error(
+                E_DUPLICATE_NAME, f"generated file '{rel}' of {owner[0]} "
+                f"differs from the one of {first[0]} at {first[1]}", owner[1]))
+
+
+def _gen_in_two(sources: _Sources, output: _Output, config, emit) -> bool:
+    """Generate each half's suites in its own process (see ``_in_two``),
+    then the descriptions no suite targets. False where the call must run
+    serially, with what it wrote still to discard."""
+    found: list[Diagnostic] = []
+    targets: set[str] = set()
+
+    def half(project: Project, put) -> None:
+        named = {linked.description.name for linked in project.suites}
+        _gen_units([d for d in project.descriptions if d.name in named],
+                   project.suites, config, emit, found, put)
+        if found:
+            raise _Serial
+
+    def take(unit: tuple) -> None:
+        targets.add(unit[0])
+        _write_unit(output, unit, found)
+        if found:
+            raise _Serial
+
+    if not _in_two(sources, half, take):
+        return False
+    _gen_units([d for d in sources.descriptions if d.name not in targets], (),
+               config, emit, found, lambda unit: _write_unit(output, unit, found))
+    return not found
 
 
 class _Output:
@@ -333,7 +506,9 @@ class _Output:
     beside it, which ``commit`` renames over it. Until ``commit`` succeeds,
     ``discard`` removes every file, temporary and directory the call made,
     so on any error the output directory ends as it began. No text of a
-    path generated once stays in memory.
+    path generated once stays in memory. A path that is absolute or holds a
+    ``..`` part is a write error, so nothing is written outside the
+    directory.
     """
 
     def __init__(self, out_dir: Path, force: bool) -> None:
@@ -368,7 +543,11 @@ class _Output:
     def _create(self, rel: str, text: str) -> bool:
         """Write a new file, or a temporary beside an existing one under
         ``force``; record a clash or write error and return False if not."""
-        target = self.out_dir / rel
+        path = Path(rel)
+        if path.is_absolute() or ".." in path.parts:
+            self.errors[rel] = f"refusing to write {rel}: it is not below {self.out_dir}"
+            return False
+        target = self.out_dir / path
         try:
             self._make_dir(target.parent)
         except OSError as exc:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 from .diagnostics import Record
+from .model import is_identifier
+from .names import KEYWORDS
 
 
 class GenConfigError(ValueError):
@@ -33,6 +35,22 @@ class GenConfig(Record):
             raise GenConfigError(f"unknown contextFormat {self.context_format!r}")
         if self.context_delivery not in ("inline", "file"):
             raise GenConfigError(f"unknown contextDelivery {self.context_delivery!r}")
+        # A package becomes a path below the output directory, so it must
+        # not step out of it. The empty package or namespace means none.
+        if self.java_package:
+            _check_qualified_name("javaPackage", self.java_package, ".", "java", "Java")
+        if self.cpp_namespace:
+            _check_qualified_name("cppNamespace", self.cpp_namespace, "::", "cpp", "C++")
+
+
+def _check_qualified_name(key: str, value: str, separator: str, target: str,
+                          language: str) -> None:
+    for part in value.split(separator):
+        if not is_identifier(part):
+            raise GenConfigError(f"{key} {value!r} must be identifiers joined by "
+                                 f"{separator!r}; {part!r} is not one")
+        if part in KEYWORDS[target]:
+            raise GenConfigError(f"{key} {value!r} holds the {language} keyword {part!r}")
 
 
 _KEY_MAP = {

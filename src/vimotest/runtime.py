@@ -362,6 +362,14 @@ def _xml_escape(value: str) -> str:
         value = value.replace(">", "&gt;")
     if '"' in value:
         value = value.replace('"', "&quot;")
+    # A conforming parser turns a raw tab, LF or CR in an attribute value
+    # into a space; a character reference keeps it.
+    if "\t" in value:
+        value = value.replace("\t", "&#9;")
+    if "\n" in value:
+        value = value.replace("\n", "&#10;")
+    if "\r" in value:
+        value = value.replace("\r", "&#13;")
     return value
 
 

@@ -69,7 +69,8 @@ class TestRenderContext:
         one chain of replaces run on every value."""
         assert runtime._xml_escape(value) == (
             value.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
+            .replace(">", "&gt;").replace('"', "&quot;")
+            .replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;"))
 
     def test_titles_that_are_not_xml_names_become_xml_names(self):
         body = DataTableBody(header=("", "1x", "a&b", "a:b c"), rows=(("1", "2", "3", "4"),))
@@ -87,6 +88,21 @@ class TestRenderContext:
         if len({xml_attribute_name(t) for t in titles}) < len(titles):
             return
         body = DataTableBody(header=tuple(titles), rows=(tuple("v" * len(titles)),))
+        assert reparse_xml(render_context(body, "xml"), body.header) == body
+
+    # Every character XML 1.0 allows: tab, LF, CR, and from U+0020 up all
+    # but the surrogates, U+FFFE and U+FFFF.
+    XML_CHARS = st.characters(min_codepoint=0x9, exclude_categories=("Cs",)).filter(
+        lambda c: c in "\t\n\r" or " " <= c and c not in "￾￿")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.text(XML_CHARS, max_size=8), st.text(XML_CHARS, max_size=8)),
+                    max_size=4))
+    @example([("tab\there", "cr\rlf\n"), ("\r\n", " \t ")])
+    def test_xml_gives_back_the_cells_exactly(self, rows):
+        """A conforming parser keeps a tab, LF or CR in a cell, which a raw
+        one in an attribute value would become a space."""
+        body = DataTableBody(header=("A", "B c"), rows=tuple(rows))
         assert reparse_xml(render_context(body, "xml"), body.header) == body
 
     def test_non_table_bodies_pass_through_for_every_format(self):
