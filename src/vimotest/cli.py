@@ -122,14 +122,19 @@ def _collect_files(paths: list[str]) -> tuple[list[Path], list[Path]]:
     return list(dict.fromkeys(descriptions)), list(dict.fromkeys(suites))
 
 
-def _parse_each(parse, files: list[Path], diags: list[Diagnostic]) -> list:
+def _parse_each(parse, files: list[Path], diags: list[Diagnostic], parses: dict) -> list:
+    """Parse each file, or take its (AST, diagnostics) from ``parses``,
+    which keeps each parse made here."""
     asts = []
     for path in files:
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
-        ast, d = parse(data, str(path))
+        parsed = parses.get(path)
+        if parsed is None:
+            try:
+                data = path.read_bytes()
+            except OSError as exc:
+                raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
+            parsed = parses[path] = parse(data, str(path))
+        ast, d = parsed
         diags.extend(d)
         if ast is not None:
             asts.append(ast)
@@ -143,26 +148,45 @@ class _Sources:
     def __init__(self, paths: list[str]) -> None:
         desc_paths, self.suite_paths = _collect_files(paths)
         self.diags: list[Diagnostic] = []
-        self.descriptions = _parse_each(parse_view_model, desc_paths, self.diags)
+        self.descriptions = _parse_each(parse_view_model, desc_paths, self.diags, {})
 
-    def load(self, suite_paths: list[Path]) -> tuple[Project, list[Diagnostic]]:
-        """Parse ``suite_paths``, then link them against every description."""
-        diags = list(self.diags)
+    def load(self, suite_paths: list[Path], diags: list[Diagnostic], parses: dict) -> Project:
+        """Parse ``suite_paths`` (see ``_parse_each``), then link them against
+        every description, adding each diagnostic to ``diags``."""
+        diags.extend(self.diags)
         project, d = link(self.descriptions,
-                          _parse_each(parse_test_suite, suite_paths, diags))
+                          _parse_each(parse_test_suite, suite_paths, diags, parses))
         diags.extend(d)
-        return project, diags
+        return project
 
 
-def _load_project(sources: _Sources) -> tuple[Project, list[Diagnostic]]:
-    """Parse and link every suite file: the serial path."""
-    project, diags = sources.load(sources.suite_paths)
+def _each_suite(sources: _Sources, work, take, diags: list[Diagnostic], restart) -> None:
+    """Parse and link the call's suite files and, if that finds no
+    diagnostic, call ``work(project, put)``, which puts picklable results in
+    suite order. ``take`` gets each result. ``work`` and ``take`` add what
+    they find wrong to ``diags``, the one list of the call's diagnostics.
+
+    A large enough call runs in two processes (see ``_in_two``). Where that
+    finds anything wrong, ``restart()`` undoes what ``take`` got, and the
+    call runs again in this process, reusing the parses made here: the one
+    path whose error output is the reference.
+    """
+    parses: dict = {}
+    cut = 0 if sources.diags else _cut(sources.suite_paths)
+    if cut:
+        if _in_two(sources, cut, work, take, diags, parses):
+            return
+        restart()
+        diags.clear()
+    project = sources.load(sources.suite_paths, diags, parses)
+    del sources, parses  # a long work, such as gen, needs no path or parse
     if project.orphans and not diags:
         raise _UsageError("; ".join(
             f"{suite.span.file}: no ViewModel description named "
             f"'{suite.target_view_model}' for suite '{suite.name}'"
             for suite in project.orphans))
-    return project, diags
+    if not diags:
+        work(project, take)
 
 
 def _print_diags(diags: list[Diagnostic]) -> None:
@@ -180,11 +204,6 @@ def _print_diags(diags: list[Diagnostic]) -> None:
 # command with the least work per suite, earns that back at about 150 KB of
 # suite text (measured in CHANGES.md); this is twice that.
 SPLIT_MIN_BYTES = 300_000
-
-
-class _Serial(Exception):
-    """A split call found an error: rerun it serially, the one path whose
-    error output is the reference."""
 
 
 def _usable_cpus() -> int:
@@ -208,29 +227,31 @@ def _cut(paths: list[Path]) -> int:
     return min(range(1, len(paths)), key=lambda k: abs(2 * ends[k - 1] - ends[-1]))
 
 
-def _clean_half(sources: _Sources, paths: list[Path]) -> Project:
-    project, diags = sources.load(paths)
+def _half(sources: _Sources, paths: list[Path], diags: list[Diagnostic], parses: dict):
+    """The project of one half's suite files, holding only the descriptions
+    they target; None on a diagnostic or an orphan."""
+    project = sources.load(paths, diags, parses)
     if diags or project.orphans:
-        raise _Serial
-    return project
+        return None
+    targets = {linked.description.name for linked in project.suites}
+    return Project(tuple(d for d in project.descriptions if d.name in targets),
+                   project.suites)
 
 
-def _in_two(sources: _Sources, work, take) -> bool:
-    """Handle a large enough call's suite files in two processes.
+def _in_two(sources: _Sources, cut: int, work, take, diags: list[Diagnostic],
+            parses: dict) -> bool:
+    """Do ``_each_suite``'s work in two processes.
 
-    This process parses and links the first half of the files against every
-    description, a forked worker the second half. Each then calls
-    ``work(project, put)``, which puts picklable results in suite order.
-    Here ``put`` is ``take``; the worker's ``put`` pickles to an unlinked
-    file, from which ``take`` gets the worker's results once this process's
-    are done. Returns True when done. Returns False, with the worker reaped,
-    where the call stays in one process or must rerun serially: on a
-    diagnostic or orphan in either half, a suite name in both halves, a
-    failed worker, or ``_Serial`` from ``work`` or ``take``.
+    This process parses and links the first ``cut`` suite files against
+    every description, a forked worker the rest. Each calls ``work`` on its
+    half; the worker's ``put`` pickles to an unlinked file, from which
+    ``take`` gets the worker's results once this process's are done. Last,
+    this process calls ``work`` on the descriptions no suite targets.
+    Returns True when done. Returns False, with the worker reaped, where the
+    call stays in one process or must run again there: on a diagnostic or
+    orphan in either half, a suite name in both halves or a failed worker.
+    The worker exits non-zero when its ``diags`` are not empty.
     """
-    cut = 0 if sources.diags else _cut(sources.suite_paths)
-    if not cut:
-        return False
     import pickle
     import tempfile
 
@@ -246,31 +267,42 @@ def _in_two(sources: _Sources, work, take) -> bool:
         if pid == 0:
             code = 1
             try:  # never print, never return: this is the worker
-                project = _clean_half(sources, sources.suite_paths[cut:])
-                pickle.dump([linked.suite.name for linked in project.suites], spool)
-                work(project, lambda result: pickle.dump(result, spool))
-                spool.flush()
-                code = 0
+                project = _half(sources, sources.suite_paths[cut:], diags, parses)
+                if project is not None:
+                    pickle.dump(([linked.suite.name for linked in project.suites],
+                                 [desc.name for desc in project.descriptions]), spool)
+                    work(project, lambda result: pickle.dump(result, spool))
+                    spool.flush()
+                    code = 1 if diags else 0
             finally:
                 os._exit(code)
         try:
-            project = _clean_half(sources, sources.suite_paths[:cut])
+            project = _half(sources, sources.suite_paths[:cut], diags, parses)
+            if project is None:
+                return False
             names = {linked.suite.name for linked in project.suites}
+            targets = {desc.name for desc in project.descriptions}
             work(project, take)
             del project  # the worker's results need the room
+            if diags:
+                return False
             _, status = os.waitpid(pid, 0)
             pid = 0
             if status:
                 return False
             end = spool.seek(0, os.SEEK_END)
             spool.seek(0)
-            if not names.isdisjoint(pickle.load(spool)):
+            worker_names, worker_targets = pickle.load(spool)
+            if not names.isdisjoint(worker_names):
                 return False
+            parses.clear()  # kept for a rerun only
             while spool.tell() < end:
                 take(pickle.load(spool))
-            return True
-        except _Serial:
-            return False
+                if diags:
+                    return False
+            targets.update(worker_targets)
+            work(Project(tuple(d for d in sources.descriptions if d.name not in targets)), take)
+            return not diags
         finally:
             if pid:
                 import signal
@@ -285,10 +317,8 @@ def _in_two(sources: _Sources, work, take) -> bool:
 
 
 def _cmd_check(args) -> int:
-    sources = _Sources(args.paths)
-    if _in_two(sources, lambda project, put: None, None):
-        return EXIT_OK
-    _, diags = _load_project(sources)
+    diags: list[Diagnostic] = []
+    _each_suite(_Sources(args.paths), lambda project, put: None, None, diags, lambda: None)
     _print_diags(diags)
     return EXIT_DIAGNOSTICS if diags else EXIT_OK
 
@@ -319,7 +349,6 @@ def _cmd_run(args) -> int:
         raise _UsageError(
             f"unknown setup id '{args.setup}'; registered: "
             f"{', '.join(sorted(REGISTRY))}")
-    sources = _Sources(args.paths)
 
     def run_each(project: Project, put) -> None:
         for suite in project.suites:
@@ -328,13 +357,12 @@ def _cmd_run(args) -> int:
                                                  registration.setup_factory, RunConfig())))
 
     report_suites: list = []
-    if not _in_two(sources, run_each, report_suites.append):
-        report_suites.clear()
-        project, diags = _load_project(sources)
-        _print_diags(diags)
-        if diags:
-            return EXIT_DIAGNOSTICS
-        run_each(project, report_suites.append)
+    diags: list[Diagnostic] = []
+    _each_suite(_Sources(args.paths), run_each, report_suites.append, diags,
+                report_suites.clear)
+    _print_diags(diags)
+    if diags:
+        return EXIT_DIAGNOSTICS
     if args.suite is not None and not report_suites:
         raise _UsageError(f"no suite named '{args.suite}'")
     all_passed = all(r.status == "passed" for _, results in report_suites for r in results)
@@ -353,14 +381,13 @@ def _print_human(report_suites) -> None:
             if result.error is not None:
                 print(f"  error: {result.error}")
             for failure in result.failures:
-                where = ""
-                if failure.row_index is not None:
-                    where += f" row {failure.row_index}"
-                if failure.column_title is not None:
-                    where += f" column '{failure.column_title}'"
-                print(f"  {failure.widget}.{failure.feature}{where} "
-                      f"{failure.aspect}: expected {failure.expected!r}, "
+                print(f"  {_failure_label(failure)}: expected {failure.expected!r}, "
                       f"actual {failure.actual!r}")
+
+
+def _failure_label(failure) -> str:
+    return check_label(failure.widget, failure.feature, failure.aspect,
+                       failure.row_index, failure.column_title)
 
 
 def _failure_dict(failure) -> dict:
@@ -372,8 +399,7 @@ def _failure_dict(failure) -> dict:
         "columnTitle": failure.column_title,
         "expected": failure.expected,
         "actual": failure.actual,
-        "label": check_label(failure.widget, failure.feature, failure.aspect,
-                             failure.row_index, failure.column_title),
+        "label": _failure_label(failure),
     }
 
 
@@ -415,26 +441,26 @@ def _cmd_gen(args) -> int:
     except GenConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sources = _Sources(args.paths)
     if config.target == "java":
         from .java_emitter import emit_java as emit
     else:
         from .cpp_emitter import emit_cpp as emit
-    output = _Output(Path(args.out), args.force)
+    out_dir = Path(args.out)
+    output = _Output(out_dir, args.force)
+    diags: list[Diagnostic] = []
+
+    def restart() -> None:
+        nonlocal output
+        output.discard()
+        output = _Output(out_dir, args.force)
+
     try:
-        if not _gen_in_two(sources, output, config, emit):
-            output.discard()
-            output = _Output(Path(args.out), args.force)
-            project, diags = _load_project(sources)
-            del sources  # generation needs none of its paths
-            _print_diags(diags)
-            if diags:
-                return EXIT_DIAGNOSTICS
-            _gen_units(project.descriptions, project.suites, config, emit, diags,
-                       lambda unit: _write_unit(output, unit, diags))
-            _print_diags(diags)
-            if diags:
-                return EXIT_DIAGNOSTICS
+        _each_suite(_Sources(args.paths),
+                    lambda project, put: _gen_units(project, config, emit, diags, put),
+                    lambda unit: _write_unit(output, unit, diags), diags, restart)
+        _print_diags(diags)
+        if diags:
+            return EXIT_DIAGNOSTICS
         output.commit()
     finally:
         output.discard()
@@ -443,59 +469,31 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _gen_units(descriptions, suites, config, emit, diags: list[Diagnostic], put) -> None:
-    """Put each generation unit as (ViewModel name, owner, files): one per
-    suite of ``suites`` that targets one of ``descriptions``, and one for
-    each of those descriptions that none of them targets."""
+def _gen_units(project: Project, config, emit, diags: list[Diagnostic], put) -> None:
+    """Put each generation unit of ``project`` as (owner, files):
+    description by description, one per suite that targets it, in
+    suite order, or one for the description alone if none does."""
     from .ir import lower_to_ir
 
-    for desc in descriptions:
+    for desc in project.descriptions:
         name_map, d = compute_name_map(desc, config)
         diags.extend(d)
         if name_map is None:
             continue
-        for suite in [s for s in suites if s.description is desc] or [None]:
+        for suite in [s for s in project.suites if s.description is desc] or [None]:
             node = desc if suite is None else suite.suite
             owner = (f"{'ViewModel' if suite is None else 'suite'} '{node.name}'", node.span)
-            put((desc.name, owner, emit(lower_to_ir(desc, suite, name_map, config),
-                                        name_map, config)))
+            put((owner, emit(lower_to_ir(desc, suite, name_map, config), name_map, config)))
 
 
 def _write_unit(output: _Output, unit: tuple, diags: list[Diagnostic]) -> None:
-    _, owner, files = unit
+    owner, files = unit
     for rel, text in files:
         first = output.write(rel, text, owner)
         if first is not None:
             diags.append(error(
                 E_DUPLICATE_NAME, f"generated file '{rel}' of {owner[0]} "
                 f"differs from the one of {first[0]} at {first[1]}", owner[1]))
-
-
-def _gen_in_two(sources: _Sources, output: _Output, config, emit) -> bool:
-    """Generate each half's suites in its own process (see ``_in_two``),
-    then the descriptions no suite targets. False where the call must run
-    serially, with what it wrote still to discard."""
-    found: list[Diagnostic] = []
-    targets: set[str] = set()
-
-    def half(project: Project, put) -> None:
-        named = {linked.description.name for linked in project.suites}
-        _gen_units([d for d in project.descriptions if d.name in named],
-                   project.suites, config, emit, found, put)
-        if found:
-            raise _Serial
-
-    def take(unit: tuple) -> None:
-        targets.add(unit[0])
-        _write_unit(output, unit, found)
-        if found:
-            raise _Serial
-
-    if not _in_two(sources, half, take):
-        return False
-    _gen_units([d for d in sources.descriptions if d.name not in targets], (),
-               config, emit, found, lambda unit: _write_unit(output, unit, found))
-    return not found
 
 
 class _Output:

@@ -126,6 +126,17 @@ class TestRun:
         assert failure["widget"] == "Tasks" and failure["aspect"] == "rowCount"
         assert failure["label"] == "Tasks: row count"
 
+    @pytest.mark.parametrize("mutant", ("buggy", "keepdue", "nocolor", "noappend"))
+    def test_human_failure_line_is_the_json_label(self, capsys, mutant):
+        setup = f"taskmanager-{mutant}"
+        _, captured = self.run_corpus(capsys, "--setup", setup, "--format", "json")
+        (failure,) = json.loads(captured.out)["suites"][0]["scenarios"][0]["failures"]
+        code, captured = self.run_corpus(capsys, "--setup", setup)
+        assert code == 1
+        (line,) = [line for line in captured.out.splitlines() if line.startswith("  ")]
+        assert line == (f"  {failure['label']}: expected {failure['expected']!r}, "
+                        f"actual {failure['actual']!r}")
+
     def test_unknown_setup_id(self, capsys):
         code, captured = self.run_corpus(capsys, "--setup", "warehouse")
         assert code == 3
@@ -561,6 +572,10 @@ class TestGenMemory:
                 suite.replace("testsuite OrderBoardTests", f"testsuite OrderBoardTests{k}"))
         config = write_config(tmp_path, target="java")
         out = tmp_path / "out"
+        # Untraced, so that the first import of the IR and the emitter, which
+        # an earlier test may or may not have made, is no part of the peak.
+        assert main(["gen", str(src), "--config", config, "--out", str(tmp_path / "warm")]) == 0
+        capsys.readouterr()
         tracemalloc.start()
         try:
             assert main(["check", str(src)]) == 0

@@ -16,7 +16,7 @@ import signal
 import pytest
 
 from astgen import random_description, random_suite
-from conftest import CORPUS, GOLDENS
+from conftest import CORPUS, GOLDENS, VMDSL_PATH, VMTEST_PATH
 from vimotest import cli, runtime
 from vimotest.printer import pretty_print
 
@@ -211,6 +211,21 @@ class TestErrorsRerunSerially:
         code, _, stderr, _ = assert_command_same(call, tmp_path, command, project)
         assert code == cli.EXIT_USAGE and "no ViewModel description named 'Nowhere'" in stderr
 
+    @pytest.mark.parametrize("command", ("gen_java", "gen_cpp"))
+    @pytest.mark.parametrize("where", ("a", "z", None), ids=("first_half", "second_half", "none"))
+    def test_a_generation_diagnostic_in_either_half(self, call, tmp_path, command, where):
+        """A name-map diagnostic, which only gen finds: in this process's
+        half, in the worker's, or in the pass over the descriptions no suite
+        targets."""
+        project = write_project(tmp_path / "p")
+        (project / "keyword.vmdsl").write_text(VMDSL_PATH.read_text().replace(
+            "LoadView(tasks: context)", "LoadView(class: context)"))
+        if where is not None:
+            shutil.copy(VMTEST_PATH, project / f"{where}.vmtest")
+        code, _, stderr, tree = assert_command_same(call, tmp_path, command, project)
+        assert code == cli.EXIT_DIAGNOSTICS and "E001: parameter 'class'" in stderr
+        assert tree is None
+
     def test_a_description_diagnostic_never_forks(self, call, tmp_path):
         project = write_project(tmp_path / "p")
         (project / "bad.vmdsl").write_text("viewmodel {", encoding="utf-8")
@@ -233,6 +248,25 @@ class TestErrorsRerunSerially:
         assert code == cli.EXIT_DIAGNOSTICS and "E106: generated file 'shared.hpp'" in stderr
         assert tree is None
 
+    def test_a_generated_file_clash_with_a_description_alone(self, call, tmp_path):
+        """The same clash where A has no suite: the split call generates A's
+        unit last, the serial call first, so the E106 is found on B's."""
+        project = tmp_path / "p"
+        project.mkdir()
+        shared = 'bind { fileName = "shared" }'
+        for vm, button, bind in (("A", "X", shared), ("B", "Y", shared), ("C", "Z", "")):
+            (project / f"{vm}.vmdsl").write_text(
+                f'viewmodel {vm} {bind} {{ widgets {{ button {button} }} commands {{ }} }}',
+                encoding="utf-8")
+            if vm != "A":
+                (project / f"{vm.lower()}.vmtest").write_text(
+                    f'testsuite {vm}Tests for {vm} {{ scenario "s" {{ given {{ }} when {{ }} '
+                    f'then {{ }} }} }}', encoding="utf-8")
+        code, _, stderr, tree = assert_command_same(call, tmp_path, "gen_cpp", project)
+        assert code == cli.EXIT_DIAGNOSTICS and tree is None
+        assert "E106: generated file 'shared.hpp' of suite 'BTests' differs from the one " \
+               "of ViewModel 'A'" in stderr
+
     @pytest.mark.parametrize("force", (False, True))
     def test_gen_over_existing_files(self, call, tmp_path, force):
         project = write_project(tmp_path / "p")
@@ -253,6 +287,60 @@ class TestErrorsRerunSerially:
         else:
             assert code == cli.EXIT_USAGE and "refusing to overwrite" in stderr
             assert tree == {"Vm1.java": b"old", "Suite02Test.java": b"old"}
+
+
+class TestTheRerun:
+    @pytest.mark.parametrize("where", (0, -1))
+    def test_parses_each_suite_file_once_here(self, call, tmp_path, monkeypatch, where):
+        """The rerun reuses this process's parses of its half and parses
+        only the worker's half."""
+        project = write_project(tmp_path / "p")
+        path = suite_files(project)[where]
+        path.write_text(path.read_text(encoding="utf-8") + "\nscenario }\n", encoding="utf-8")
+        parsed = []
+        real = cli.parse_test_suite
+
+        def counting(data, file):
+            parsed.append(file)
+            return real(data, file)
+
+        monkeypatch.setattr(cli, "parse_test_suite", counting)
+        code, _, stderr, forks = call(2, "check", project)
+        assert code == cli.EXIT_DIAGNOSTICS and ": E001: " in stderr and forks == 1
+        assert sorted(parsed) == [str(path) for path in suite_files(project)]
+
+
+class TestGenUnits:
+    @pytest.mark.parametrize("command", ("gen_java", "gen_cpp"))
+    def test_each_unit_is_generated_once(self, call, tmp_path, monkeypatch, command):
+        """Each suite's unit and the suite-less Vm3's are lowered once over
+        both processes, though Vm0's suites are all in this process's half
+        and Vm2's all in the worker's."""
+        from vimotest import ir
+
+        project = write_project(tmp_path / "p", seed=3333)
+        for path in suite_files(project):  # s<k><d> to t<d><k>: suites by description
+            path.rename(project / f"t{path.stem[2]}{path.stem[1]}.vmtest")
+        log = tmp_path / "units.log"
+        real = ir.lower_to_ir
+
+        def logging(desc, suite, *args):
+            with open(log, "a", encoding="utf-8") as file:
+                file.write(f"{os.getpid()} {desc.name} {suite and suite.suite.name}\n")
+            return real(desc, suite, *args)
+
+        monkeypatch.setattr(ir, "lower_to_ir", logging)
+        (name, *options), out = commands(tmp_path)[command]
+        code, _, _, forks = call(2, name, project, *options)
+        assert code == 0 and forks == 1
+        pids, units = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
+        assert len(set(pids)) == 2
+        assert sorted(units) == sorted([f"Vm{d} Suite{k}{d}" for d in range(3) for k in range(3)]
+                                       + ["Vm3 None"])
+        files = suite_files(project)
+        cut = cli._cut(files)
+        assert "2" not in {suite_name(p)[-1] for p in files[:cut]}
+        assert "0" not in {suite_name(p)[-1] for p in files[cut:]}
 
 
 class TestSuiteOption:
