@@ -200,10 +200,13 @@ def _print_diags(diags: list[Diagnostic]) -> None:
 
 # Less suite text than this stays in one process. A split call pays mostly
 # in page faults: after the fork, each process's first write to a page of
-# the heap they share faults, in this process until it exits. `check`, the
-# command with the least work per suite, earns that back at about 150 KB of
-# suite text (measured in CHANGES.md); this is twice that.
-SPLIT_MIN_BYTES = 300_000
+# the heap they share faults. The entry point ends the process with
+# os._exit, so finalization adds none. `check`, the command with the least
+# work per suite, breaks even at about 125 KB of suite text: split over
+# serial calls, 48 alternating pairs each, read x0.97-1.01 at 55-110 KB of
+# `models` text and x1.03 at 139 KB, x0.98-1.01 at 126 KB of `steps` text
+# and x1.03 at 189 KB (CHANGES.md). This is twice that.
+SPLIT_MIN_BYTES = 250_000
 
 
 def _usable_cpus() -> int:

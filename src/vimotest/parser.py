@@ -75,6 +75,11 @@ _COMMAND_WORDS = frozenset(_ACTION_WORDS) | {"command"}
 _SCENARIO_WORDS = frozenset({"scenario"})
 _BOOL_WORDS = {"true": True, "false": False}
 
+# The C0 controls but tab, LF and CR. No target carries them: XML 1.0 forbids
+# them, and a C++ string literal holding NUL ends there when it becomes a
+# std::string. A source file may hold none, anywhere.
+_CONTROLS = tuple(chr(c) for c in range(32) if chr(c) not in "\t\n\r")
+
 # Token types as module constants. On Python 3.11 the enum metaclass defines
 # ``__getattr__``, which makes every member read such as ``TokenType.IDENT``
 # cost about 0.17 us, against about 0.01 us for a module global.
@@ -111,6 +116,12 @@ def _parse(text: str | bytes, file: str, entry: Callable[[_Parser], T],
         except UnicodeDecodeError as exc:
             span = SourceSpan(file=file, line=1, column=1, length=0)
             return None, [error(E_SYNTAX, f"input is not valid UTF-8: {exc.reason}", span)]
+    found = [text.find(c) for c in _CONTROLS if c in text]
+    if found:
+        offset = min(found)
+        span = SourceSpan(file, *position(line_starts(text), offset), 1)
+        return None, [error(E_SYNTAX, f"control character U+{ord(text[offset]):04X} is not "
+                                      "allowed", span)]
     tokens, diags = tokenize(text, file)
     parser = _Parser(tokens, file, diags, text)
     try:

@@ -50,8 +50,9 @@ from vimotest.names import camel_case
 _WORDS = ("Alpha", "Bravo", "Charlie", "Delta", "Echo", "Foxtrot", "Golf",
           "Hotel", "India", "Juliet", "Kilo", "Lima", "Mike", "November")
 
-# Safe inside pipe cells: no '|', '[', ']', '*', control characters.
-_CELL_ALPHABET = string.ascii_letters + string.digits + " .,:;!?&<>'\"/+-=#@\\é²"
+# Safe inside pipe cells: no '|', '[', ']', '*', and of the control
+# characters only tab, the one a source file may hold inside a line.
+_CELL_ALPHABET = string.ascii_letters + string.digits + " \t.,:;!?&<>'\"/+-=#@\\é²"
 # String literals also carry escapes that decode to control characters, and
 # text that spells a Java unicode escape.
 _STRING_PIECES = ("\n", "\t", '"', "\\", "\\u000a")

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from conftest import CORPUS, GOLDENS, ROOT, VMDSL_PATH, VMTEST_PATH
+from test_parser import CONTROL_VMDSL, control_suite
 from vimotest.cli import main
 from vimotest.taskmanager import REGISTRY
 
@@ -62,6 +63,21 @@ class TestCheck:
         assert main(["check", str(tmp_path)]) == 3
         assert capsys.readouterr().err == \
             f"error: cannot read {tmp_path / 'broken.vmtest'}: No such file or directory\n"
+
+    def test_nul_in_a_cell_and_a_string_is_e001_and_gen_writes_nothing(self, tmp_path, capsys):
+        """A NUL that C++ would cut its literal at is rejected by every command."""
+        (tmp_path / "v.vmdsl").write_text(CONTROL_VMDSL)
+        suite = tmp_path / "s.vmtest"
+        suite.write_text(control_suite("\0", "\0"))
+        error = f"{suite}:6:12: E001: control character U+0000 is not allowed\n"
+        assert main(["check", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == error
+        out = tmp_path / "out"
+        for target in ("cpp", "java"):
+            config = write_config(tmp_path, target=target, contextFormat="xml")
+            assert main(["gen", str(tmp_path), "--config", config, "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", error)
+            assert not out.exists()
 
 
 class TestRun:

@@ -7,16 +7,19 @@ two or more suite files. The first suite file is always in this process's
 half and the last always in the worker's.
 """
 
+import json
 import os
 import random
 import re
 import shutil
 import signal
+import subprocess
+import sys
 
 import pytest
 
 from astgen import random_description, random_suite
-from conftest import CORPUS, GOLDENS, VMDSL_PATH, VMTEST_PATH
+from conftest import CORPUS, GOLDENS, ROOT, VMDSL_PATH, VMTEST_PATH
 from vimotest import cli, runtime
 from vimotest.printer import pretty_print
 
@@ -38,8 +41,11 @@ def write_project(root, seed=2222, descriptions=3, suites_each=3):
     for d in range(descriptions + 1):
         desc = random_description(rng)
         # A Java fileName binding is a diagnostic; leave it to the other tests.
+        # The description no suite targets keeps no typeName either, so that
+        # its generated files are named after it.
+        dropped = ("fileName",) if d < descriptions else ("fileName", "typeName")
         desc = renamed(desc, name=f"Vm{d}", bindings=tuple(
-            b for b in desc.bindings if b.subject != "fileName"))
+            b for b in desc.bindings if b.subject not in dropped))
         (root / f"d{d}.vmdsl").write_text(pretty_print(desc), encoding="utf-8")
         for k in range(suites_each if d < descriptions else 0):
             suite = renamed(random_suite(rng, desc), name=f"Suite{k}{d}")
@@ -454,6 +460,96 @@ class TestWhenItSplits:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert call(2, "check", project)[3] == 1
+
+
+# Runs `python -m vimotest ARGS...` through the real entry point, with no
+# size floor and two usable CPUs, and logs the pid of each worker it forks to
+# the file named first.
+SPLIT_LAUNCH = """
+import os, runpy, sys
+from vimotest import cli
+log = sys.argv.pop(1)
+fork = os.fork
+
+def logged_fork():
+    pid = fork()
+    if pid:
+        with open(log, "a") as file:
+            file.write(f"{pid}\\n")
+    return pid
+
+os.fork = logged_fork
+cli.SPLIT_MIN_BYTES = 0
+cli._usable_cpus = lambda: 2
+runpy.run_module("vimotest", run_name="__main__", alter_sys=True)
+"""
+
+
+def launch(tmp_path, *argv, stdout=subprocess.PIPE):
+    """Make a split call in a child process; returns the completed process
+    and the number of workers it forked."""
+    log = tmp_path / "forks.log"
+    log.unlink(missing_ok=True)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    # Block-buffered stdout, as in a plain shell, where output left unflushed is lost.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    result = subprocess.run([sys.executable, "-c", SPLIT_LAUNCH, log, *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=dict(env, PYTHONPATH=path))
+    return result, len(log.read_text().splitlines()) if log.exists() else 0
+
+
+def many_scenarios(root, action="click AddNewTask", copies=80):
+    """The shipped description and two suite files of ``copies`` copies of
+    its scenario each, with ``action`` for the scenario's click."""
+    root.mkdir()
+    shutil.copy(VMDSL_PATH, root)
+    text = VMTEST_PATH.read_text(encoding="utf-8").replace("click AddNewTask", action)
+    scenario = re.search(r"^  scenario .*?^  }\n", text, re.M | re.S).group(0)
+    for k in range(2):
+        (root / f"s{k}.vmtest").write_text(
+            f"testsuite Suite{k} for TaskListViewModel {{\n"
+            + "".join(scenario.replace("Add New", f"Add New {j}")
+                      .replace("sampleTasks", f"sampleTasks{j}") for j in range(copies))
+            + "}\n", encoding="utf-8")
+    return root
+
+
+class TestNothingLostAtExit:
+    """The entry point ends the process with os._exit once its output is
+    flushed, so everything a split call prints arrives whole."""
+
+    def test_a_large_json_report_through_a_pipe_and_a_file(self, tmp_path, capsys):
+        project = many_scenarios(tmp_path / "p")
+        argv = ("run", project, "--setup", "taskmanager-buggy", "--format", "json")
+        assert cli.main([str(arg) for arg in argv]) == cli.EXIT_FAILURES
+        expected = DURATIONS.sub("", capsys.readouterr().out)
+        assert len(expected) > 64 * 1024
+        piped, forks = launch(tmp_path, *argv)
+        assert (piped.returncode, piped.stderr, forks) == (cli.EXIT_FAILURES, b"", 1)
+        with open(tmp_path / "report.json", "wb") as file:
+            written, forks = launch(tmp_path, *argv, stdout=file)
+        assert (written.returncode, written.stderr, forks) == (cli.EXIT_FAILURES, b"", 1)
+        for report in (piped.stdout, (tmp_path / "report.json").read_bytes()):
+            assert json.loads(report)["totals"] == {"passed": 0, "failed": 160, "errored": 0}
+            assert DURATIONS.sub("", report.decode("utf-8")) == expected
+
+    def test_a_large_diagnostic_list_in_order(self, tmp_path, capsys):
+        project = many_scenarios(tmp_path / "p", "\n      ".join(["click Ghost"] * 10))
+        assert cli.main(["check", str(project)]) == cli.EXIT_DIAGNOSTICS
+        expected = capsys.readouterr().err
+        assert len(expected) > 64 * 1024 and expected.count(": E101: ") == 1600
+        result, forks = launch(tmp_path, "check", project)
+        assert (result.returncode, result.stdout, forks) == (cli.EXIT_DIAGNOSTICS, b"", 1)
+        assert result.stderr.decode("utf-8") == expected
+
+    def test_the_path_list_of_gen(self, tmp_path):
+        project = many_scenarios(tmp_path / "p")
+        out = tmp_path / "out"
+        result, forks = launch(tmp_path, "gen", project, "--config",
+                               GOLDENS / "java_options" / "genconfig.json", "--out", out)
+        assert (result.returncode, result.stderr, forks) == (0, b"", 1)
+        written = sorted(str(path) for path in out.rglob("*") if path.is_file())
+        assert len(written) > 2 and result.stdout.decode("utf-8").splitlines() == written
 
 
 class TestOutputPaths:

@@ -39,10 +39,24 @@ PUBLIC = {
 # dataclasses, and with them the `inspect` import chain.
 NEVER_LOADED = ("dataclasses", "inspect")
 
+# The entry point ends the process with ``os._exit``. A probe child swaps it
+# for this stub, which records the code and raises ``SystemExit`` instead, so
+# that the probe can report on the process after the call.
+EXIT_STUB = """
+import os
+exits = []
+
+def _exit(code):
+    exits.append(code)
+    raise SystemExit(code)
+
+os._exit = _exit
+"""
+
 # Runs `python -m vimotest ARGS...` inside the child, then prints its exit
 # code, the vimotest submodules it loaded and the NEVER_LOADED modules it
 # loaded as the last line of stderr.
-MODULES_PROBE = f"""
+MODULES_PROBE = EXIT_STUB + f"""
 import json, runpy, sys
 sys.argv = ["vimotest", *sys.argv[1:]]
 try:
@@ -135,8 +149,9 @@ class TestLazyPackage:
 
 # Calls the entry point the way `python -m vimotest` does, or the
 # `module:function` target the way a console script does, with the given
-# arguments, then prints the exit code and the collector state.
-GC_PROBE = """
+# arguments, then prints the exit code, the collector state and the codes
+# passed to ``os._exit``.
+GC_PROBE = EXIT_STUB + """
 import gc, importlib, json, runpy, sys
 launcher, target, *args = sys.argv[1:]
 sys.argv = ["vimotest", *args]
@@ -148,7 +163,8 @@ try:
         sys.exit(getattr(importlib.import_module(module), function)())
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, gc.isenabled(), gc.get_threshold(), gc.get_freeze_count() > 0]))
+print(json.dumps([code, gc.isenabled(), gc.get_threshold(), gc.get_freeze_count() > 0,
+                  exits]))
 """
 
 
@@ -173,7 +189,9 @@ class TestCollectorState:
         states = [json.loads(child("-c", GC_PROBE, launcher, script_target(),
                                    "check", str(CORPUS)).stdout)
                   for launcher in ("-m", "script")]
+        # Each launcher ends the process through os._exit, with the exit code.
+        assert [exits for *_, exits in states] == [[0], [0]]
         assert states[0] == states[1]
-        code, enabled, threshold, frozen = states[0]
+        code, enabled, threshold, frozen, _ = states[0]
         assert (code, enabled, frozen) == (0, True, True)
         assert threshold[0] == vimotest.__main__.GEN0_THRESHOLD
