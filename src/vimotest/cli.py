@@ -142,43 +142,49 @@ def _parse_each(parse, files: list[Path], diags: list[Diagnostic], parses: dict)
 
 
 class _Sources:
-    """The input files of one call: its descriptions, parsed once, and its
-    suite files, which ``load`` parses and links."""
+    """The input files of one call: its description files and its suite
+    files, which ``load`` parses and links."""
 
     def __init__(self, paths: list[str]) -> None:
-        desc_paths, self.suite_paths = _collect_files(paths)
-        self.diags: list[Diagnostic] = []
-        self.descriptions = _parse_each(parse_view_model, desc_paths, self.diags, {})
+        self.desc_paths, self.suite_paths = _collect_files(paths)
 
-    def load(self, suite_paths: list[Path], diags: list[Diagnostic], parses: dict) -> Project:
-        """Parse ``suite_paths`` (see ``_parse_each``), then link them against
-        every description, adding each diagnostic to ``diags``."""
-        diags.extend(self.diags)
-        project, d = link(self.descriptions,
-                          _parse_each(parse_test_suite, suite_paths, diags, parses))
+    def load(self, desc_paths: list[Path], suite_paths: list[Path], diags: list[Diagnostic],
+             parses: dict) -> Project:
+        """Parse ``desc_paths``, then ``suite_paths`` (see ``_parse_each``),
+        and link them, adding each diagnostic to ``diags``. Where all parse
+        cleanly but a suite targets a ViewModel that none of ``desc_paths``
+        names, the suites are linked against every description of the call,
+        in file order."""
+        descriptions = _parse_each(parse_view_model, desc_paths, diags, parses)
+        suites = _parse_each(parse_test_suite, suite_paths, diags, parses)
+        if not diags and not ({suite.target_view_model for suite in suites}
+                              <= {desc.name for desc in descriptions}):
+            descriptions = _parse_each(parse_view_model, self.desc_paths, diags, parses)
+        project, d = link(descriptions, suites)
         diags.extend(d)
         return project
 
 
 def _each_suite(sources: _Sources, work, take, diags: list[Diagnostic], restart) -> None:
-    """Parse and link the call's suite files and, if that finds no
-    diagnostic, call ``work(project, put)``, which puts picklable results in
-    suite order. ``take`` gets each result. ``work`` and ``take`` add what
-    they find wrong to ``diags``, the one list of the call's diagnostics.
+    """Parse and link the call's files and, if that finds no diagnostic,
+    call ``work(project, put)``, which puts picklable results in suite order.
+    ``take`` gets each result. ``work`` and ``take`` add what they find wrong
+    to ``diags``, the one list of the call's diagnostics.
 
-    A large enough call runs in two processes (see ``_in_two``). Where that
-    finds anything wrong, ``restart()`` undoes what ``take`` got, and the
-    call runs again in this process, reusing the parses made here: the one
-    path whose error output is the reference.
+    A large enough call runs in two processes (see ``_in_two``), each
+    parsing its half of the description and suite files. Where that finds
+    anything wrong, ``restart()`` undoes what ``take`` got, and the call runs
+    again in this process, reusing the parses made here: the one path whose
+    error output is the reference.
     """
     parses: dict = {}
-    cut = 0 if sources.diags else _cut(sources.suite_paths)
+    cut = _cut(sources.suite_paths)
     if cut:
         if _in_two(sources, cut, work, take, diags, parses):
             return
         restart()
         diags.clear()
-    project = sources.load(sources.suite_paths, diags, parses)
+    project = sources.load(sources.desc_paths, sources.suite_paths, diags, parses)
     del sources, parses  # a long work, such as gen, needs no path or parse
     if project.orphans and not diags:
         raise _UsageError("; ".join(
@@ -222,43 +228,64 @@ def _cut(paths: list[Path]) -> int:
             or threading.active_count() > 1):
         return 0
     try:
-        ends = list(itertools.accumulate(path.stat().st_size for path in paths))
+        ends = _ends(paths)
     except OSError:  # the serial path reports it
         return 0
     if ends[-1] < SPLIT_MIN_BYTES:
         return 0
-    return min(range(1, len(paths)), key=lambda k: abs(2 * ends[k - 1] - ends[-1]))
+    return _middle(ends, 1)
 
 
-def _half(sources: _Sources, paths: list[Path], diags: list[Diagnostic], parses: dict):
-    """The project of one half's suite files, holding only the descriptions
-    they target; None on a diagnostic or an orphan."""
-    project = sources.load(paths, diags, parses)
+def _ends(paths: list[Path]) -> list[int]:
+    """0, then the bytes of the first 1, 2, ... files of ``paths``."""
+    return [0, *itertools.accumulate(path.stat().st_size for path in paths)]
+
+
+def _middle(ends: list[int], least: int) -> int:
+    """The number of files, at least ``least`` from either end, whose
+    ``_ends`` come nearest half the bytes."""
+    return min(range(least, len(ends) - least), key=lambda k: abs(2 * ends[k] - ends[-1]))
+
+
+def _half(sources: _Sources, desc_paths: list[Path], suite_paths: list[Path],
+          diags: list[Diagnostic], parses: dict):
+    """One half of a split call: the project of ``suite_paths`` linked
+    against ``desc_paths`` (see ``_Sources.load``), holding only the
+    descriptions its suites target, and the name of each of ``desc_paths``;
+    None on a diagnostic or an orphan."""
+    project = sources.load(desc_paths, suite_paths, diags, parses)
     if diags or project.orphans:
         return None
     targets = {linked.description.name for linked in project.suites}
-    return Project(tuple(d for d in project.descriptions if d.name in targets),
-                   project.suites)
+    return (Project(tuple(d for d in project.descriptions if d.name in targets),
+                    project.suites),
+            [parses[path][0].name for path in desc_paths])
 
 
 def _in_two(sources: _Sources, cut: int, work, take, diags: list[Diagnostic],
             parses: dict) -> bool:
     """Do ``_each_suite``'s work in two processes.
 
-    This process parses and links the first ``cut`` suite files against
-    every description, a forked worker the rest. Each calls ``work`` on its
-    half; the worker's ``put`` pickles to an unlinked file, from which
-    ``take`` gets the worker's results once this process's are done. Last,
-    this process calls ``work`` on the descriptions no suite targets.
-    Returns True when done. Returns False, with the worker reaped, where the
-    call stays in one process or must run again there: on a diagnostic or
-    orphan in either half, a suite name in both halves or a failed worker.
-    The worker exits non-zero when its ``diags`` are not empty.
+    This process parses the first ``cut`` suite files and the first half of
+    the description files (by bytes), a forked worker the rest of each. A
+    process with a suite whose target is not among its own descriptions
+    parses the other half's too (see ``_Sources.load``). Each links its
+    half and calls ``work`` on it; the worker's ``put`` pickles to an
+    unlinked file, from which ``take`` gets the worker's results once this
+    process's are done. Last, this process calls ``work`` on the
+    descriptions that no suite of either half targets, in file order,
+    parsing those of the worker's half. Returns True when done. Returns
+    False, with the worker reaped, where the call stays in one process or
+    must run again there: on a diagnostic, an unreadable file or an orphan
+    in either half, a suite or ViewModel name in both halves or a failed
+    worker. The worker exits non-zero when its ``diags`` are not empty.
     """
     import pickle
     import tempfile
 
+    desc_paths = sources.desc_paths
     try:
+        mid = _middle(_ends(desc_paths), 0)
         spool = tempfile.TemporaryFile()
     except OSError:
         return False
@@ -270,23 +297,28 @@ def _in_two(sources: _Sources, cut: int, work, take, diags: list[Diagnostic],
         if pid == 0:
             code = 1
             try:  # never print, never return: this is the worker
-                project = _half(sources, sources.suite_paths[cut:], diags, parses)
-                if project is not None:
+                half = _half(sources, desc_paths[mid:], sources.suite_paths[cut:], diags, parses)
+                if half is not None:
+                    project, own = half
                     pickle.dump(([linked.suite.name for linked in project.suites],
-                                 [desc.name for desc in project.descriptions]), spool)
+                                 [desc.name for desc in project.descriptions], own), spool)
                     work(project, lambda result: pickle.dump(result, spool))
                     spool.flush()
                     code = 1 if diags else 0
             finally:
                 os._exit(code)
         try:
-            project = _half(sources, sources.suite_paths[:cut], diags, parses)
-            if project is None:
+            try:
+                half = _half(sources, desc_paths[:mid], sources.suite_paths[:cut], diags, parses)
+            except _UsageError:  # the serial path reports the first unreadable file
                 return False
+            if half is None:
+                return False
+            project, own = half
             names = {linked.suite.name for linked in project.suites}
             targets = {desc.name for desc in project.descriptions}
             work(project, take)
-            del project  # the worker's results need the room
+            del project, half  # the worker's results need the room
             if diags:
                 return False
             _, status = os.waitpid(pid, 0)
@@ -295,16 +327,19 @@ def _in_two(sources: _Sources, cut: int, work, take, diags: list[Diagnostic],
                 return False
             end = spool.seek(0, os.SEEK_END)
             spool.seek(0)
-            worker_names, worker_targets = pickle.load(spool)
-            if not names.isdisjoint(worker_names):
+            worker_names, worker_targets, worker_own = pickle.load(spool)
+            if not (names.isdisjoint(worker_names) and set(own).isdisjoint(worker_own)):
                 return False
+            targets.update(worker_targets)
+            alone = _parse_each(parse_view_model, [
+                path for path, name in zip(desc_paths, own + worker_own) if name not in targets],
+                diags, parses)
             parses.clear()  # kept for a rerun only
             while spool.tell() < end:
                 take(pickle.load(spool))
                 if diags:
                     return False
-            targets.update(worker_targets)
-            work(Project(tuple(d for d in sources.descriptions if d.name not in targets)), take)
+            work(Project(tuple(alone)), take)
             return not diags
         finally:
             if pid:

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,16 @@ GOLDENS = ROOT / "goldens"
 
 VMDSL_PATH = CORPUS / "task_list.vmdsl"
 VMTEST_PATH = CORPUS / "task_list_tests.vmtest"
+
+
+def child_env(**extra: str) -> dict:
+    """The environment of a Python child that finds the package through
+    ``src``, without an installed copy. ``PYTHONUNBUFFERED`` is dropped, so
+    the child's stdout is block-buffered, as in a plain shell, where output
+    left unflushed at exit is lost."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return dict(env, PYTHONPATH=path, **extra)
 
 
 @pytest.fixture(scope="session")

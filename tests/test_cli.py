@@ -1,12 +1,11 @@
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
-from conftest import CORPUS, GOLDENS, ROOT, VMDSL_PATH, VMTEST_PATH
+from conftest import CORPUS, GOLDENS, VMDSL_PATH, VMTEST_PATH, child_env
 from test_parser import CONTROL_VMDSL, control_suite
 from vimotest.cli import main
 from vimotest.taskmanager import REGISTRY
@@ -607,15 +606,10 @@ class TestGenMemory:
 
 
 class TestEntryPoint:
-    def _env(self, env_extra=None) -> dict:
-        # The child finds the package without an installed copy or PYTHONPATH.
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        return dict(os.environ, PYTHONPATH=path, **(env_extra or {}))
-
     def _run(self, *args, env_extra=None):
         return subprocess.run(
             [sys.executable, "-m", "vimotest", *args],
-            capture_output=True, text=True, env=self._env(env_extra))
+            capture_output=True, text=True, env=child_env(**(env_extra or {})))
 
     def test_module_invocation(self):
         result = self._run("check", str(CORPUS))
@@ -626,6 +620,7 @@ class TestEntryPoint:
         result = self._run("run", str(CORPUS), "--setup", "taskmanager",
                            env_extra={"VIMOTEST_COLOR": "0"})
         assert result.returncode == 0
+        assert "PASS Load Tasks and Add New\n" in result.stdout
         assert "\x1b[" not in result.stdout
 
     def test_version_flag(self):
@@ -636,7 +631,7 @@ class TestEntryPoint:
     def test_closed_stdout_exits_1_without_a_traceback(self):
         proc = subprocess.Popen(
             [sys.executable, "-m", "vimotest", "run", str(CORPUS), "--setup", "taskmanager"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=self._env())
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env())
         proc.stdout.close()
         stderr = proc.stderr.read()
         proc.stderr.close()

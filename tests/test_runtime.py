@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from astgen import random_grid
+from astgen import _CELL_ALPHABET, random_grid
 from test_literals import HAZARD_TEXT
 from vimotest import runtime
 from vimotest.analyzer import resolve
@@ -14,11 +14,14 @@ from vimotest.model import (
     CellExpectation,
     ColumnSpec,
     CellKind,
+    ContextDefinition,
     DataTableBody,
     FeatureKind,
     FileBody,
     RowExpectation,
     RowsExpectation,
+    TestScenario,
+    TestSuite,
     TextBody,
     ViewModelDescription,
     WidgetDecl,
@@ -26,6 +29,7 @@ from vimotest.model import (
     xml_attribute_name,
 )
 from vimotest.parser import parse_test_suite
+from vimotest.printer import pretty_print
 from vimotest.runtime import (
     CellValue,
     ExecutionError,
@@ -104,6 +108,34 @@ class TestRenderContext:
         one in an attribute value would become a space."""
         body = DataTableBody(header=("A", "B c"), rows=tuple(rows))
         assert reparse_xml(render_context(body, "xml"), body.header) == body
+
+    def test_xml_gives_back_every_accepted_table(self):
+        """Tables whose cells take the generators' alphabet plus a raw CR go
+        through the printer and the parser; each accepted one renders to XML
+        whose rows carry the header's attribute names and every cell."""
+        rng = random.Random(2525)
+        alphabet = _CELL_ALPHABET + "\r"
+        accepted = with_cr = 0
+        for _ in range(300):
+            header = random_grid(rng, max_cols=4).header
+            table = DataTableBody(header=header, rows=tuple(
+                tuple("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 10))).strip()
+                      for _ in header)
+                for _ in range(rng.randint(0, 3))))
+            suite = TestSuite(name="S", target_view_model="V", scenarios=(TestScenario(
+                description="s", given=(ContextDefinition(name="ctx", body=table),)),))
+            parsed, _ = parse_test_suite(pretty_print(suite))
+            if parsed is None:
+                continue
+            body = parsed.scenarios[0].given[0].body
+            assert body == table
+            accepted += 1
+            with_cr += any("\r" in cell for row in body.rows for cell in row)
+            names = [xml_attribute_name(title) for title in header]
+            root = ET.fromstring(render_context(body, "xml"))
+            assert [list(row.attrib) for row in root] == [names] * len(body.rows)
+            assert tuple(tuple(row.attrib.values()) for row in root) == body.rows
+        assert accepted > 250 and with_cr > 20
 
     def test_non_table_bodies_pass_through_for_every_format(self):
         body = TextBody(text="raw\npayload")

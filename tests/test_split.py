@@ -19,7 +19,7 @@ import sys
 import pytest
 
 from astgen import random_description, random_suite
-from conftest import CORPUS, GOLDENS, ROOT, VMDSL_PATH, VMTEST_PATH
+from conftest import CORPUS, GOLDENS, VMDSL_PATH, VMTEST_PATH, child_env
 from vimotest import cli, runtime
 from vimotest.printer import pretty_print
 
@@ -65,6 +65,44 @@ def rename_suite(path, name):
 
 def suite_name(path):
     return re.search(r"testsuite (\w+)", path.read_text(encoding="utf-8")).group(1)
+
+
+def desc_files(root):
+    return sorted(root.glob("*.vmdsl"))
+
+
+def desc_cut(root):
+    """The number of description files in this process's half."""
+    return cli._middle(cli._ends(desc_files(root)), 0)
+
+
+def view_model_name(path):
+    return re.search(r"viewmodel (\w+)", path.read_text(encoding="utf-8")).group(1)
+
+
+def rename_view_model(path, name):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(re.sub(r"viewmodel \w+", f"viewmodel {name}", text, count=1),
+                    encoding="utf-8")
+
+
+def arrange(root, crossed=False):
+    """Rename the suite files so that those targeting a description of this
+    process's half come first, or last if ``crossed``, and pad both groups
+    with a comment to equal bytes, so that the suite files split exactly
+    between the groups."""
+    ours = {view_model_name(path) for path in desc_files(root)[:desc_cut(root)]}
+    groups = ([], [])
+    for path in suite_files(root):
+        target = re.search(r"testsuite \w+ for (\w+)", path.read_text(encoding="utf-8"))[1]
+        groups[(target in ours) == crossed].append(path)
+    sizes = [sum(path.stat().st_size for path in group) for group in groups]
+    for prefix, group, size in zip("az", groups, sizes):
+        with open(group[-1], "a", encoding="utf-8") as file:  # 100 bytes more than the larger
+            file.write("\n//" + "x" * (97 + max(sizes) - size))
+        for k, path in enumerate(group):
+            path.rename(root / f"{prefix}{k:02d}.vmtest")
+    assert cli._middle(cli._ends(suite_files(root)), 1) == len(groups[0])
 
 
 def snapshot(root):
@@ -183,6 +221,47 @@ class TestCleanProjects:
             assert tree[golden.name] == golden.read_bytes()
 
 
+class TestCrossedTargets:
+    """Each process parses its half of the description files; one whose
+    suites target a description of the other half parses that half too."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_split_equals_serial(self, call, tmp_path, command):
+        project = write_project(tmp_path / "p")
+        arrange(project, crossed=True)
+        code, _, stderr, _ = assert_command_same(call, tmp_path, command, project)
+        assert stderr == "" and code in (0, 1)
+
+    @pytest.mark.parametrize("crossed", (False, True), ids=("aligned", "crossed"))
+    def test_which_descriptions_each_process_parses(self, call, tmp_path, monkeypatch, crossed):
+        project = write_project(tmp_path / "p")
+        arrange(project, crossed)
+        log = tmp_path / "parses.log"
+        real = cli.parse_view_model
+
+        def logging(data, file):
+            with open(log, "a", encoding="utf-8") as out:
+                out.write(f"{os.getpid()} {file}\n")
+            return real(data, file)
+
+        monkeypatch.setattr(cli, "parse_view_model", logging)
+        links = []  # this process's only: no serial rerun
+        real_link = cli.link
+        monkeypatch.setattr(cli, "link", lambda *args: links.append(1) or real_link(*args))
+        code, _, _, forks = call(2, "check", project)
+        assert code == 0 and forks == 1 and len(links) == 1
+        here, worker = [], []
+        for line in log.read_text().splitlines():
+            pid, file = line.split(" ", 1)
+            (here if pid == str(os.getpid()) else worker).append(file)
+        files = [str(path) for path in desc_files(project)]
+        mid = desc_cut(project)
+        if crossed:
+            assert sorted(here) == sorted(worker) == files
+        else:  # here also Vm3's file, which no suite targets
+            assert (here, worker) == (files[:mid] + files[-1:], files[mid:])
+
+
 class TestErrorsRerunSerially:
     """Wherever an error is, the split call stops its worker and reruns
     serially, so error output and exit codes are the serial ones."""
@@ -232,11 +311,52 @@ class TestErrorsRerunSerially:
         assert code == cli.EXIT_DIAGNOSTICS and "E001: parameter 'class'" in stderr
         assert tree is None
 
-    def test_a_description_diagnostic_never_forks(self, call, tmp_path):
+    @pytest.mark.parametrize("command", ("check", "run_json", "gen_java"))
+    @pytest.mark.parametrize("kind", ("parse", "validation"))
+    @pytest.mark.parametrize("where", (0, -1), ids=("first_half", "second_half"))
+    def test_a_description_diagnostic_in_either_half(self, call, tmp_path, command, kind,
+                                                     where):
+        """Each process parses and validates its half of the descriptions,
+        so the call forks, finds the diagnostic and reruns."""
         project = write_project(tmp_path / "p")
-        (project / "bad.vmdsl").write_text("viewmodel {", encoding="utf-8")
-        code, _, _, _ = assert_command_same(call, tmp_path, "check", project, forks=0)
-        assert code == cli.EXIT_DIAGNOSTICS
+        assert 0 < desc_cut(project) < len(desc_files(project))
+        path = desc_files(project)[where]
+        text = path.read_text(encoding="utf-8")
+        if kind == "parse":
+            text += "\nviewmodel {\n"
+        else:
+            text = text.replace("widgets {", "widgets {\n    button Twice\n    button Twice", 1)
+        path.write_text(text, encoding="utf-8")
+        code, _, stderr, tree = assert_command_same(call, tmp_path, command, project)
+        assert code == cli.EXIT_DIAGNOSTICS and tree is None
+        assert (": E001: " if kind == "parse" else "E106: duplicate widget name 'Twice'") in stderr
+
+    @pytest.mark.parametrize("command", ("check", "run_json", "gen_java"))
+    @pytest.mark.parametrize("pair", ((0, -1), (0, 1), (-2, -1)),
+                             ids=("across", "first_half", "second_half"))
+    def test_a_duplicate_view_model_name(self, call, tmp_path, command, pair):
+        """Where neither process parses the other's descriptions, a name in
+        both halves is found from the worker's list of its names."""
+        project = write_project(tmp_path / "p")
+        arrange(project)
+        files = desc_files(project)
+        assert desc_cut(project) == 2
+        rename_view_model(files[pair[1]], view_model_name(files[pair[0]]))
+        code, _, stderr, _ = assert_command_same(call, tmp_path, command, project)
+        assert code == cli.EXIT_DIAGNOSTICS and "E106: duplicate ViewModel name" in stderr
+
+    @pytest.mark.parametrize("command", ("check", "gen_cpp"))
+    def test_unreadable_files_in_both_halves(self, call, tmp_path, command):
+        """A description the worker cannot read and a suite file this
+        process cannot read: the serial call reads descriptions first, so
+        its error names the description, and so does the split call's."""
+        project = write_project(tmp_path / "p")
+        (project / "zz.vmdsl").mkdir()
+        (project / "a.vmtest").mkdir()
+        assert desc_cut(project) < len(desc_files(project))
+        code, _, stderr, _ = assert_command_same(call, tmp_path, command, project)
+        assert code == cli.EXIT_USAGE and stderr == f"error: cannot read {project / 'zz.vmdsl'}: " \
+                                                   "Is a directory\n"
 
     def test_a_generated_file_clash_across_the_halves(self, call, tmp_path):
         """Two ViewModels bound to one C++ fileName, one suite each: the E106
@@ -296,24 +416,32 @@ class TestErrorsRerunSerially:
 
 
 class TestTheRerun:
-    @pytest.mark.parametrize("where", (0, -1))
-    def test_parses_each_suite_file_once_here(self, call, tmp_path, monkeypatch, where):
-        """The rerun reuses this process's parses of its half and parses
-        only the worker's half."""
-        project = write_project(tmp_path / "p")
-        path = suite_files(project)[where]
-        path.write_text(path.read_text(encoding="utf-8") + "\nscenario }\n", encoding="utf-8")
+    """The rerun reuses this process's parses of its half, description and
+    suite files alike, and parses only the rest: each file once here."""
+
+    @staticmethod
+    def assert_parsed_once(call, monkeypatch, project, path):
+        path.write_text(path.read_text(encoding="utf-8") + "\n}\n", encoding="utf-8")
         parsed = []
-        real = cli.parse_test_suite
+        for name in ("parse_view_model", "parse_test_suite"):
+            def counting(data, file, real=getattr(cli, name)):
+                parsed.append(file)
+                return real(data, file)
 
-        def counting(data, file):
-            parsed.append(file)
-            return real(data, file)
-
-        monkeypatch.setattr(cli, "parse_test_suite", counting)
+            monkeypatch.setattr(cli, name, counting)
         code, _, stderr, forks = call(2, "check", project)
         assert code == cli.EXIT_DIAGNOSTICS and ": E001: " in stderr and forks == 1
-        assert sorted(parsed) == [str(path) for path in suite_files(project)]
+        assert sorted(parsed) == sorted(map(str, desc_files(project) + suite_files(project)))
+
+    @pytest.mark.parametrize("where", (0, -1))
+    def test_parses_each_suite_file_once_here(self, call, tmp_path, monkeypatch, where):
+        project = write_project(tmp_path / "p")
+        self.assert_parsed_once(call, monkeypatch, project, suite_files(project)[where])
+
+    @pytest.mark.parametrize("where", (0, -1))
+    def test_parses_each_description_file_once_here(self, call, tmp_path, monkeypatch, where):
+        project = write_project(tmp_path / "p")
+        self.assert_parsed_once(call, monkeypatch, project, desc_files(project)[where])
 
 
 class TestGenUnits:
@@ -343,6 +471,9 @@ class TestGenUnits:
         assert len(set(pids)) == 2
         assert sorted(units) == sorted([f"Vm{d} Suite{k}{d}" for d in range(3) for k in range(3)]
                                        + ["Vm3 None"])
+        # Vm3, which no suite targets, is in the worker's half of the
+        # descriptions, but this process generates it after the merge.
+        assert desc_cut(project) < 4 and pids[-1] == str(os.getpid()) and units[-1] == "Vm3 None"
         files = suite_files(project)
         cut = cli._cut(files)
         assert "2" not in {suite_name(p)[-1] for p in files[:cut]}
@@ -490,11 +621,8 @@ def launch(tmp_path, *argv, stdout=subprocess.PIPE):
     and the number of workers it forked."""
     log = tmp_path / "forks.log"
     log.unlink(missing_ok=True)
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    # Block-buffered stdout, as in a plain shell, where output left unflushed is lost.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     result = subprocess.run([sys.executable, "-c", SPLIT_LAUNCH, log, *argv], stdout=stdout,
-                            stderr=subprocess.PIPE, env=dict(env, PYTHONPATH=path))
+                            stderr=subprocess.PIPE, env=child_env())
     return result, len(log.read_text().splitlines()) if log.exists() else 0
 
 

@@ -4,7 +4,6 @@ package re-exports, and the collector settings of the process entry point."""
 import gc
 import importlib
 import json
-import os
 import re
 import subprocess
 import sys
@@ -13,7 +12,7 @@ import pytest
 
 import vimotest
 import vimotest.__main__
-from conftest import CORPUS, ROOT, VMDSL_PATH, VMTEST_PATH
+from conftest import CORPUS, ROOT, VMDSL_PATH, VMTEST_PATH, child_env
 from vimotest.cli import main
 
 FRONT_END = {"analyzer", "cli", "diagnostics", "lexer", "model", "names", "parser"}
@@ -71,9 +70,8 @@ print(json.dumps([code, sorted(m.removeprefix("vimotest.") for m in sys.modules
 
 def child(*argv: str) -> subprocess.CompletedProcess:
     """A Python child that finds the package through ``src``."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=path))
+                          cwd=ROOT, env=child_env())
 
 
 def loaded_by(*args: str) -> set[str]:
