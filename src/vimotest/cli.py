@@ -13,6 +13,7 @@ import itertools
 import os
 import sys
 from pathlib import Path
+from typing import BinaryIO, Iterable, Iterator
 
 from . import __version__
 from .analyzer import Project, compute_name_map, link
@@ -165,11 +166,14 @@ class _Sources:
         return project
 
 
-def _each_suite(sources: _Sources, work, take, diags: list[Diagnostic], restart) -> None:
+def _each_suite(sources: _Sources, work, take, diags: list[Diagnostic], restart,
+                untargeted: bool = False) -> None:
     """Parse and link the call's files and, if that finds no diagnostic,
-    call ``work(project, put)``, which puts picklable results in suite order.
-    ``take`` gets each result. ``work`` and ``take`` add what they find wrong
-    to ``diags``, the one list of the call's diagnostics.
+    call ``work(project, put)``, which puts results in suite order: each
+    picklable, save that a generator in one goes as the list of what it
+    yields. ``take`` gets each result. ``work`` and ``take`` add what they
+    find wrong to ``diags``, the one list of the call's diagnostics. With
+    ``untargeted``, ``work`` also needs the descriptions no suite targets.
 
     A large enough call runs in two processes (see ``_in_two``), each
     parsing its half of the description and suite files. Where that finds
@@ -180,7 +184,7 @@ def _each_suite(sources: _Sources, work, take, diags: list[Diagnostic], restart)
     parses: dict = {}
     cut = _cut(sources.suite_paths)
     if cut:
-        if _in_two(sources, cut, work, take, diags, parses):
+        if _in_two(sources, cut, work, take, diags, parses, untargeted):
             return
         restart()
         diags.clear()
@@ -263,7 +267,7 @@ def _half(sources: _Sources, desc_paths: list[Path], suite_paths: list[Path],
 
 
 def _in_two(sources: _Sources, cut: int, work, take, diags: list[Diagnostic],
-            parses: dict) -> bool:
+            parses: dict, untargeted: bool) -> bool:
     """Do ``_each_suite``'s work in two processes.
 
     This process parses the first ``cut`` suite files and the first half of
@@ -272,16 +276,19 @@ def _in_two(sources: _Sources, cut: int, work, take, diags: list[Diagnostic],
     parses the other half's too (see ``_Sources.load``). Each links its
     half and calls ``work`` on it; the worker's ``put`` pickles to an
     unlinked file, from which ``take`` gets the worker's results once this
-    process's are done. Last, this process calls ``work`` on the
-    descriptions that no suite of either half targets, in file order,
-    parsing those of the worker's half. Returns True when done. Returns
-    False, with the worker reaped, where the call stays in one process or
-    must run again there: on a diagnostic, an unreadable file or an orphan
-    in either half, a suite or ViewModel name in both halves or a failed
-    worker. The worker exits non-zero when its ``diags`` are not empty.
+    process's are done. Last, with ``untargeted``, this process calls
+    ``work`` on the descriptions that no suite of either half targets, in
+    file order, parsing those of the worker's half. Returns True when done.
+    Returns False, with the worker reaped, where the call stays in one
+    process or must run again there: on a diagnostic, an unreadable file or
+    an orphan in either half, a suite or ViewModel name in both halves or a
+    failed worker. The worker exits non-zero when its ``diags`` are not
+    empty.
     """
+    import copyreg
     import pickle
     import tempfile
+    import types
 
     desc_paths = sources.desc_paths
     try:
@@ -302,7 +309,17 @@ def _in_two(sources: _Sources, cut: int, work, take, diags: list[Diagnostic],
                     project, own = half
                     pickle.dump(([linked.suite.name for linked in project.suites],
                                  [desc.name for desc in project.descriptions], own), spool)
-                    work(project, lambda result: pickle.dump(result, spool))
+                    # A generator, such as a generated file's pieces, goes
+                    # as a list, appended to as it yields.
+                    table = {**copyreg.dispatch_table,
+                             types.GeneratorType: lambda items: (list, (), None, items)}
+
+                    def put(result) -> None:
+                        pickler = pickle.Pickler(spool)
+                        pickler.dispatch_table = table
+                        pickler.dump(result)
+
+                    work(project, put)
                     spool.flush()
                     code = 1 if diags else 0
             finally:
@@ -332,8 +349,8 @@ def _in_two(sources: _Sources, cut: int, work, take, diags: list[Diagnostic],
                 return False
             targets.update(worker_targets)
             alone = _parse_each(parse_view_model, [
-                path for path, name in zip(desc_paths, own + worker_own) if name not in targets],
-                diags, parses)
+                path for path, name in zip(desc_paths, own + worker_own)
+                if untargeted and name not in targets], diags, parses)
             parses.clear()  # kept for a rerun only
             while spool.tell() < end:
                 take(pickle.load(spool))
@@ -480,9 +497,9 @@ def _cmd_gen(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if config.target == "java":
-        from .java_emitter import emit_java as emit
+        from .java_emitter import emit_pieces as emit
     else:
-        from .cpp_emitter import emit_cpp as emit
+        from .cpp_emitter import emit_pieces as emit
     out_dir = Path(args.out)
     output = _Output(out_dir, args.force)
     diags: list[Diagnostic] = []
@@ -495,7 +512,8 @@ def _cmd_gen(args) -> int:
     try:
         _each_suite(_Sources(args.paths),
                     lambda project, put: _gen_units(project, config, emit, diags, put),
-                    lambda unit: _write_unit(output, unit, diags), diags, restart)
+                    lambda unit: _write_unit(output, unit, diags), diags, restart,
+                    untargeted=True)
         _print_diags(diags)
         if diags:
             return EXIT_DIAGNOSTICS
@@ -510,7 +528,9 @@ def _cmd_gen(args) -> int:
 def _gen_units(project: Project, config, emit, diags: list[Diagnostic], put) -> None:
     """Put each generation unit of ``project`` as (owner, files):
     description by description, one per suite that targets it, in
-    suite order, or one for the description alone if none does."""
+    suite order, or one for the description alone if none does. Each file
+    is its relative path and its text's pieces, which are made as they are
+    written."""
     from .ir import lower_to_ir
 
     for desc in project.descriptions:
@@ -526,8 +546,8 @@ def _gen_units(project: Project, config, emit, diags: list[Diagnostic], put) -> 
 
 def _write_unit(output: _Output, unit: tuple, diags: list[Diagnostic]) -> None:
     owner, files = unit
-    for rel, text in files:
-        first = output.write(rel, text, owner)
+    for rel, pieces in files:
+        first = output.write(rel, pieces, owner)
         if first is not None:
             diags.append(error(
                 E_DUPLICATE_NAME, f"generated file '{rel}' of {owner[0]} "
@@ -541,10 +561,10 @@ class _Output:
     existing one. With ``force``, an existing file is written to a temporary
     beside it, which ``commit`` renames over it. Until ``commit`` succeeds,
     ``discard`` removes every file, temporary and directory the call made,
-    so on any error the output directory ends as it began. No text of a
-    path generated once stays in memory. A path that is absolute or holds a
-    ``..`` part is a write error, so nothing is written outside the
-    directory.
+    so on any error the output directory ends as it began. A file is
+    written piece by piece as its pieces come, so no whole text is built
+    of a path generated once. A path that is absolute or holds a ``..``
+    part is a write error, so nothing is written outside the directory.
     """
 
     def __init__(self, out_dir: Path, force: bool) -> None:
@@ -552,7 +572,8 @@ class _Output:
         self.force = force
         self.first: dict[str, tuple] = {}  # relative path -> (first writer, its span)
         # Relative path -> its first text, for a path generated again (read
-        # back once) or not written.
+        # back once) or not written. A path whose write failed part way has
+        # none, and a later generation of it is compared with nothing.
         self.texts: dict[str, str] = {}
         self.temps: dict[str, str] = {}  # relative path -> temporary beside its target
         self.made: list[tuple] = []  # (os.unlink or os.rmdir, path), in the order made
@@ -560,25 +581,30 @@ class _Output:
         self.clashes: list[str] = []
         self.errors: dict[str, str] = {}  # relative path -> write error
 
-    def write(self, rel: str, text: str, owner: tuple) -> tuple | None:
-        """Write ``rel``, or compare it with its first text if it was
-        generated before. Returns the first owner if the texts differ."""
+    def write(self, rel: str, pieces: Iterable[str], owner: tuple) -> tuple | None:
+        """Write ``rel`` piece by piece, or compare the text its pieces join
+        with its first text if it was generated before. Returns the first
+        owner if the texts differ."""
         first = self.first.get(rel)
         if first is None:
             self.first[rel] = owner
-            if not self._create(rel, text):
-                self.texts[rel] = text
+            pieces = iter(pieces)
+            if not self._create(rel, pieces):
+                self.texts[rel] = "".join(pieces)
             return None
         first_text = self.texts.get(rel)
         if first_text is None:
+            if rel in self.errors:  # its write failed part way
+                return None
             path = self.temps.get(rel) or self.out_dir / rel
             with open(path, "rb") as file:
                 first_text = self.texts[rel] = file.read().decode("utf-8")
-        return None if first_text == text else first
+        return None if first_text == "".join(pieces) else first
 
-    def _create(self, rel: str, text: str) -> bool:
+    def _create(self, rel: str, pieces: Iterator[str]) -> bool:
         """Write a new file, or a temporary beside an existing one under
-        ``force``; record a clash or write error and return False if not."""
+        ``force``, one piece at a time; record a clash or write error.
+        Returns False, with no piece taken, if the file was not begun."""
         path = Path(rel)
         if path.is_absolute() or ".." in path.parts:
             self.errors[rel] = f"refusing to write {rel}: it is not below {self.out_dir}"
@@ -589,7 +615,6 @@ class _Output:
         except OSError as exc:
             self.errors[rel] = f"cannot write {exc.filename}: {exc.strerror}"
             return False
-        data = text.encode("utf-8")
         try:
             try:
                 file = open(target, "xb")
@@ -597,19 +622,23 @@ class _Output:
                 if not self.force:
                     self.clashes.append(str(target))
                     return False
-                self.temps[rel] = self._write_beside(target, data)
-                return True
-            self.made.append((os.unlink, str(target)))
-            with file:
-                file.write(data)
+                file = self._open_beside(rel, target)
+            else:
+                self.made.append((os.unlink, str(target)))
         except OSError as exc:
             self.errors[rel] = f"cannot write {target}: {exc.strerror}"
             return False
+        try:
+            with file:
+                for piece in pieces:
+                    file.write(piece.encode("utf-8"))
+        except OSError as exc:
+            self.errors[rel] = f"cannot write {target}: {exc.strerror}"
         return True
 
-    def _write_beside(self, target: Path, data: bytes) -> str:
-        """Write ``data`` to a new temporary beside the existing file
-        ``target``, for ``commit`` to rename over it; return its path."""
+    def _open_beside(self, rel: str, target: Path) -> BinaryIO:
+        """Open a new temporary beside the existing file ``target``, with
+        its permissions, for ``commit`` to rename over it."""
         import errno
         import stat
         import tempfile
@@ -619,10 +648,13 @@ class _Output:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         fd, temp = tempfile.mkstemp(prefix=f".{target.name}.", dir=target.parent)
         self.made.append((os.unlink, temp))
-        with open(fd, "wb") as file:
-            os.fchmod(fd, stat.S_IMODE(mode))  # keep the target's permissions
-            file.write(data)
-        return temp
+        self.temps[rel] = temp
+        try:
+            os.fchmod(fd, stat.S_IMODE(mode))
+        except OSError:
+            os.close(fd)
+            raise
+        return open(fd, "wb")
 
     def _make_dir(self, path: Path, parents: bool = True) -> None:
         """``path.mkdir(parents=True, exist_ok=True)``, recording what it makes."""

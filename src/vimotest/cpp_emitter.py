@@ -9,6 +9,8 @@ companions are expected alongside: ``<file>_impl.hpp`` defining
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .analyzer import NameMap
 from .genconfig import GenConfig
 from .ir import IRClass, IRUnit
@@ -104,7 +106,15 @@ inline int summary() {
 
 def emit_cpp(ir: IRUnit, name_map: NameMap, config: GenConfig) -> list[tuple[str, str]]:
     """Emit (relative path, file text) pairs for the C++ target."""
-    files: list[tuple[str, str]] = []
+    return [(rel, "".join(pieces)) for rel, pieces in emit_pieces(ir, name_map, config)]
+
+
+def emit_pieces(ir: IRUnit, name_map: NameMap,
+                config: GenConfig) -> list[tuple[str, Iterator[str]]]:
+    """``emit_cpp``'s files, each text as the pieces it joins, made as they
+    are asked for: a header is one piece, a test file its head, one piece
+    per test function and its tail, ``main`` included."""
+    files: list[tuple[str, Iterator[str]]] = []
     vm_file = name_map.file_name
     view_model = ir.view_model
     files.append((f"{vm_file}.hpp", _header_file(view_model, config, None, None)))
@@ -116,12 +126,12 @@ def emit_cpp(ir: IRUnit, name_map: NameMap, config: GenConfig) -> list[tuple[str
     if ir.suite_name is not None:
         files.append((f"{snake_case(ir.suite_name)}_test.cpp",
                       _test_file(ir, name_map, config)))
-        files.append((ASSERT_HEADER_NAME, ASSERT_HEADER))
+        files.append((ASSERT_HEADER_NAME, iter((ASSERT_HEADER,))))
     return files
 
 
 def _header_file(cls: IRClass, config: GenConfig, view_model: str | None,
-                 view_model_header: str | None) -> str:
+                 view_model_header: str | None) -> Iterator[str]:
     lines: list[str] = ["#pragma once", ""]
     # A param class's fields are its operation's params.
     used = ({p.ir_type for p in cls.properties}
@@ -207,10 +217,10 @@ def _header_file(cls: IRClass, config: GenConfig, view_model: str | None,
     if config.cpp_namespace:
         lines.append("")
         lines.append(f"}}  // namespace {config.cpp_namespace}")
-    return "\n".join(lines) + "\n"
+    yield _text(lines)
 
 
-def _test_file(ir: IRUnit, name_map: NameMap, config: GenConfig) -> str:
+def _test_file(ir: IRUnit, name_map: NameMap, config: GenConfig) -> Iterator[str]:
     vm_file = name_map.file_name
     suite_snake = snake_case(ir.suite_name)
     view_model = ir.view_model
@@ -228,16 +238,22 @@ def _test_file(ir: IRUnit, name_map: NameMap, config: GenConfig) -> str:
     lines.append("#include <optional>")
     lines.append("#include <string>")
     lines.append("")
+    yield _text(lines)
     spec = _SPEC._replace(scope=f"{config.cpp_namespace}::") if config.cpp_namespace else _SPEC
     written: dict[int, str] = {}
     for test in ir.tests:
-        lines.append(f"static void test_{test.name}() {{")
+        lines = [f"static void test_{test.name}() {{"]
         write_test_body(lines, ir, test, spec, written)
         lines.append("}")
         lines.append("")
-    lines.append("int main() {")
+        yield _text(lines)
+    lines = ["int main() {"]
     for test in ir.tests:
         lines.append(f"    test_{test.name}();")
     lines.append("    return ::vimotest::summary();")
     lines.append("}")
+    yield _text(lines)
+
+
+def _text(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"

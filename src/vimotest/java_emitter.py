@@ -10,6 +10,7 @@ abstract ViewModel (and ``<TypeName>ControllerImpl`` in controller mode) plus
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .analyzer import NameMap
 from .genconfig import GenConfig
@@ -52,8 +53,16 @@ _SPEC = TargetSpec(
 
 def emit_java(ir: IRUnit, name_map: NameMap, config: GenConfig) -> list[tuple[str, str]]:
     """Emit (relative path, file text) pairs for the Java target."""
+    return [(rel, "".join(pieces)) for rel, pieces in emit_pieces(ir, name_map, config)]
+
+
+def emit_pieces(ir: IRUnit, name_map: NameMap,
+                config: GenConfig) -> list[tuple[str, Iterator[str]]]:
+    """``emit_java``'s files, each text as the pieces it joins, made as they
+    are asked for: a class file is one piece, a test file its head, one
+    piece per test method and its tail."""
     prefix = config.java_package.replace(".", "/") + "/" if config.java_package else ""
-    files: list[tuple[str, str]] = []
+    files: list[tuple[str, Iterator[str]]] = []
     view_model = ir.view_model
     # javac needs a public class in the file named after it, so a fileName
     # binding other than the type name is a diagnostic of compute_name_map.
@@ -68,7 +77,7 @@ def emit_java(ir: IRUnit, name_map: NameMap, config: GenConfig) -> list[tuple[st
     return files
 
 
-def _class_file(cls: IRClass, config: GenConfig, view_model: str | None) -> str:
+def _class_file(cls: IRClass, config: GenConfig, view_model: str | None) -> Iterator[str]:
     lines: list[str] = []
     if config.java_package:
         lines.append(f"package {config.java_package};")
@@ -134,10 +143,10 @@ def _class_file(cls: IRClass, config: GenConfig, view_model: str | None) -> str:
             lines.append(f"    public void {op.name}({params}) {{")
             lines.append("    }")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield _text(lines)
 
 
-def _test_file(ir: IRUnit, config: GenConfig) -> str:
+def _test_file(ir: IRUnit, config: GenConfig) -> Iterator[str]:
     lines: list[str] = []
     if config.java_package:
         lines.append(f"package {config.java_package};")
@@ -147,12 +156,15 @@ def _test_file(ir: IRUnit, config: GenConfig) -> str:
     lines.append("import static org.junit.jupiter.api.Assertions.assertEquals;")
     lines.append("")
     lines.append(f"class {ir.suite_name}Test {{")
+    yield _text(lines)
     written: dict[int, str] = {}
     for test in ir.tests:
-        lines.append("")
-        lines.append("    @Test")
-        lines.append(f"    void {test.name}() {{")
+        lines = ["", "    @Test", f"    void {test.name}() {{"]
         write_test_body(lines, ir, test, _SPEC, written)
         lines.append("    }")
-    lines.append("}")
+        yield _text(lines)
+    yield "}\n"
+
+
+def _text(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"

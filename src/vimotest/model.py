@@ -428,13 +428,12 @@ def _unless_none(name):
 def row_checks(exp: RowsExpectation, columns: tuple[int, ...]):
     """Each check of an expected table as ``(aspect, row, column, title,
     expected)``: the row count; row by row, each non-ignored cell's value,
-    stated tooltip and colour, the row's colour and, in a table with a
-    marked row, whether the row is selected; last the ``selectedRow``
-    trailer, with no row. ``columns`` holds each header title's declared
-    column index; only cell checks have a column. An expected colour or
-    selected row of ``none`` is None."""
+    stated tooltip and colour, the row's colour and, for the row marked
+    ``[selected]``, the selected row, expected to be its index; last the
+    ``selectedRow`` trailer, with no row. ``columns`` holds each header
+    title's declared column index; only cell checks have a column. An
+    expected colour or selected row of ``none`` is None."""
     yield "rowCount", None, None, None, len(exp.rows)
-    marked = any([row.selected for row in exp.rows])
     for i, row in enumerate(exp.rows):
         for column, title, cell in zip(columns, exp.header, row.cells):
             if not cell.ignored:
@@ -445,8 +444,8 @@ def row_checks(exp: RowsExpectation, columns: tuple[int, ...]):
                     yield "color", i, column, title, _unless_none(cell.color)
         if row.color is not None:
             yield "color", i, None, None, _unless_none(row.color)
-        if marked:
-            yield "selected", i, None, None, row.selected
+        if row.selected:
+            yield "selected", i, None, None, i
     if exp.selected_row_check is not None:
         yield "selected", None, None, None, _unless_none(exp.selected_row_check)
 

@@ -411,11 +411,8 @@ def evaluate_rows_check(widget: WidgetDecl, expectation,
                 continue
         elif aspect == "color":
             actual = (rows[i] if column is None else cell).color
-        elif i is None:  # the selectedRow trailer
+        else:  # the marked row or the selectedRow trailer: one index
             actual, i = selected_row, expected
-        else:  # a row of a marked table
-            states = ("not selected", "selected")
-            expected, actual = states[expected], states[selected_row == i]
         if expected != actual:
             failures.append(CheckFailure(
                 widget=widget.name, feature="selectedRow" if aspect == "selected" else "rows",

@@ -180,11 +180,8 @@ def _assert_rows(lines: list[str], stmt: AssertRows, spec: TargetSpec) -> None:
     current = None
     for aspect, i, _, title, expected in checks:
         if aspect == "selected":
-            if i is not None and not expected:
-                continue  # one selected index implies the unmarked rows
-            row = expected if i is None else i
-            lines.append(f"{head}{spec.null if row is None else spec.row_index.format(row)}, "
-                         f"{selected}")
+            index = spec.null if expected is None else spec.row_index.format(expected)
+            lines.append(f"{head}{index}, {selected}")
             continue
         if i != current:
             current = i

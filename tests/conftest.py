@@ -19,6 +19,19 @@ VMDSL_PATH = CORPUS / "task_list.vmdsl"
 VMTEST_PATH = CORPUS / "task_list_tests.vmtest"
 
 
+def bench_corpus(workload: str, seed: int, scale: float):
+    """A corpus of the benchmark's generator, ``bench/corpora.py``."""
+    import importlib.util
+    import sys
+
+    corpora = sys.modules.get("corpora")
+    if corpora is None:
+        spec = importlib.util.spec_from_file_location("corpora", ROOT / "bench" / "corpora.py")
+        corpora = sys.modules["corpora"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpora)
+    return corpora.generate(workload, seed, scale)
+
+
 def child_env(**extra: str) -> dict:
     """The environment of a Python child that finds the package through
     ``src``, without an installed copy. ``PYTHONUNBUFFERED`` is dropped, so

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import CORPUS, GOLDENS, VMDSL_PATH, VMTEST_PATH, child_env
+from conftest import CORPUS, GOLDENS, VMDSL_PATH, VMTEST_PATH, bench_corpus, child_env
 from test_parser import CONTROL_VMDSL, control_suite
 from vimotest.cli import main
 from vimotest.taskmanager import REGISTRY
@@ -554,6 +554,34 @@ class TestGenAllOrNothing:
         assert capsys.readouterr() == ("", f"error: cannot write {out / blocked}: Is a directory\n")
         assert snapshot(out) == before
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_a_write_that_fails_part_way_leaves_no_new_file(self, force, tmp_path):
+        """A file-size limit stops a test file's write after its first
+        pieces: the same write error, and nothing left behind."""
+        src = tmp_path / "src"
+        src.mkdir()
+        for rel, text in bench_corpus("tables", 7, 0.1).files.items():
+            (src / rel).write_text(text)
+        out = tmp_path / "out"
+        out.mkdir()
+        blocked = out / "Tables01TestsTest.java"
+        if force:
+            blocked.write_text("old\n")
+        before = snapshot(out)
+        limit = 100_000  # below the test file's some 430 KB, above the rest
+        code = ("import resource, signal, sys\n"
+                "from vimotest.cli import main\n"
+                "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        result = subprocess.run(
+            [sys.executable, "-c", code, "gen", str(src), "--config",
+             write_config(tmp_path, target="java"), "--out", str(out), *["--force"][:force]],
+            capture_output=True, text=True, env=child_env())
+        assert (result.returncode, result.stdout, result.stderr) == (
+            3, "", f"error: cannot write {blocked}: File too large\n")
+        assert snapshot(out) == before
+
     def test_force_replaces_existing_files(self, tmp_path, capsys):
         config = write_config(tmp_path, target="cpp")
         out = tmp_path / "out"
@@ -603,6 +631,34 @@ class TestGenMemory:
         written = sum(path.stat().st_size for path in out.iterdir())
         assert len(capsys.readouterr().out.splitlines()) == self.COPIES + 1
         assert gen_peak - check_peak < written / 2, (gen_peak, check_peak, written)
+
+    @pytest.mark.parametrize("target", ["java", "cpp"])
+    def test_gen_holds_one_test_method_not_a_whole_file(self, tmp_path, capsys, target):
+        """gen writes a test file one test method at a time: on one suite
+        file of twelve long-table scenarios, whose test file is some 430
+        KB, its traced peak exceeds that of check on the same files by less
+        than a quarter of the bytes it writes."""
+        src = tmp_path / "src"
+        src.mkdir()
+        for rel, text in bench_corpus("tables", 7, 0.1).files.items():
+            (src / rel).write_text(text)
+        assert len(list(src.glob("*.vmtest"))) == 1
+        config = write_config(tmp_path, target=target)
+        out = tmp_path / "out"
+        # Untraced, as above.
+        assert main(["gen", str(src), "--config", config, "--out", str(tmp_path / "warm")]) == 0
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(["check", str(src)]) == 0
+            check_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert main(["gen", str(src), "--config", config, "--out", str(out)]) == 0
+            gen_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = sum(path.stat().st_size for path in out.iterdir())
+        assert gen_peak - check_peak < written / 4, (gen_peak, check_peak, written)
 
 
 class TestEntryPoint:

@@ -1,10 +1,12 @@
 import copy
 import hashlib
+import itertools
 import json
 import random
 import re
 import shutil
 import subprocess
+from collections import Counter
 
 import pytest
 
@@ -905,10 +907,11 @@ def failure_label(failure) -> str:
 
 class TestFailureLabels:
     """A run failure carries the message of the generated assert that makes
-    the same check, in Java and in C++."""
+    the same check, in Java and in C++, and each assert has at most one."""
 
     def test_runtime_labels_are_generated_assert_messages(self):
         rng = random.Random(1616)
+        pick = random.Random(1617)  # leaves rng's stream as it was
         unit = IRUnit(classes=(IRClass("V", abstract=False),), suite_name="S")
         aspects = set()
         for _ in range(150):
@@ -920,6 +923,11 @@ class TestFailureLabels:
                                          title=column_title(rng, i) + string_value(rng, 3))
                               for i in range(rng.randint(1, 5))))
             exp, rows, selected = random_state_pair(rng, widget)
+            # Also a selection on a row other than the marked one.
+            unmarked = [i for i, row in enumerate(exp.rows) if not row.selected]
+            selections = [selected]
+            if len(unmarked) < len(exp.rows) and unmarked:
+                selections.append(pick.choice(unmarked))
             for expectation in (exp, with_random_ignores(rng, exp)[0]):
                 stmt = AssertRows(widget="T", rows_getter="getTRows",
                                   selected_getter="getTSelectedRow",
@@ -929,19 +937,20 @@ class TestFailureLabels:
                 for spec in (java_emitter._SPEC, cpp_emitter._SPEC):
                     lines: list[str] = []
                     write_test_body(lines, unit, IRTest("t", (stmt,)), spec, {})
-                    messages.append(set(ASSERT_MESSAGE.findall("\n".join(lines))))
+                    messages.append(Counter(ASSERT_MESSAGE.findall("\n".join(lines))))
                 # A table one row short fails on its row count alone.
-                for actual in (rows, rows[:-1]):
-                    for failure in evaluate_rows_check(widget, expectation, actual, selected):
-                        aspects.add(failure.aspect)
-                        for target in messages:
-                            assert quote(failure_label(failure)) in target, failure
+                for actual, chosen in itertools.product((rows, rows[:-1]), selections):
+                    failures = evaluate_rows_check(widget, expectation, actual, chosen)
+                    aspects.update(failure.aspect for failure in failures)
+                    labels = Counter(quote(failure_label(failure)) for failure in failures)
+                    for target in messages:
+                        assert not labels - target, (labels - target, failures)
         assert aspects == {"rowCount", "value", "tooltip", "color", "selected"}
 
     def test_each_assert_message_is_the_label_of_its_check(self):
         """Over astgen projects, a test's assert messages are, in order, the
         ``check_label`` of each check of its scenario: each scalar check,
-        and each entry of ``row_checks`` but an unmarked row's selection."""
+        and each entry of ``row_checks``."""
         rng = random.Random(4711)
         tables = 0
         for _ in range(80):
@@ -960,8 +969,7 @@ class TestFailureLabels:
                     tables += 1
                     columns = widgets[check.widget].column_indexes(exp.header)
                     labels[-1] += [check_label(check.widget, "rows", aspect, i, title)
-                                   for aspect, i, _, title, expected in row_checks(exp, columns)
-                                   if aspect != "selected" or i is None or expected]
+                                   for aspect, i, _, title, _ in row_checks(exp, columns)]
             for config, spec in ((GenConfig(target="java"), java_emitter._SPEC),
                                  (GenConfig(target="cpp"), cpp_emitter._SPEC)):
                 name_map = generated_name_map(desc, config)

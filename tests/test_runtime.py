@@ -792,13 +792,12 @@ class TestEvaluateRowsCheck:
         exp = expectation_of(mk(False), mk(True))
         # selection on the marked row: clean
         assert evaluate_rows_check(self.widget, exp, rows, 1) == []
-        # selection elsewhere: two failures, one per involved row
-        failures = evaluate_rows_check(self.widget, exp, rows, 0)
-        assert sorted((f.row_index, f.expected) for f in failures) == \
-            [(0, "not selected"), (1, "selected")]
-        # no selection at all: only the marked row complains
-        failures = evaluate_rows_check(self.widget, exp, rows, None)
-        assert [(f.row_index, f.aspect) for f in failures] == [(1, "selected")]
+        # selection elsewhere or none: one failure, as one generated assert,
+        # of the marked row's index against the selected one
+        for selected, actual in ((0, "0"), (None, "none")):
+            failures = evaluate_rows_check(self.widget, exp, rows, selected)
+            assert [(f.row_index, f.aspect, f.expected, f.actual) for f in failures] == \
+                [(1, "selected", "1", actual)]
 
     def test_no_marks_means_selection_unchecked(self):
         exp = expectation_of(RowExpectation(cells=(cell("a"), cell("b"), cell("c"))))
