@@ -1,6 +1,7 @@
 """Semantic analysis: links suites to descriptions and derives target names.
 
-``link`` is the one link stage: it validates each description once with
+``link`` is the one link stage, a loop over ``Linker``, which takes one
+suite at a time: it validates each description once with
 ``validate_description``, which enforces the catalog rules, and binds every
 widget, command, and context reference of each suite against its
 description with ``resolve``. ``compute_name_map`` derives the default
@@ -611,42 +612,67 @@ class Project(Record):
 
 def link(descriptions, suites) -> tuple[Project, list[Diagnostic]]:
     """Validate every description once, then resolve every suite, each in
-    the order given. A second ViewModel or suite of one name gets E106; it
-    and any suite whose description has errors are left out."""
+    the order given (see ``Linker``)."""
+    linker = Linker()
     diags: list[Diagnostic] = []
-    first_desc: dict[str, ViewModelDescription] = {}
-    clean: set[str] = set()
     for desc in descriptions:
-        first = _first(first_desc, desc, "ViewModel", diags)
-        found = validate_description(desc)
-        diags.extend(found)
-        if first and not found:
-            clean.add(desc.name)
-    first_suite: dict[str, TestSuite] = {}
+        diags.extend(linker.add(desc))
     linked: list[LinkedSuite] = []
     orphans: list[TestSuite] = []
     for suite in suites:
-        first = _first(first_suite, suite, "test suite", diags)
-        desc = first_desc.get(suite.target_view_model)
-        if desc is None:
+        result, found = linker.link(suite)
+        diags.extend(found)
+        if result is not None:
+            linked.append(result)
+        elif suite.target_view_model not in linker.descriptions:
             orphans.append(suite)
-            continue
+    return Project(tuple(linker.descriptions.values()), tuple(linked), tuple(orphans)), diags
+
+
+class Linker:
+    """The link stage, one suite at a time. ``add`` validates a description;
+    ``link`` resolves a suite against the first description of its target's
+    name. A second ViewModel or suite of one name gets E106; it and any
+    suite whose description has errors are left unlinked. Of a suite only
+    its name and span are kept, so none outlives its own link."""
+
+    def __init__(self) -> None:
+        self.descriptions: dict[str, ViewModelDescription] = {}  # name -> the first
+        self.clean: set[str] = set()  # names whose first description has no errors
+        self.suite_spans: dict[str, object] = {}  # name -> span of the first suite
+
+    def add(self, desc: ViewModelDescription) -> list[Diagnostic]:
+        first = self.descriptions.get(desc.name)
+        diags = [] if first is None else [_duplicate("ViewModel", desc, first.span)]
+        found = validate_description(desc)
+        diags.extend(found)
+        if first is None:
+            self.descriptions[desc.name] = desc
+            if not found:
+                self.clean.add(desc.name)
+        return diags
+
+    def link(self, suite: TestSuite) -> tuple[LinkedSuite | None, list[Diagnostic]]:
+        """The linked suite, or None if it has diagnostics, is not the
+        first of its name, or targets no description; and the diagnostics."""
+        if suite.name in self.suite_spans:
+            diags = [_duplicate("test suite", suite, self.suite_spans[suite.name])]
+        else:
+            self.suite_spans[suite.name] = suite.span
+            diags = []
+        desc = self.descriptions.get(suite.target_view_model)
+        if desc is None:
+            return None, diags
         result, found = resolve(suite, desc)
         diags.extend(found)
-        if result is not None and first and desc.name in clean:
-            linked.append(result)
-    return Project(tuple(first_desc.values()), tuple(linked), tuple(orphans)), diags
+        if diags or desc.name not in self.clean:
+            return None, diags
+        return result, diags
 
 
-def _first(seen: dict, node, kind: str, diags: list[Diagnostic]) -> bool:
-    """Record ``node`` under its name; report E106 if another came first."""
-    first = seen.get(node.name)
-    if first is None:
-        seen[node.name] = node
-        return True
-    diags.append(error(E_DUPLICATE_NAME, f"duplicate {kind} name '{node.name}'; "
-                       f"the first is at {first.span}", node.span))
-    return False
+def _duplicate(kind: str, node, first_span) -> Diagnostic:
+    return error(E_DUPLICATE_NAME, f"duplicate {kind} name '{node.name}'; "
+                 f"the first is at {first_span}", node.span)
 
 
 # ---------------------------------------------------------------------------

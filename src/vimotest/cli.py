@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
 from . import __version__
-from .analyzer import Project, compute_name_map, link
+from .analyzer import Linker, compute_name_map
 from .diagnostics import E_DUPLICATE_NAME, Diagnostic, error
 from .model import check_label
 from .parser import parse_test_suite, parse_view_model
@@ -123,84 +123,153 @@ def _collect_files(paths: list[str]) -> tuple[list[Path], list[Path]]:
     return list(dict.fromkeys(descriptions)), list(dict.fromkeys(suites))
 
 
-def _parse_each(parse, files: list[Path], diags: list[Diagnostic], parses: dict) -> list:
-    """Parse each file, or take its (AST, diagnostics) from ``parses``,
-    which keeps each parse made here."""
-    asts = []
-    for path in files:
-        parsed = parses.get(path)
-        if parsed is None:
-            try:
-                data = path.read_bytes()
-            except OSError as exc:
-                raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
-            parsed = parses[path] = parse(data, str(path))
-        ast, d = parsed
-        diags.extend(d)
-        if ast is not None:
-            asts.append(ast)
-    return asts
+def _read(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _parse_description(path: Path, parses: dict) -> tuple:
+    """Parse a description file, or take its (AST, diagnostics) from
+    ``parses``, which keeps each description parse made here."""
+    parsed = parses.get(path)
+    if parsed is None:
+        parsed = parses[path] = parse_view_model(_read(path), str(path))
+    return parsed
 
 
 class _Sources:
-    """The input files of one call: its description files and its suite
-    files, which ``load`` parses and links."""
+    """The input files of one call: its description files and its suite files."""
 
     def __init__(self, paths: list[str]) -> None:
         self.desc_paths, self.suite_paths = _collect_files(paths)
 
-    def load(self, desc_paths: list[Path], suite_paths: list[Path], diags: list[Diagnostic],
-             parses: dict) -> Project:
-        """Parse ``desc_paths``, then ``suite_paths`` (see ``_parse_each``),
-        and link them, adding each diagnostic to ``diags``. Where all parse
-        cleanly but a suite targets a ViewModel that none of ``desc_paths``
-        names, the suites are linked against every description of the call,
-        in file order."""
-        descriptions = _parse_each(parse_view_model, desc_paths, diags, parses)
-        suites = _parse_each(parse_test_suite, suite_paths, diags, parses)
-        if not diags and not ({suite.target_view_model for suite in suites}
-                              <= {desc.name for desc in descriptions}):
-            descriptions = _parse_each(parse_view_model, self.desc_paths, diags, parses)
-        project, d = link(descriptions, suites)
-        diags.extend(d)
-        return project
+
+# A call's diagnostics go on one list as (key, diagnostic) and print in key
+# order (see ``_print_diags``). A key starts with its phase: the description
+# files' parse, the suite files' parse, the link stage, then the work. A
+# work diagnostic's key goes on with its place in description order, where
+# the work of ``gen`` takes its units in suite order.
+_DESCRIPTIONS, _SUITES, _LINK, _WORK = range(4)
 
 
-def _each_suite(sources: _Sources, work, take, diags: list[Diagnostic], restart,
-                untargeted: bool = False) -> None:
-    """Parse and link the call's files and, if that finds no diagnostic,
-    call ``work(project, put)``, which puts results in suite order: each
-    picklable, save that a generator in one goes as the list of what it
-    yields. ``take`` gets each result. ``work`` and ``take`` add what they
-    find wrong to ``diags``, the one list of the call's diagnostics. With
-    ``untargeted``, ``work`` also needs the descriptions no suite targets.
+class _Stream:
+    """One process's parse and link, a suite file at a time.
+
+    ``load`` parses and validates description files. ``each`` then takes
+    each suite file in turn: it parses the file, links the suite and, while
+    nothing is wrong, calls ``work(key, linked, put)``, where ``key`` is the
+    (description file, suite file) index pair. Then it drops the suite, so
+    the process holds one suite file's AST at a time. A suite whose target
+    is not among the loaded descriptions loads the call's other description
+    files too. Only the names of the suites worked on and of their targets
+    are kept, for a split call's merge and the descriptions no suite targets.
+    """
+
+    def __init__(self, sources: _Sources, diags: list, parses: dict) -> None:
+        self.sources = sources
+        self.diags = diags
+        self.parses = parses
+        self.linker = Linker()
+        self.loaded: set[int] = set()  # indexes of the description files loaded
+        self.index: dict[str, int] = {}  # ViewModel name -> index of its first file
+        self.found = False  # a parse or link diagnostic
+        self.orphans: list[str] = []  # a message for each suite whose target has no description
+        self.names: set[str] = set()
+        self.targets: set[str] = set()
+
+    def load(self, indexes: Iterable[int]) -> None:
+        paths = self.sources.desc_paths
+        for i in indexes:
+            if i in self.loaded:
+                continue
+            self.loaded.add(i)
+            desc, found = _parse_description(paths[i], self.parses)
+            self._add(_DESCRIPTIONS, found)
+            if desc is not None:
+                self.index.setdefault(desc.name, i)
+                self._add(_LINK, self.linker.add(desc))
+
+    def each(self, indexes: Iterable[int], work, put, halt: bool = False) -> None:
+        """With ``halt``, stop at the first diagnostic or orphan, as a half of
+        a split call does, which then runs again in one process."""
+        for i in indexes:
+            if halt and (self.diags or self.orphans):
+                return
+            self._one(i, work, put)
+
+    def _one(self, i: int, work, put) -> None:
+        path = self.sources.suite_paths[i]
+        suite, found = parse_test_suite(_read(path), str(path))
+        self._add(_SUITES, found)
+        if suite is None:
+            return
+        target = suite.target_view_model
+        if target not in self.linker.descriptions:
+            self.load(range(len(self.sources.desc_paths)))
+        linked, found = self.linker.link(suite)
+        self._add(_LINK, found)
+        if target not in self.linker.descriptions:
+            self.orphans.append(f"{suite.span.file}: no ViewModel description named "
+                                f"'{target}' for suite '{suite.name}'")
+        elif linked is not None and self.clean:
+            self.names.add(suite.name)
+            self.targets.add(target)
+            work((self.index[target], i), linked, put)
+
+    def _add(self, phase: int, found: list[Diagnostic]) -> None:
+        if found:
+            self.found = True
+            self.diags.extend([((phase,), diag) for diag in found])
+
+    @property
+    def clean(self) -> bool:
+        return not (self.found or self.orphans)
+
+    def untargeted(self) -> list[tuple]:
+        """(index, description) of each loaded description no suite targets."""
+        return [(i, self.linker.descriptions[name]) for name, i in self.index.items()
+                if name not in self.targets]
+
+
+def _each_suite(sources: _Sources, work, take, diags: list, restart, last=None) -> None:
+    """Parse and link the call's files (see ``_Stream``) and call
+    ``work(key, linked, put)`` on each linked suite while nothing is wrong.
+    ``put`` takes results in suite order: each picklable, save that a
+    generator in one goes as the list of what it yields. ``take`` gets each
+    result. ``work`` and ``take`` add what they find wrong to ``diags``, the
+    one list of the call's diagnostics (see ``_DESCRIPTIONS``). Where all
+    is clean, ``last(alone, take)`` ends the call's work in this process,
+    with the (index, description) of each description no suite targets.
 
     A large enough call runs in two processes (see ``_in_two``), each
-    parsing its half of the description and suite files. Where that finds
+    taking its half of the description and suite files. Where that finds
     anything wrong, ``restart()`` undoes what ``take`` got, and the call runs
-    again in this process, reusing the parses made here: the one path whose
-    error output is the reference.
+    again in this process, reusing the description parses made here: the
+    one path whose error output is the reference.
     """
     parses: dict = {}
     cut = _cut(sources.suite_paths)
     if cut:
-        if _in_two(sources, cut, work, take, diags, parses, untargeted):
+        if _in_two(sources, cut, work, take, diags, parses, last):
             return
         restart()
         diags.clear()
-    project = sources.load(sources.desc_paths, sources.suite_paths, diags, parses)
-    del sources, parses  # a long work, such as gen, needs no path or parse
-    if project.orphans and not diags:
-        raise _UsageError("; ".join(
-            f"{suite.span.file}: no ViewModel description named "
-            f"'{suite.target_view_model}' for suite '{suite.name}'"
-            for suite in project.orphans))
-    if not diags:
-        work(project, take)
+    stream = _Stream(sources, diags, parses)
+    stream.load(range(len(sources.desc_paths)))
+    stream.each(range(len(sources.suite_paths)), work, take)
+    if stream.orphans and not stream.found:
+        raise _UsageError("; ".join(stream.orphans))
+    if last is not None and stream.clean:
+        last(stream.untargeted(), take)
 
 
-def _print_diags(diags: list[Diagnostic]) -> None:
-    for diag in diags:
+def _print_diags(diags: list) -> None:
+    """Print the parse and link diagnostics, or, where there are none, the
+    work's, in key order."""
+    shown = [item for item in diags if item[0][0] < _WORK] or diags
+    for _, diag in sorted(shown, key=lambda item: item[0]):
         print(diag.render(), file=sys.stderr)
 
 
@@ -251,39 +320,22 @@ def _middle(ends: list[int], least: int) -> int:
     return min(range(least, len(ends) - least), key=lambda k: abs(2 * ends[k] - ends[-1]))
 
 
-def _half(sources: _Sources, desc_paths: list[Path], suite_paths: list[Path],
-          diags: list[Diagnostic], parses: dict):
-    """One half of a split call: the project of ``suite_paths`` linked
-    against ``desc_paths`` (see ``_Sources.load``), holding only the
-    descriptions its suites target, and the name of each of ``desc_paths``;
-    None on a diagnostic or an orphan."""
-    project = sources.load(desc_paths, suite_paths, diags, parses)
-    if diags or project.orphans:
-        return None
-    targets = {linked.description.name for linked in project.suites}
-    return (Project(tuple(d for d in project.descriptions if d.name in targets),
-                    project.suites),
-            [parses[path][0].name for path in desc_paths])
-
-
-def _in_two(sources: _Sources, cut: int, work, take, diags: list[Diagnostic],
-            parses: dict, untargeted: bool) -> bool:
+def _in_two(sources: _Sources, cut: int, work, take, diags: list, parses: dict,
+            last) -> bool:
     """Do ``_each_suite``'s work in two processes.
 
-    This process parses the first ``cut`` suite files and the first half of
-    the description files (by bytes), a forked worker the rest of each. A
-    process with a suite whose target is not among its own descriptions
-    parses the other half's too (see ``_Sources.load``). Each links its
-    half and calls ``work`` on it; the worker's ``put`` pickles to an
-    unlinked file, from which ``take`` gets the worker's results once this
-    process's are done. Last, with ``untargeted``, this process calls
-    ``work`` on the descriptions that no suite of either half targets, in
-    file order, parsing those of the worker's half. Returns True when done.
-    Returns False, with the worker reaped, where the call stays in one
-    process or must run again there: on a diagnostic, an unreadable file or
-    an orphan in either half, a suite or ViewModel name in both halves or a
-    failed worker. The worker exits non-zero when its ``diags`` are not
-    empty.
+    This process takes the first ``cut`` suite files and the first half of
+    the description files (by bytes), a forked worker the rest of each (see
+    ``_Stream``). The worker's ``put`` pickles to an unlinked file its
+    results, then the names of its suites, of their targets and of its own
+    descriptions; ``take`` gets the worker's results once this process's
+    are done. Last, with ``last``, this process calls it on the descriptions
+    that no suite of either half targets, in file order, parsing those of
+    the worker's half. Returns True when done. Returns False, with the
+    worker reaped, where the call stays in one process or must run again
+    there: on a diagnostic, an unreadable file or an orphan in either half,
+    a suite or ViewModel name in both halves or a failed worker. The worker
+    exits non-zero when its ``diags`` are not empty.
     """
     import copyreg
     import pickle
@@ -296,6 +348,10 @@ def _in_two(sources: _Sources, cut: int, work, take, diags: list[Diagnostic],
         spool = tempfile.TemporaryFile()
     except OSError:
         return False
+
+    def own(indexes: range) -> list[str]:
+        return [parses[desc_paths[i]][0].name for i in indexes]
+
     with spool:
         try:
             pid = os.fork()
@@ -304,39 +360,34 @@ def _in_two(sources: _Sources, cut: int, work, take, diags: list[Diagnostic],
         if pid == 0:
             code = 1
             try:  # never print, never return: this is the worker
-                half = _half(sources, desc_paths[mid:], sources.suite_paths[cut:], diags, parses)
-                if half is not None:
-                    project, own = half
-                    pickle.dump(([linked.suite.name for linked in project.suites],
-                                 [desc.name for desc in project.descriptions], own), spool)
-                    # A generator, such as a generated file's pieces, goes
-                    # as a list, appended to as it yields.
-                    table = {**copyreg.dispatch_table,
-                             types.GeneratorType: lambda items: (list, (), None, items)}
+                half = _Stream(sources, diags, parses)
+                half.load(range(mid, len(desc_paths)))
+                # A generator, such as a generated file's pieces, goes as a
+                # list, appended to as it yields.
+                table = {**copyreg.dispatch_table,
+                         types.GeneratorType: lambda items: (list, (), None, items)}
 
-                    def put(result) -> None:
-                        pickler = pickle.Pickler(spool)
-                        pickler.dispatch_table = table
-                        pickler.dump(result)
+                def put(result) -> None:
+                    pickler = pickle.Pickler(spool)
+                    pickler.dispatch_table = table
+                    pickler.dump(result)
 
-                    work(project, put)
+                half.each(range(cut, len(sources.suite_paths)), work, put, halt=True)
+                if not (diags or half.orphans):
+                    pickle.dump((half.names, half.targets, own(range(mid, len(desc_paths)))),
+                                spool)
                     spool.flush()
-                    code = 1 if diags else 0
+                    code = 0
             finally:
                 os._exit(code)
         try:
+            half = _Stream(sources, diags, parses)
             try:
-                half = _half(sources, desc_paths[:mid], sources.suite_paths[:cut], diags, parses)
+                half.load(range(mid))
+                half.each(range(cut), work, take, halt=True)
             except _UsageError:  # the serial path reports the first unreadable file
                 return False
-            if half is None:
-                return False
-            project, own = half
-            names = {linked.suite.name for linked in project.suites}
-            targets = {desc.name for desc in project.descriptions}
-            work(project, take)
-            del project, half  # the worker's results need the room
-            if diags:
+            if diags or half.orphans:
                 return False
             _, status = os.waitpid(pid, 0)
             pid = 0
@@ -344,19 +395,27 @@ def _in_two(sources: _Sources, cut: int, work, take, diags: list[Diagnostic],
                 return False
             end = spool.seek(0, os.SEEK_END)
             spool.seek(0)
-            worker_names, worker_targets, worker_own = pickle.load(spool)
-            if not (names.isdisjoint(worker_names) and set(own).isdisjoint(worker_own)):
-                return False
-            targets.update(worker_targets)
-            alone = _parse_each(parse_view_model, [
-                path for path, name in zip(desc_paths, own + worker_own)
-                if untargeted and name not in targets], diags, parses)
-            parses.clear()  # kept for a rerun only
-            while spool.tell() < end:
-                take(pickle.load(spool))
+            while True:
+                result = pickle.load(spool)
+                if spool.tell() == end:  # the worker's names
+                    break
+                take(result)
                 if diags:
                     return False
-            work(Project(tuple(alone)), take)
+            worker_names, worker_targets, worker_own = result
+            names = own(range(mid))
+            if not (half.names.isdisjoint(worker_names) and set(names).isdisjoint(worker_own)):
+                return False
+            if last is not None:
+                targets = half.targets | worker_targets
+                alone = []
+                for i, name in enumerate(names + worker_own):
+                    if name not in targets:
+                        desc, found = _parse_description(desc_paths[i], parses)
+                        diags.extend([((_DESCRIPTIONS,), diag) for diag in found])
+                        if desc is not None:
+                            alone.append((i, desc))
+                last(alone, take)
             return not diags
         finally:
             if pid:
@@ -372,8 +431,8 @@ def _in_two(sources: _Sources, cut: int, work, take, diags: list[Diagnostic],
 
 
 def _cmd_check(args) -> int:
-    diags: list[Diagnostic] = []
-    _each_suite(_Sources(args.paths), lambda project, put: None, None, diags, lambda: None)
+    diags: list = []
+    _each_suite(_Sources(args.paths), lambda key, linked, put: None, None, diags, lambda: None)
     _print_diags(diags)
     return EXIT_DIAGNOSTICS if diags else EXIT_OK
 
@@ -405,15 +464,14 @@ def _cmd_run(args) -> int:
             f"unknown setup id '{args.setup}'; registered: "
             f"{', '.join(sorted(REGISTRY))}")
 
-    def run_each(project: Project, put) -> None:
-        for suite in project.suites:
-            if args.suite is None or suite.suite.name == args.suite:
-                put((suite.suite.name, run_suite(suite, registration.logic_factory,
-                                                 registration.setup_factory, RunConfig())))
+    def run_one(key, linked, put) -> None:
+        if args.suite is None or linked.suite.name == args.suite:
+            put((linked.suite.name, run_suite(linked, registration.logic_factory,
+                                              registration.setup_factory, RunConfig())))
 
     report_suites: list = []
-    diags: list[Diagnostic] = []
-    _each_suite(_Sources(args.paths), run_each, report_suites.append, diags,
+    diags: list = []
+    _each_suite(_Sources(args.paths), run_one, report_suites.append, diags,
                 report_suites.clear)
     _print_diags(diags)
     if diags:
@@ -500,58 +558,57 @@ def _cmd_gen(args) -> int:
         from .java_emitter import emit_pieces as emit
     else:
         from .cpp_emitter import emit_pieces as emit
+    from .ir import lower_to_ir
+
     out_dir = Path(args.out)
     output = _Output(out_dir, args.force)
-    diags: list[Diagnostic] = []
+    name_maps: dict = {}  # description index -> its name map, or None
+    diags: list = []
 
     def restart() -> None:
         nonlocal output
         output.discard()
         output = _Output(out_dir, args.force)
+        name_maps.clear()
+
+    def put_unit(key: tuple, desc, suite, put) -> None:
+        """Put the generation unit of ``desc`` with ``suite``, or alone if
+        None, as (key, owner, files). ``key`` is (description index, suite
+        index or -1). Each file is its relative path and its text's pieces,
+        which are made as they are written."""
+        if key[0] not in name_maps:
+            name_maps[key[0]], found = compute_name_map(desc, config)
+            diags.extend([((_WORK, key[0], -1), diag) for diag in found])
+        name_map = name_maps[key[0]]
+        if name_map is not None:
+            node = desc if suite is None else suite.suite
+            owner = (f"{'ViewModel' if suite is None else 'suite'} '{node.name}'", node.span)
+            put((key, owner, emit(lower_to_ir(desc, suite, name_map, config), name_map, config)))
+
+    def last(alone: list, put) -> None:
+        for i, desc in alone:
+            put_unit((i, -1), desc, None, put)
+        diags.extend(output.collisions())
 
     try:
         _each_suite(_Sources(args.paths),
-                    lambda project, put: _gen_units(project, config, emit, diags, put),
-                    lambda unit: _write_unit(output, unit, diags), diags, restart,
-                    untargeted=True)
+                    lambda key, linked, put: put_unit(key, linked.description, linked, put),
+                    lambda unit: _write_unit(output, unit), diags, restart, last)
         _print_diags(diags)
         if diags:
             return EXIT_DIAGNOSTICS
         output.commit()
     finally:
         output.discard()
-    for rel in sorted(output.first):
+    for rel in sorted(output.writers):
         print(str(output.out_dir / rel))
     return EXIT_OK
 
 
-def _gen_units(project: Project, config, emit, diags: list[Diagnostic], put) -> None:
-    """Put each generation unit of ``project`` as (owner, files):
-    description by description, one per suite that targets it, in
-    suite order, or one for the description alone if none does. Each file
-    is its relative path and its text's pieces, which are made as they are
-    written."""
-    from .ir import lower_to_ir
-
-    for desc in project.descriptions:
-        name_map, d = compute_name_map(desc, config)
-        diags.extend(d)
-        if name_map is None:
-            continue
-        for suite in [s for s in project.suites if s.description is desc] or [None]:
-            node = desc if suite is None else suite.suite
-            owner = (f"{'ViewModel' if suite is None else 'suite'} '{node.name}'", node.span)
-            put((owner, emit(lower_to_ir(desc, suite, name_map, config), name_map, config)))
-
-
-def _write_unit(output: _Output, unit: tuple, diags: list[Diagnostic]) -> None:
-    owner, files = unit
-    for rel, pieces in files:
-        first = output.write(rel, pieces, owner)
-        if first is not None:
-            diags.append(error(
-                E_DUPLICATE_NAME, f"generated file '{rel}' of {owner[0]} "
-                f"differs from the one of {first[0]} at {first[1]}", owner[1]))
+def _write_unit(output: _Output, unit: tuple) -> None:
+    key, owner, files = unit
+    for j, (rel, pieces) in enumerate(files):
+        output.write(rel, pieces, (_WORK, *key, j), owner)
 
 
 class _Output:
@@ -570,7 +627,10 @@ class _Output:
     def __init__(self, out_dir: Path, force: bool) -> None:
         self.out_dir = out_dir
         self.force = force
-        self.first: dict[str, tuple] = {}  # relative path -> (first writer, its span)
+        # Relative path -> (key, owner, text) of each writer, in the order
+        # written, where owner is (its name, its span) and text is None if
+        # it is the first writer's text.
+        self.writers: dict[str, list[tuple]] = {}
         # Relative path -> its first text, for a path generated again (read
         # back once) or not written. A path whose write failed part way has
         # none, and a later generation of it is compared with nothing.
@@ -581,25 +641,36 @@ class _Output:
         self.clashes: list[str] = []
         self.errors: dict[str, str] = {}  # relative path -> write error
 
-    def write(self, rel: str, pieces: Iterable[str], owner: tuple) -> tuple | None:
-        """Write ``rel`` piece by piece, or compare the text its pieces join
-        with its first text if it was generated before. Returns the first
-        owner if the texts differ."""
-        first = self.first.get(rel)
-        if first is None:
-            self.first[rel] = owner
+    def write(self, rel: str, pieces: Iterable[str], key: tuple, owner: tuple) -> None:
+        """Write ``rel`` piece by piece, or, if it was generated before,
+        keep the text its pieces join where it differs from the first."""
+        writers = self.writers.get(rel)
+        if writers is None:
+            self.writers[rel] = [(key, owner, None)]
             pieces = iter(pieces)
             if not self._create(rel, pieces):
                 self.texts[rel] = "".join(pieces)
-            return None
+            return
+        text = "".join(pieces)
         first_text = self.texts.get(rel)
-        if first_text is None:
-            if rel in self.errors:  # its write failed part way
-                return None
+        if first_text is None and rel not in self.errors:  # else its write failed part way
             path = self.temps.get(rel) or self.out_dir / rel
             with open(path, "rb") as file:
                 first_text = self.texts[rel] = file.read().decode("utf-8")
-        return None if first_text == "".join(pieces) else first
+        writers.append((key, owner, None if text == first_text else text))
+
+    def collisions(self) -> list[tuple]:
+        """(key, E106) for each writer of a path whose text differs from
+        that of the path's writer with the lowest key."""
+        found = []
+        for rel, writers in self.writers.items():
+            if len(writers) < 2 or rel not in self.texts:
+                continue
+            _, first, first_text = min(writers, key=lambda writer: writer[0])
+            found += [(key, error(E_DUPLICATE_NAME, f"generated file '{rel}' of {owner[0]} "
+                                  f"differs from the one of {first[0]} at {first[1]}", owner[1]))
+                      for key, owner, text in writers if text != first_text]
+        return found
 
     def _create(self, rel: str, pieces: Iterator[str]) -> bool:
         """Write a new file, or a temporary beside an existing one under

@@ -45,7 +45,7 @@ from vimotest.model import (
     XmlBody,
     catalog_lookup,
 )
-from vimotest.names import camel_case
+from vimotest.names import KEYWORDS, camel_case
 
 _WORDS = ("Alpha", "Bravo", "Charlie", "Delta", "Echo", "Foxtrot", "Golf",
           "Hotel", "India", "Juliet", "Kilo", "Lima", "Mike", "November")
@@ -435,3 +435,32 @@ def with_random_ignores(rng: random.Random, exp: RowsExpectation):
     return RowsExpectation(header=exp.header, rows=tuple(new_rows),
                            ignored_columns=exp.ignored_columns,
                            selected_row_check=exp.selected_row_check), positions
+
+
+_PACKAGE_SEPARATOR = {"java": ".", "cpp": "::"}
+_NOT_IDENTIFIERS = ("1st", "ex-ample", "ex\u00e4mple", "a b", "a/b", "_x", "x$")
+
+
+def random_package(rng: random.Random, target: str) -> tuple[str, bool]:
+    """A ``javaPackage`` (``target`` "java") or ``cppNamespace`` ("cpp")
+    value and whether gen must accept it. An accepted one is empty, which
+    means none, or identifiers joined by the target's separator, none a
+    keyword of the target. Each other one holds a keyword, an empty
+    segment, a ``..`` or a non-identifier, and gen exits 3 on it."""
+    separator = _PACKAGE_SEPARATOR[target]
+    parts = [rng.choice(_WORDS).lower() + rng.choice(("", "2", "_x"))
+             for _ in range(rng.randint(1, 3))]
+    flaw = rng.choice((None, None, None, "keyword", "empty", "dots", "other"))
+    at = rng.randint(0, len(parts))
+    if flaw is None:
+        return ("" if rng.random() < 0.1 else separator.join(parts)), True
+    if flaw == "keyword":
+        parts.insert(at, rng.choice(sorted(KEYWORDS[target])))
+    elif flaw == "empty":
+        parts.insert(at, "")
+    elif flaw == "other":
+        parts.insert(at, rng.choice(_NOT_IDENTIFIERS))
+    else:
+        return rng.choice(("../", "/../", "..")).join(
+            [separator.join(parts[:at]), separator.join(parts[at:])]), False
+    return separator.join(parts), False

@@ -1,5 +1,6 @@
 import random
 import string
+import weakref
 from collections import Counter
 
 import pytest
@@ -694,6 +695,28 @@ class TestLink:
         assert project.descriptions == (corpus_desc,)
         assert [s.suite.name for s in project.suites] == ["TaskListTests"]
         assert project.orphans == (orphan,)
+
+    def test_keeps_no_suite_alive_once_linked(self, corpus_desc, corpus_suite):
+        """Suites drawn from a generator, none of which links: each is gone
+        by the time the one after the next is drawn. A record takes no weak
+        reference, so each suite's scenarios are a list of its own, which
+        does."""
+        bare = ViewModelDescription(corpus_desc.name, (), (), (), corpus_desc.span)
+        refs = []
+
+        def suites():
+            for k in range(6):
+                assert [ref() is None for ref in refs[:-1]] == [True] * len(refs[:-1])
+                scenarios = ScenarioList(corpus_suite.scenarios)
+                refs.append(weakref.ref(scenarios))
+                yield TestSuite(f"S{k}", corpus_desc.name, scenarios, corpus_suite.span)
+
+        project, diags = link([bare], suites())
+        assert project.suites == () and diags and len(refs) == 6
+
+
+class ScenarioList(list):
+    pass
 
 
 # A table of two columns without selectedRow, a button, and a command taking

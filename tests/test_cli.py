@@ -1,13 +1,16 @@
 import json
+import random
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
+from astgen import random_package
 from conftest import CORPUS, GOLDENS, VMDSL_PATH, VMTEST_PATH, bench_corpus, child_env
 from test_parser import CONTROL_VMDSL, control_suite
-from vimotest.cli import main
+from vimotest.cli import EXIT_USAGE, main
 from vimotest.taskmanager import REGISTRY
 
 
@@ -659,6 +662,84 @@ class TestGenMemory:
             tracemalloc.stop()
         written = sum(path.stat().st_size for path in out.iterdir())
         assert gen_peak - check_peak < written / 4, (gen_peak, check_peak, written)
+
+
+class TestPackageValues:
+    def test_gen_accepts_exactly_the_valid_ones(self, tmp_path, capsys):
+        """Over drawn javaPackage and cppNamespace values, gen exits 3 and
+        writes nothing exactly where the value is not identifiers joined by
+        its target's separator or holds a keyword; otherwise it writes the
+        Java files under the package path, and declares the C++ namespace."""
+        rng = random.Random(2828)
+        drawn = [0, 0]
+        for k in range(60):
+            target = rng.choice(("java", "cpp"))
+            value, valid = random_package(rng, target)
+            drawn[valid] += 1
+            key = "javaPackage" if target == "java" else "cppNamespace"
+            out = tmp_path / f"out{k}"
+            code = main(["gen", str(CORPUS), "--config",
+                         write_config(tmp_path, target=target, **{key: value}), "--out", str(out)])
+            printed = capsys.readouterr()
+            if not valid:
+                assert (code, printed.out, out.exists()) == (EXIT_USAGE, "", False), value
+                assert f"error: {key} {value!r}" in printed.err
+                continue
+            assert code == 0, value
+            written = sorted(path.relative_to(out).as_posix()
+                             for path in out.rglob("*") if path.is_file())
+            assert printed.out.splitlines() == [str(out / rel) for rel in written]
+            if target == "java":
+                package = value.replace(".", "/") + "/" if value else ""
+                assert [rel[:len(package)] for rel in written] == [package] * len(written)
+                assert all("/" not in rel[len(package):] for rel in written)
+            else:
+                assert all("/" not in rel for rel in written)
+                header = (out / "task_list_view_model.hpp").read_text()
+                assert (f"namespace {value} {{\n" in header) == bool(value)
+        assert min(drawn) >= 20, drawn
+
+
+class TestSuiteMemory:
+    COPIES = 40
+
+    @pytest.mark.parametrize("split", (False, True), ids=("serial", "split"))
+    @pytest.mark.parametrize("command", ("check", "run"))
+    def test_holds_one_suite_file_at_a_time(self, tmp_path, capsys, monkeypatch, command,
+                                            split):
+        """check and run parse, link and work on one suite file at a time:
+        over many copies of one steps suite file, their traced peak stays
+        under twice that over one copy, in one process or, with the split
+        forced, in this process of two."""
+        from vimotest import cli
+
+        files = bench_corpus("steps", 7, 0.1).files
+        (desc,) = (rel for rel in files if rel.endswith(".vmdsl"))
+        (suite,) = (rel for rel in files if rel.endswith(".vmtest"))
+        one, many = tmp_path / "one", tmp_path / "many"
+        for root, copies in ((one, 1), (many, self.COPIES)):
+            root.mkdir()
+            (root / desc).write_text(files[desc])
+            for k in range(copies):
+                (root / f"s{k:02d}.vmtest").write_text(
+                    re.sub(r"testsuite (\w+)", rf"testsuite \g<1>{k}", files[suite], count=1))
+        argv = ["run", "--setup", "taskmanager"] if command == "run" else ["check"]
+        # Untraced, so that the first import of the runtime is no part of the peak.
+        assert main([argv[0], str(one), *argv[1:]]) == 0
+        if split:
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+            monkeypatch.setattr(cli, "SPLIT_MIN_BYTES", 0)
+            assert cli._cut(sorted(many.glob("*.vmtest")))
+        peaks = []
+        for root in (one, many):
+            tracemalloc.start()
+            try:
+                assert main([argv[0], str(root), *argv[1:]]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[1] < 2 * peaks[0], peaks
 
 
 class TestEntryPoint:

@@ -7,6 +7,7 @@ two or more suite files. The first suite file is always in this process's
 half and the last always in the worker's.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -50,6 +51,39 @@ def write_project(root, seed=2222, descriptions=3, suites_each=3):
         for k in range(suites_each if d < descriptions else 0):
             suite = renamed(random_suite(rng, desc), name=f"Suite{k}{d}")
             (root / f"s{k}{d}.vmtest").write_text(pretty_print(suite), encoding="utf-8")
+    return root
+
+
+def clashing_project(root):
+    """Two ViewModels bound to one C++ fileName, one suite each."""
+    root.mkdir()
+    for vm, button in (("A", "X"), ("B", "Y")):
+        (root / f"{vm}.vmdsl").write_text(
+            f'viewmodel {vm} bind {{ fileName = "shared" }} '
+            f'{{ widgets {{ button {button} }} commands {{ }} }}', encoding="utf-8")
+        (root / f"{vm.lower()}.vmtest").write_text(
+            f'testsuite {vm}Tests for {vm} {{ scenario "s" {{ given {{ }} when {{ }} '
+            f'then {{ }} }} }}', encoding="utf-8")
+    return root
+
+
+def interleaved_project(root, clean=False):
+    """The shipped description as Alone, which no suite targets, then as
+    Bvm, Cvm and Dvm, and five copies of the shipped suite, whose targets
+    alternate in file order: Dvm, Bvm, Dvm, Bvm, Cvm. Unless ``clean``,
+    Alone and Bvm are bound to one fileName, and a parameter of Cvm is
+    named ``class``, a keyword of both targets."""
+    root.mkdir()
+    shared = "" if clean else 'bind { fileName = "shared" } '
+    for name, bind in (("Alone", shared), ("Bvm", shared), ("Cvm", ""), ("Dvm", "")):
+        text = VMDSL_PATH.read_text(encoding="utf-8").replace(
+            "viewmodel TaskListViewModel ", f"viewmodel {name} {bind}")
+        if name == "Cvm" and not clean:
+            text = text.replace("LoadView(tasks: context)", "LoadView(class: context)")
+        (root / f"{name.lower()}.vmdsl").write_text(text, encoding="utf-8")
+    for k, target in enumerate(("Dvm", "Bvm", "Dvm", "Bvm", "Cvm")):
+        (root / f"s{k}.vmtest").write_text(VMTEST_PATH.read_text(encoding="utf-8").replace(
+            "TaskListTests for TaskListViewModel", f"Suite{k} for {target}"), encoding="utf-8")
     return root
 
 
@@ -245,9 +279,9 @@ class TestCrossedTargets:
             return real(data, file)
 
         monkeypatch.setattr(cli, "parse_view_model", logging)
-        links = []  # this process's only: no serial rerun
-        real_link = cli.link
-        monkeypatch.setattr(cli, "link", lambda *args: links.append(1) or real_link(*args))
+        links = []  # this process's link stages only: no serial rerun
+        real_linker = cli.Linker
+        monkeypatch.setattr(cli, "Linker", lambda: links.append(1) or real_linker())
         code, _, _, forks = call(2, "check", project)
         assert code == 0 and forks == 1 and len(links) == 1
         here, worker = [], []
@@ -361,15 +395,7 @@ class TestErrorsRerunSerially:
     def test_a_generated_file_clash_across_the_halves(self, call, tmp_path):
         """Two ViewModels bound to one C++ fileName, one suite each: the E106
         of the second unit's file, found while merging, is the serial one."""
-        project = tmp_path / "p"
-        project.mkdir()
-        for vm, button in (("A", "X"), ("B", "Y")):
-            (project / f"{vm}.vmdsl").write_text(
-                f'viewmodel {vm} bind {{ fileName = "shared" }} '
-                f'{{ widgets {{ button {button} }} commands {{ }} }}', encoding="utf-8")
-            (project / f"{vm.lower()}.vmtest").write_text(
-                f'testsuite {vm}Tests for {vm} {{ scenario "s" {{ given {{ }} when {{ }} '
-                f'then {{ }} }} }}', encoding="utf-8")
+        project = clashing_project(tmp_path / "p")
         code, _, stderr, tree = assert_command_same(call, tmp_path, "gen_cpp", project)
         assert code == cli.EXIT_DIAGNOSTICS and "E106: generated file 'shared.hpp'" in stderr
         assert tree is None
@@ -416,12 +442,14 @@ class TestErrorsRerunSerially:
 
 
 class TestTheRerun:
-    """The rerun reuses this process's parses of its half, description and
-    suite files alike, and parses only the rest: each file once here."""
+    """The rerun reuses this process's parses of its description files and
+    parses only the rest: each description file once here. Suite files are
+    parsed again, since no process keeps a suite's AST past its work; but a
+    half halts at its first diagnostic, so this process parses only the
+    suite files of its half up to that one before the rerun."""
 
     @staticmethod
-    def assert_parsed_once(call, monkeypatch, project, path):
-        path.write_text(path.read_text(encoding="utf-8") + "\n}\n", encoding="utf-8")
+    def parsed_here(call, monkeypatch, *argv):
         parsed = []
         for name in ("parse_view_model", "parse_test_suite"):
             def counting(data, file, real=getattr(cli, name)):
@@ -429,19 +457,103 @@ class TestTheRerun:
                 return real(data, file)
 
             monkeypatch.setattr(cli, name, counting)
-        code, _, stderr, forks = call(2, "check", project)
-        assert code == cli.EXIT_DIAGNOSTICS and ": E001: " in stderr and forks == 1
-        assert sorted(parsed) == sorted(map(str, desc_files(project) + suite_files(project)))
+        code, _, stderr, forks = call(2, *argv)
+        assert code == cli.EXIT_DIAGNOSTICS and forks == 1
+        return stderr, sorted(parsed)
+
+    @staticmethod
+    def assert_parsed_once(call, monkeypatch, project, path, before):
+        """Break ``path``; this process parses ``before`` of its suite files
+        before the rerun parses them all."""
+        path.write_text(path.read_text(encoding="utf-8") + "\n}\n", encoding="utf-8")
+        stderr, parsed = TestTheRerun.parsed_here(call, monkeypatch, "check", project)
+        assert ": E001: " in stderr
+        suites = suite_files(project)
+        assert parsed == sorted(map(str, desc_files(project) + suites + suites[:before]))
 
     @pytest.mark.parametrize("where", (0, -1))
-    def test_parses_each_suite_file_once_here(self, call, tmp_path, monkeypatch, where):
+    def test_parses_this_halfs_suite_files_again(self, call, tmp_path, monkeypatch, where):
+        """A broken first suite file halts this process's half at once; the
+        last is the worker's, so this process parses its whole half."""
         project = write_project(tmp_path / "p")
-        self.assert_parsed_once(call, monkeypatch, project, suite_files(project)[where])
+        suites = suite_files(project)
+        before = 1 if where == 0 else cli._cut(suites)
+        self.assert_parsed_once(call, monkeypatch, project, suites[where], before)
 
     @pytest.mark.parametrize("where", (0, -1))
     def test_parses_each_description_file_once_here(self, call, tmp_path, monkeypatch, where):
+        """A broken first description halts this process's half before any
+        suite file. The last, which no suite targets, is the worker's: this
+        process parses it, and halts, with its first suite file whose target
+        is among the worker's descriptions (``sKD`` targets ``VmD``)."""
         project = write_project(tmp_path / "p")
-        self.assert_parsed_once(call, monkeypatch, project, desc_files(project)[where])
+        descs, suites = desc_files(project), suite_files(project)
+        mid = cli._middle(cli._ends(descs), 0)
+        before = 0 if where == 0 else 1 + next(
+            k for k, path in enumerate(suites) if int(path.stem[2]) >= mid)
+        assert before <= cli._cut(suites)
+        self.assert_parsed_once(call, monkeypatch, project, descs[where], before)
+
+    def test_a_clash_found_while_merging(self, call, tmp_path, monkeypatch):
+        """The E106 of a generated file, found after the worker's units are
+        written, reruns with this process's description parses kept."""
+        project = clashing_project(tmp_path / "p")
+        (_, *options), _ = commands(tmp_path)["gen_cpp"]
+        stderr, parsed = self.parsed_here(call, monkeypatch, "gen", project, *options)
+        assert "E106: generated file 'shared.hpp'" in stderr
+        assert parsed == sorted(map(str, [project / "A.vmdsl", project / "B.vmdsl",
+                                          project / "a.vmtest", project / "a.vmtest",
+                                          project / "b.vmtest"]))
+
+
+class TestInterleaved:
+    """gen takes its units in suite file order, then the descriptions no
+    suite targets, but prints, writes and exits as when it took them
+    description by description, split or serial: with the outcomes
+    recorded here, of a project whose suite files alternate between
+    descriptions (see ``interleaved_project``)."""
+
+    # (clean, command) -> exit code, digest of stdout (durations removed),
+    # stderr, digest of the output tree; "T" for the test's directory.
+    RECORDED = {
+        (False, "check"): (0, "e3b0c44298fc1c14", "", None),
+        (False, "run_json"): (0, "c9ebaa1f13d71211", "", None),
+        (False, "gen_java"): (2, "e3b0c44298fc1c14", (
+            "T/p/alone.vmdsl:2:24: E106: fileName 'shared' differs from the type name "
+            "'Alone', but javac needs a public class in the file named after it\n"
+            "T/p/bvm.vmdsl:2:22: E106: fileName 'shared' differs from the type name "
+            "'Bvm', but javac needs a public class in the file named after it\n"
+            "T/p/cvm.vmdsl:21:5: E001: parameter 'class' of command 'LoadView' is a java "
+            "keyword\n"), None),
+        (False, "gen_cpp"): (2, "e3b0c44298fc1c14", (
+            "T/p/s1.vmtest:2:1: E106: generated file 'shared.hpp' of suite 'Suite1' "
+            "differs from the one of ViewModel 'Alone' at T/p/alone.vmdsl:2:1\n"
+            "T/p/s1.vmtest:2:1: E106: generated file 'shared_controller.hpp' of suite "
+            "'Suite1' differs from the one of ViewModel 'Alone' at T/p/alone.vmdsl:2:1\n"
+            "T/p/s3.vmtest:2:1: E106: generated file 'shared.hpp' of suite 'Suite3' "
+            "differs from the one of ViewModel 'Alone' at T/p/alone.vmdsl:2:1\n"
+            "T/p/s3.vmtest:2:1: E106: generated file 'shared_controller.hpp' of suite "
+            "'Suite3' differs from the one of ViewModel 'Alone' at T/p/alone.vmdsl:2:1\n"
+            "T/p/cvm.vmdsl:21:5: E001: parameter 'class' of command 'LoadView' is a cpp "
+            "keyword\n"), None),
+        (True, "check"): (0, "e3b0c44298fc1c14", "", None),
+        (True, "run_json"): (0, "c9ebaa1f13d71211", "", None),
+        (True, "gen_java"): (0, "8dc57c07b645f788", "", "aa6c8efd0927392a"),
+        (True, "gen_cpp"): (0, "e8cfbaf8970146df", "", "8411159393d585e7"),
+    }
+
+    @pytest.mark.parametrize("command", ("check", "run_json", "gen_java", "gen_cpp"))
+    @pytest.mark.parametrize("clean", (False, True), ids=("clashes", "clean"))
+    def test_the_recorded_outcome(self, call, tmp_path, command, clean):
+        project = interleaved_project(tmp_path / "p", clean)
+        code, stdout, stderr, tree = assert_command_same(call, tmp_path, command, project)
+
+        def digest(text):
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+        assert (code, digest(stdout.replace(str(tmp_path), "T")),
+                stderr.replace(str(tmp_path), "T"),
+                tree and hashlib.sha256(repr(tree).encode()).hexdigest()[:16]) == self.RECORDED[clean, command]
 
 
 class TestGenUnits:
@@ -522,7 +634,7 @@ class TestWorkerFailure:
     @pytest.mark.parametrize("action", (fail, killed))
     def test_failure_while_linking(self, call, tmp_path, monkeypatch, command, action):
         project = write_project(tmp_path / "p")
-        in_worker(monkeypatch, cli, "link", action)
+        in_worker(monkeypatch, cli.Linker, "link", action)
         assert_command_same(call, tmp_path, command, project)
 
     def test_failure_while_running(self, call, tmp_path, monkeypatch):
@@ -690,7 +802,7 @@ class TestOutputPaths:
             rel = str(tmp_path / "abs" / "X.java")
         output = cli._Output(out, force=False)
         try:
-            assert output.write(rel, "text", ("suite 'S'", None)) is None
+            output.write(rel, "text", (), ("suite 'S'", None))
             with pytest.raises(cli._UsageError, match="is not below"):
                 output.commit()
         finally:
