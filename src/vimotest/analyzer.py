@@ -57,7 +57,7 @@ from .model import (
     catalog_lookup,
     is_identifier,
 )
-from .names import KEYWORDS, camel_case, pascal_case, snake_case
+from .names import JAVA_RESTRICTED_TYPE_NAMES, KEYWORDS, camel_case, pascal_case, snake_case
 
 # Bound once: reading an enum member costs a class attribute lookup on each use.
 _TEXT = FeatureKind.TEXT
@@ -798,8 +798,9 @@ def _report_collisions(desc, properties, commands, diags) -> None:
 
 def _report_keywords(desc, type_name, type_span, target: str, diags) -> None:
     """E001 for each name that the target's code uses as written and that is
-    one of its keywords. C++ writes a property ``<name>_``, so only Java
-    uses a bound property name as written."""
+    one of its keywords, or a Java type name that Java bars from types. C++
+    writes a property ``<name>_``, so only Java uses a bound property name
+    as written."""
     bound = ("propertyName", "getterName") if target == "java" else ("getterName",)
     names = [(f"type name '{type_name}'", type_name, type_span)]
     names += [(f"bound {b.subject} '{b.bound_name}'", b.bound_name, b.span)
@@ -809,3 +810,6 @@ def _report_keywords(desc, type_name, type_span, target: str, diags) -> None:
               for p in c.form.params]
     diags.extend(error(E_SYNTAX, f"{what} is a {target} keyword", span)
                  for what, name, span in names if name in KEYWORDS[target])
+    if target == "java" and type_name in JAVA_RESTRICTED_TYPE_NAMES:
+        diags.append(error(E_SYNTAX, f"type name '{type_name}' cannot name a java type",
+                           type_span))

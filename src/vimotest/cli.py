@@ -34,18 +34,18 @@ EXIT_USAGE = 3
 def main(argv: list[str] | None = None) -> int:
     parser = _build_arg_parser()
     args = parser.parse_args(argv)
+    command = {"check": _cmd_check, "run": _cmd_run, "gen": _cmd_gen}.get(args.command)
+    if command is None:
+        parser.print_usage(sys.stderr)
+        return EXIT_USAGE
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
+        try:
+            return command(args)
+        except _Rerun as rerun:
+            return command(args, rerun.parses)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser.print_usage(sys.stderr)
-    return EXIT_USAGE
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -97,6 +97,14 @@ class _UsageError(Exception):
     pass
 
 
+class _Rerun(Exception):
+    """A split call found something wrong, having printed nothing: ``main``
+    runs the command again in one process with these description parses."""
+
+    def __init__(self, parses: dict) -> None:
+        self.parses = parses
+
+
 # ---------------------------------------------------------------------------
 # Input loading
 # ---------------------------------------------------------------------------
@@ -130,22 +138,6 @@ def _read(path: Path) -> bytes:
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _parse_description(path: Path, parses: dict) -> tuple:
-    """Parse a description file, or take its (AST, diagnostics) from
-    ``parses``, which keeps each description parse made here."""
-    parsed = parses.get(path)
-    if parsed is None:
-        parsed = parses[path] = parse_view_model(_read(path), str(path))
-    return parsed
-
-
-class _Sources:
-    """The input files of one call: its description files and its suite files."""
-
-    def __init__(self, paths: list[str]) -> None:
-        self.desc_paths, self.suite_paths = _collect_files(paths)
-
-
 # A call's diagnostics go on one list as (key, diagnostic) and print in key
 # order (see ``_print_diags``). A key starts with its phase: the description
 # files' parse, the suite files' parse, the link stage, then the work. A
@@ -157,18 +149,22 @@ _DESCRIPTIONS, _SUITES, _LINK, _WORK = range(4)
 class _Stream:
     """One process's parse and link, a suite file at a time.
 
-    ``load`` parses and validates description files. ``each`` then takes
-    each suite file in turn: it parses the file, links the suite and, while
-    nothing is wrong, calls ``work(key, linked, put)``, where ``key`` is the
+    ``load`` parses and validates description files, taking the (AST,
+    diagnostics) of a file already parsed from ``parses``, which keeps each
+    description parse made in this process. ``each`` then takes each suite
+    file in turn: it parses the file, links the suite and, while nothing is
+    wrong, calls ``work(key, linked, put)``, where ``key`` is the
     (description file, suite file) index pair. Then it drops the suite, so
     the process holds one suite file's AST at a time. A suite whose target
     is not among the loaded descriptions loads the call's other description
-    files too. Only the names of the suites worked on and of their targets
-    are kept, for a split call's merge and the descriptions no suite targets.
+    files too. Of the suites worked on, only the names of their targets are
+    kept, for the descriptions no suite targets.
     """
 
-    def __init__(self, sources: _Sources, diags: list, parses: dict) -> None:
-        self.sources = sources
+    def __init__(self, desc_paths: list[Path], suite_paths: list[Path], diags: list,
+                 parses: dict) -> None:
+        self.desc_paths = desc_paths
+        self.suite_paths = suite_paths
         self.diags = diags
         self.parses = parses
         self.linker = Linker()
@@ -176,16 +172,18 @@ class _Stream:
         self.index: dict[str, int] = {}  # ViewModel name -> index of its first file
         self.found = False  # a parse or link diagnostic
         self.orphans: list[str] = []  # a message for each suite whose target has no description
-        self.names: set[str] = set()
         self.targets: set[str] = set()
 
     def load(self, indexes: Iterable[int]) -> None:
-        paths = self.sources.desc_paths
         for i in indexes:
             if i in self.loaded:
                 continue
             self.loaded.add(i)
-            desc, found = _parse_description(paths[i], self.parses)
+            path = self.desc_paths[i]
+            parsed = self.parses.get(path)
+            if parsed is None:
+                parsed = self.parses[path] = parse_view_model(_read(path), str(path))
+            desc, found = parsed
             self._add(_DESCRIPTIONS, found)
             if desc is not None:
                 self.index.setdefault(desc.name, i)
@@ -200,21 +198,20 @@ class _Stream:
             self._one(i, work, put)
 
     def _one(self, i: int, work, put) -> None:
-        path = self.sources.suite_paths[i]
+        path = self.suite_paths[i]
         suite, found = parse_test_suite(_read(path), str(path))
         self._add(_SUITES, found)
         if suite is None:
             return
         target = suite.target_view_model
         if target not in self.linker.descriptions:
-            self.load(range(len(self.sources.desc_paths)))
+            self.load(range(len(self.desc_paths)))
         linked, found = self.linker.link(suite)
         self._add(_LINK, found)
         if target not in self.linker.descriptions:
             self.orphans.append(f"{suite.span.file}: no ViewModel description named "
                                 f"'{target}' for suite '{suite.name}'")
         elif linked is not None and self.clean:
-            self.names.add(suite.name)
             self.targets.add(target)
             work((self.index[target], i), linked, put)
 
@@ -233,8 +230,9 @@ class _Stream:
                 if name not in self.targets]
 
 
-def _each_suite(sources: _Sources, work, take, diags: list, restart, last=None) -> None:
-    """Parse and link the call's files (see ``_Stream``) and call
+def _each_suite(paths: list[str], work, take, diags: list, last=None,
+                parses: dict | None = None) -> None:
+    """Parse and link the files of ``paths`` (see ``_Stream``) and call
     ``work(key, linked, put)`` on each linked suite while nothing is wrong.
     ``put`` takes results in suite order: each picklable, save that a
     generator in one goes as the list of what it yields. ``take`` gets each
@@ -245,20 +243,21 @@ def _each_suite(sources: _Sources, work, take, diags: list, restart, last=None) 
 
     A large enough call runs in two processes (see ``_in_two``), each
     taking its half of the description and suite files. Where that finds
-    anything wrong, ``restart()`` undoes what ``take`` got, and the call runs
-    again in this process, reusing the description parses made here: the
-    one path whose error output is the reference.
+    anything wrong, it raises ``_Rerun``, and the command runs again in this
+    process with the description parses made here (a ``parses`` that is
+    not None keeps the call in one process): the one path whose error
+    output is the reference.
     """
-    parses: dict = {}
-    cut = _cut(sources.suite_paths)
-    if cut:
-        if _in_two(sources, cut, work, take, diags, parses, last):
+    desc_paths, suite_paths = _collect_files(paths)
+    if parses is None:
+        parses = {}
+        cut = _cut(suite_paths)
+        if cut:
+            _in_two(desc_paths, suite_paths, cut, work, take, diags, parses, last)
             return
-        restart()
-        diags.clear()
-    stream = _Stream(sources, diags, parses)
-    stream.load(range(len(sources.desc_paths)))
-    stream.each(range(len(sources.suite_paths)), work, take)
+    stream = _Stream(desc_paths, suite_paths, diags, parses)
+    stream.load(range(len(desc_paths)))
+    stream.each(range(len(suite_paths)), work, take)
     if stream.orphans and not stream.found:
         raise _UsageError("; ".join(stream.orphans))
     if last is not None and stream.clean:
@@ -320,8 +319,8 @@ def _middle(ends: list[int], least: int) -> int:
     return min(range(least, len(ends) - least), key=lambda k: abs(2 * ends[k] - ends[-1]))
 
 
-def _in_two(sources: _Sources, cut: int, work, take, diags: list, parses: dict,
-            last) -> bool:
+def _in_two(desc_paths: list[Path], suite_paths: list[Path], cut: int, work, take,
+            diags: list, parses: dict, last) -> None:
     """Do ``_each_suite``'s work in two processes.
 
     This process takes the first ``cut`` suite files and the first half of
@@ -329,25 +328,24 @@ def _in_two(sources: _Sources, cut: int, work, take, diags: list, parses: dict,
     ``_Stream``). The worker's ``put`` pickles to an unlinked file its
     results, then the names of its suites, of their targets and of its own
     descriptions; ``take`` gets the worker's results once this process's
-    are done. Last, with ``last``, this process calls it on the descriptions
-    that no suite of either half targets, in file order, parsing those of
-    the worker's half. Returns True when done. Returns False, with the
-    worker reaped, where the call stays in one process or must run again
-    there: on a diagnostic, an unreadable file or an orphan in either half,
-    a suite or ViewModel name in both halves or a failed worker. The worker
-    exits non-zero when its ``diags`` are not empty.
+    are done. Last, with ``last``, this process loads those of the
+    worker's descriptions that no suite of either half targets and calls
+    ``last`` on every such description, in file order. Raises ``_Rerun``,
+    with the worker reaped, where the call must run again in one process:
+    where it cannot fork, on a diagnostic, an unreadable file or an orphan
+    in either half, a suite or ViewModel name in both halves or a failed
+    worker. The worker exits non-zero when its ``diags`` are not empty.
     """
     import copyreg
     import pickle
     import tempfile
     import types
 
-    desc_paths = sources.desc_paths
     try:
         mid = _middle(_ends(desc_paths), 0)
         spool = tempfile.TemporaryFile()
     except OSError:
-        return False
+        raise _Rerun(parses) from None
 
     def own(indexes: range) -> list[str]:
         return [parses[desc_paths[i]][0].name for i in indexes]
@@ -356,11 +354,11 @@ def _in_two(sources: _Sources, cut: int, work, take, diags: list, parses: dict,
         try:
             pid = os.fork()
         except OSError:
-            return False
+            raise _Rerun(parses) from None
         if pid == 0:
             code = 1
             try:  # never print, never return: this is the worker
-                half = _Stream(sources, diags, parses)
+                half = _Stream(desc_paths, suite_paths, diags, parses)
                 half.load(range(mid, len(desc_paths)))
                 # A generator, such as a generated file's pieces, goes as a
                 # list, appended to as it yields.
@@ -372,27 +370,27 @@ def _in_two(sources: _Sources, cut: int, work, take, diags: list, parses: dict,
                     pickler.dispatch_table = table
                     pickler.dump(result)
 
-                half.each(range(cut, len(sources.suite_paths)), work, put, halt=True)
+                half.each(range(cut, len(suite_paths)), work, put, halt=True)
                 if not (diags or half.orphans):
-                    pickle.dump((half.names, half.targets, own(range(mid, len(desc_paths)))),
-                                spool)
+                    pickle.dump((list(half.linker.suite_spans), half.targets,
+                                 own(range(mid, len(desc_paths)))), spool)
                     spool.flush()
                     code = 0
             finally:
                 os._exit(code)
         try:
-            half = _Stream(sources, diags, parses)
+            half = _Stream(desc_paths, suite_paths, diags, parses)
             try:
                 half.load(range(mid))
                 half.each(range(cut), work, take, halt=True)
             except _UsageError:  # the serial path reports the first unreadable file
-                return False
+                raise _Rerun(parses) from None
             if diags or half.orphans:
-                return False
+                raise _Rerun(parses)
             _, status = os.waitpid(pid, 0)
             pid = 0
             if status:
-                return False
+                raise _Rerun(parses)
             end = spool.seek(0, os.SEEK_END)
             spool.seek(0)
             while True:
@@ -401,22 +399,18 @@ def _in_two(sources: _Sources, cut: int, work, take, diags: list, parses: dict,
                     break
                 take(result)
                 if diags:
-                    return False
-            worker_names, worker_targets, worker_own = result
-            names = own(range(mid))
-            if not (half.names.isdisjoint(worker_names) and set(names).isdisjoint(worker_own)):
-                return False
+                    raise _Rerun(parses)
+            worker_suites, worker_targets, worker_own = result
+            if not (half.linker.suite_spans.keys().isdisjoint(worker_suites)
+                    and set(own(range(mid))).isdisjoint(worker_own)):
+                raise _Rerun(parses)
             if last is not None:
-                targets = half.targets | worker_targets
-                alone = []
-                for i, name in enumerate(names + worker_own):
-                    if name not in targets:
-                        desc, found = _parse_description(desc_paths[i], parses)
-                        diags.extend([((_DESCRIPTIONS,), diag) for diag in found])
-                        if desc is not None:
-                            alone.append((i, desc))
-                last(alone, take)
-            return not diags
+                half.targets |= worker_targets
+                half.load(i for i, name in enumerate(worker_own, mid)
+                          if name not in half.targets)
+                last(half.untargeted(), take)
+                if diags:
+                    raise _Rerun(parses)
         finally:
             if pid:
                 import signal
@@ -430,9 +424,9 @@ def _in_two(sources: _Sources, cut: int, work, take, diags: list, parses: dict,
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, parses: dict | None = None) -> int:
     diags: list = []
-    _each_suite(_Sources(args.paths), lambda key, linked, put: None, None, diags, lambda: None)
+    _each_suite(args.paths, lambda key, linked, put: None, None, diags, parses=parses)
     _print_diags(diags)
     return EXIT_DIAGNOSTICS if diags else EXIT_OK
 
@@ -452,7 +446,7 @@ _STATUS_STYLE = {"passed": ("PASS", "32"), "failed": ("FAIL", "31"),
                  "error": ("ERROR", "31")}
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, parses: dict | None = None) -> int:
     import json
 
     from .runtime import RunConfig, run_suite
@@ -471,36 +465,31 @@ def _cmd_run(args) -> int:
 
     report_suites: list = []
     diags: list = []
-    _each_suite(_Sources(args.paths), run_one, report_suites.append, diags,
-                report_suites.clear)
+    _each_suite(args.paths, run_one, report_suites.append, diags, parses=parses)
     _print_diags(diags)
     if diags:
         return EXIT_DIAGNOSTICS
     if args.suite is not None and not report_suites:
         raise _UsageError(f"no suite named '{args.suite}'")
     all_passed = all(r.status == "passed" for _, results in report_suites for r in results)
+    report = _report_dict(report_suites)
     if args.format == "json":
-        print(json.dumps(_report_dict(report_suites), indent=2))
+        print(json.dumps(report, indent=2))
     else:
-        _print_human(report_suites)
+        _print_human(report)
     return EXIT_OK if all_passed else EXIT_FAILURES
 
 
-def _print_human(report_suites) -> None:
-    for _suite_name, results in report_suites:
-        for result in results:
-            label, color = _STATUS_STYLE[result.status]
-            print(f"{_styled(label, color)} {result.description}")
-            if result.error is not None:
-                print(f"  error: {result.error}")
-            for failure in result.failures:
-                print(f"  {_failure_label(failure)}: expected {failure.expected!r}, "
-                      f"actual {failure.actual!r}")
-
-
-def _failure_label(failure) -> str:
-    return check_label(failure.widget, failure.feature, failure.aspect,
-                       failure.row_index, failure.column_title)
+def _print_human(report: dict) -> None:
+    for suite in report["suites"]:
+        for scenario in suite["scenarios"]:
+            status, color = _STATUS_STYLE[scenario["status"]]
+            print(f"{_styled(status, color)} {scenario['description']}")
+            if scenario["error"] is not None:
+                print(f"  error: {scenario['error']}")
+            for failure in scenario["failures"]:
+                print(f"  {failure['label']}: expected {failure['expected']!r}, "
+                      f"actual {failure['actual']!r}")
 
 
 def _failure_dict(failure) -> dict:
@@ -512,7 +501,8 @@ def _failure_dict(failure) -> dict:
         "columnTitle": failure.column_title,
         "expected": failure.expected,
         "actual": failure.actual,
-        "label": _failure_label(failure),
+        "label": check_label(failure.widget, failure.feature, failure.aspect,
+                             failure.row_index, failure.column_title),
     }
 
 
@@ -546,7 +536,7 @@ def _report_dict(report_suites) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, parses: dict | None = None) -> int:
     from .genconfig import GenConfigError, load_genconfig
 
     try:
@@ -560,16 +550,9 @@ def _cmd_gen(args) -> int:
         from .cpp_emitter import emit_pieces as emit
     from .ir import lower_to_ir
 
-    out_dir = Path(args.out)
-    output = _Output(out_dir, args.force)
+    output = _Output(Path(args.out), args.force)
     name_maps: dict = {}  # description index -> its name map, or None
     diags: list = []
-
-    def restart() -> None:
-        nonlocal output
-        output.discard()
-        output = _Output(out_dir, args.force)
-        name_maps.clear()
 
     def put_unit(key: tuple, desc, suite, put) -> None:
         """Put the generation unit of ``desc`` with ``suite``, or alone if
@@ -591,9 +574,9 @@ def _cmd_gen(args) -> int:
         diags.extend(output.collisions())
 
     try:
-        _each_suite(_Sources(args.paths),
+        _each_suite(args.paths,
                     lambda key, linked, put: put_unit(key, linked.description, linked, put),
-                    lambda unit: _write_unit(output, unit), diags, restart, last)
+                    lambda unit: _write_unit(output, unit), diags, last, parses)
         _print_diags(diags)
         if diags:
             return EXIT_DIAGNOSTICS

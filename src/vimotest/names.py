@@ -62,3 +62,7 @@ KEYWORDS = {
         virtual void volatile wchar_t while xor xor_eq
     """.split()),
 }
+
+# Java words that may name a method, variable or field but not a type (JLS 17
+# §3.8-3.9). They are left out of KEYWORDS, which would rename those.
+JAVA_RESTRICTED_TYPE_NAMES = frozenset("permits record sealed var yield".split())

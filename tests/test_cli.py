@@ -311,6 +311,32 @@ class TestGen:
         assert code == 2
         assert "E107" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("word", ("var", "yield", "record", "sealed", "permits"))
+    @pytest.mark.parametrize("place", ("name", "typeName"))
+    def test_a_restricted_java_type_name_is_e001(self, tmp_path, capsys, word, place):
+        """Java bars these words from naming a type (JLS 17 §3.8), though
+        they are no keywords; C++ takes them."""
+        header = (f"viewmodel {word}" if place == "name"
+                  else f'viewmodel V bind {{ typeName = "{word}" }}')
+        (tmp_path / "v.vmdsl").write_text(
+            header + " { widgets { button Go { supports enabled } } commands { click on Go } }")
+        (tmp_path / "s.vmtest").write_text(
+            f'testsuite S for {word if place == "name" else "V"} {{ scenario "s" {{ given {{ }} '
+            "when { click Go } then { button Go enabled true } } }")
+        for target, code in (("java", 2), ("cpp", 0)):
+            out = tmp_path / f"out_{target}"
+            config = write_config(tmp_path, target=target)
+            assert main(["gen", str(tmp_path / "v.vmdsl"), str(tmp_path / "s.vmtest"),
+                         "--config", config, "--out", str(out)]) == code
+            err = capsys.readouterr().err
+            if target == "java":
+                column = 1 if place == "name" else 20
+                assert err == (f"{tmp_path / 'v.vmdsl'}:1:{column}: E001: type name "
+                               f"'{word}' cannot name a java type\n")
+                assert not out.exists()
+            else:
+                assert err == "" and out.is_dir()
+
     def test_output_below_a_file_is_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path, target="java")
         out = tmp_path / "file" / "sub"

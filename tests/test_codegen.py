@@ -694,6 +694,32 @@ def bounds_vmtest(*values: tuple[int, int, int]) -> str:
 # argument, 0 to the 32-bit maximum for a row index. javac and g++ take them.
 BOUNDS_VMTEST = bounds_vmtest((-2**31, 2**31 - 1, 0), (2**31 - 1, 0, 2**31 - 1))
 
+# The words that cannot name a Java type (JLS 17 §3.8), used as every other
+# kind of name: a property, its getter, a command parameter, a local and a
+# test method.
+RESTRICTED_WORDS = ("var", "yield", "record", "sealed", "permits")
+RESTRICTED_VMDSL = (
+    "viewmodel RestrictedViewModel bind {\n"
+    + "".join(f'  property B{k}.enabled name = "{w}"\n  property B{k}.enabled getter = "{w}"\n'
+              for k, w in enumerate(RESTRICTED_WORDS))
+    + "} {\n  widgets {\n"
+    + "".join(f"    button B{k} {{\n      supports enabled\n    }}\n"
+              for k in range(len(RESTRICTED_WORDS)))
+    + "  }\n  commands {\n"
+    + f"    command LoadView({', '.join(f'{w}: context' for w in RESTRICTED_WORDS)})\n"
+    + "    click on B0\n  }\n}\n")
+RESTRICTED_VMTEST = (
+    "testsuite RestrictedTests for RestrictedViewModel {\n"
+    + "".join(
+        f'  scenario "{w}" {{\n    given {{\n'
+        + ("".join(f'      text {c} """{c}"""\n' for c in RESTRICTED_WORDS) if k == 0 else "")
+        + "    }\n    when {\n"
+        + (f"      LoadView({', '.join(RESTRICTED_WORDS)})\n" if k == 0 else "")
+        + f"      click B0\n    }}\n    then {{\n      button B{k} enabled true\n"
+        "    }\n  }\n"
+        for k, w in enumerate(RESTRICTED_WORDS))
+    + "}\n")
+
 SOURCES = ((VMDSL_PATH.read_text(), VMTEST_PATH.read_text()),
            (HOSTILE_VMDSL, HOSTILE_VMTEST),
            (CLASH_VMDSL, CLASH_VMTEST),
@@ -858,13 +884,16 @@ class TestGeneratedSourcesCompile:
     strings, of a suite whose context names clash with other locals, of a
     suite whose names are keywords and of the rows goldens compile against
     minimal hand-written companions, under the default config and the
-    non-default config of each target's goldens."""
+    non-default config of each target's goldens; so do those of a suite
+    whose names are Java's restricted type names, under the default Java
+    config."""
 
     @pytest.mark.skipif(shutil.which("javac") is None, reason="javac not on PATH")
     def test_java_compiles(self, tmp_path):
         write_tree(tmp_path, JAVA_STUBS)
-        for config in COMPILE_CONFIGS["java"]:
-            for vmdsl, vmtest in SOURCES:
+        restricted = ((RESTRICTED_VMDSL, RESTRICTED_VMTEST),)
+        for config, more in zip(COMPILE_CONFIGS["java"], (restricted, ())):
+            for vmdsl, vmtest in SOURCES + more:
                 files, name_map, suite_name = emit_sources(config, vmdsl, vmtest)
                 write_tree(tmp_path, files)
                 write_tree(tmp_path, java_companions(files, name_map, suite_name, config))
@@ -876,6 +905,7 @@ class TestGeneratedSourcesCompile:
         for config in COMPILE_CONFIGS["java"]:
             package = (config.java_package or "").split(".")
             assert (tmp_path.joinpath("classes", *package) / "ClashTestsTest.class").exists()
+        assert (tmp_path / "classes" / "RestrictedTestsTest.class").exists()
 
     @pytest.mark.skipif(shutil.which("g++") is None, reason="g++ not on PATH")
     def test_cpp_compiles(self, tmp_path):

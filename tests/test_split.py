@@ -266,10 +266,14 @@ class TestCrossedTargets:
         code, _, stderr, _ = assert_command_same(call, tmp_path, command, project)
         assert stderr == "" and code in (0, 1)
 
-    @pytest.mark.parametrize("crossed", (False, True), ids=("aligned", "crossed"))
-    def test_which_descriptions_each_process_parses(self, call, tmp_path, monkeypatch, crossed):
+    @pytest.mark.parametrize("command,crossed", (("check", False), ("check", True),
+                                                 ("gen_java", False)),
+                             ids=("aligned", "crossed", "aligned_gen"))
+    def test_which_descriptions_each_process_parses(self, call, tmp_path, monkeypatch, command,
+                                                    crossed):
         project = write_project(tmp_path / "p")
         arrange(project, crossed)
+        (name, *options), _ = commands(tmp_path)[command]
         log = tmp_path / "parses.log"
         real = cli.parse_view_model
 
@@ -282,7 +286,7 @@ class TestCrossedTargets:
         links = []  # this process's link stages only: no serial rerun
         real_linker = cli.Linker
         monkeypatch.setattr(cli, "Linker", lambda: links.append(1) or real_linker())
-        code, _, _, forks = call(2, "check", project)
+        code, _, _, forks = call(2, name, project, *options)
         assert code == 0 and forks == 1 and len(links) == 1
         here, worker = [], []
         for line in log.read_text().splitlines():
@@ -292,8 +296,11 @@ class TestCrossedTargets:
         mid = desc_cut(project)
         if crossed:
             assert sorted(here) == sorted(worker) == files
-        else:  # not Vm3's file, which no suite targets: only gen needs it
+        elif name == "check":  # not Vm3's file, which no suite targets: only gen needs it
             assert (here, worker) == (files[:mid], files[mid:])
+        else:  # of the worker's half, only Vm3's file, which no suite targets
+            assert files[-1].endswith("d3.vmdsl") and mid < len(files) - 1
+            assert (here, worker) == (files[:mid] + files[-1:], files[mid:])
 
 
 class TestErrorsRerunSerially:
@@ -603,6 +610,49 @@ class TestSuiteOption:
             assert code == cli.EXIT_USAGE and "no suite named 'Missing'" in stderr
         else:
             assert re.findall(r'"name": "(\w+)"', stdout) == [name]
+
+
+class TestHumanReport:
+    """The human report prints the records of the JSON report: each
+    scenario's status and description, its error where set, then each
+    failure's label, expected and actual value."""
+
+    STATUS = {"passed": "PASS", "failed": "FAIL", "error": "ERROR"}
+
+    @staticmethod
+    def project(root):
+        """The shipped corpus, plus a copy of its suite with two scenarios:
+        one whose expected table has two wrong cells, and one that selects
+        a row before any load."""
+        shutil.copytree(CORPUS, root)
+        head, then = VMTEST_PATH.read_text(encoding="utf-8").split("    then {", 1)
+        then = then.replace("| Exercise  |", "| Exercize  |").replace("| Taxes     |",
+                                                                      "| Taxis     |")
+        text = (head + "    then {" + then).rstrip()[:-1].replace(
+            "testsuite TaskListTests ", "testsuite TaskListTestsCopy ")
+        text += ('  scenario "Select before load" {\n    given {\n    }\n'
+                 "    when {\n      selectRow Tasks 9\n    }\n    then {\n    }\n  }\n}\n")
+        (root / "task_list_tests_2.vmtest").write_text(text, encoding="utf-8")
+        return root
+
+    @pytest.mark.parametrize("cpus", (1, 2), ids=("serial", "split"))
+    def test_is_the_json_records_line_for_line(self, call, tmp_path, cpus):
+        project = self.project(tmp_path / "p")
+        code, human, stderr, forks = call(cpus, "run", project, "--setup", "taskmanager")
+        assert (code, stderr, forks) == (1, "", cpus - 1)
+        _, out, _, _ = call(cpus, "run", project, "--setup", "taskmanager", "--format", "json")
+        lines = []
+        scenarios = [scenario for suite in json.loads(out)["suites"]
+                     for scenario in suite["scenarios"]]
+        for scenario in scenarios:
+            lines.append(f"{self.STATUS[scenario['status']]} {scenario['description']}")
+            if scenario["error"] is not None:
+                lines.append(f"  error: {scenario['error']}")
+            lines += [f"  {failure['label']}: expected {failure['expected']!r}, "
+                      f"actual {failure['actual']!r}" for failure in scenario["failures"]]
+        assert human.splitlines() == lines
+        assert [(s["status"], len(s["failures"])) for s in scenarios] == [
+            ("passed", 0), ("failed", 2), ("error", 0)]
 
 
 def in_worker(monkeypatch, module, name, action):
